@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fuzz-smoke incremental-exactness chaos chaos-slo ci bench bench-parallel bench-json bench-diff lintobs cover serve-smoke encoder-smoke
+.PHONY: all build test race vet fmt fuzz-smoke incremental-exactness chaos chaos-slo bench-smoke ci bench bench-parallel bench-json bench-diff lintobs cover serve-smoke encoder-smoke
 
 all: build
 
@@ -61,10 +61,18 @@ chaos:
 chaos-slo:
 	$(GO) test -count=1 -run TestChaosSLO -v ./internal/experiments
 
+# bench-smoke runs the benchmark module's own tests under the race
+# detector: every workload at toy size with its output checks (verdict and
+# pair digests against an independent reference, and the seed-1 goldens).
+# The benchmark is a separate module (bench/go.mod), so the root
+# `go test ./...` never reaches it.
+bench-smoke:
+	cd bench && $(GO) test -race ./...
+
 # ci is the tier-1 verification gate: formatting, vet, the full test suite
-# under the race detector, the wire-reader fuzz smoke, and the
-# encoder-backend conformance smoke.
-ci: fmt vet race fuzz-smoke encoder-smoke
+# under the race detector, the wire-reader fuzz smoke, the encoder-backend
+# conformance smoke, and the benchmark smoke.
+ci: fmt vet race fuzz-smoke encoder-smoke bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,20 +76,84 @@ func TestBackoffHonoursRetryAfter(t *testing.T) {
 	}
 }
 
-func TestParseRetryAfterSeconds(t *testing.T) {
-	cases := map[string]time.Duration{
-		"":                         0,
-		"  ":                       0,
-		"3":                        3 * time.Second,
-		" 10 ":                     10 * time.Second,
-		"-1":                       0,
-		"nope":                     0,
-		"Wed, 21 Oct 2015 07:28 G": 0,
-	}
-	for in, want := range cases {
-		if got := parseRetryAfterSeconds(in); got != want {
-			t.Fatalf("parseRetryAfterSeconds(%q) = %v, want %v", in, got, want)
+// retryAfterStub answers every request 503 with the Retry-After value
+// returned by advice (no header when it is empty).
+func retryAfterStub(t *testing.T, advice func() string) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if v := advice(); v != "" {
+			w.Header().Set("Retry-After", v)
 		}
+		http.Error(w, "busy", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// TestRemoteRetryAfterForms runs both RFC 9110 Retry-After forms and the
+// fallbacks through a real 503 answer: the backend reads the header with
+// exchange.ParseRetryAfter, the exchange client's parser, so the forms
+// mirror exchange's TestParseRetryAfterForms.
+func TestRemoteRetryAfterForms(t *testing.T) {
+	now := time.Now()
+	cases := []struct {
+		name, in string
+		min, max time.Duration
+	}{
+		{"delay-seconds", "3", 3 * time.Second, 3 * time.Second},
+		{"padded delay-seconds", " 10 ", 10 * time.Second, 10 * time.Second},
+		// HTTP-dates have one-second resolution and the clock moves on.
+		{"future HTTP-date", now.Add(10 * time.Second).UTC().Format(http.TimeFormat), 8 * time.Second, 10 * time.Second},
+		{"past HTTP-date", now.Add(-time.Hour).UTC().Format(http.TimeFormat), 0, 0},
+		{"negative seconds", "-1", 0, 0},
+		{"empty", "", 0, 0},
+		{"garbage", "nope", 0, 0},
+		{"truncated HTTP-date", "Wed, 21 Oct 2015 07:28 G", 0, 0},
+	}
+	var current atomic.Value
+	url := retryAfterStub(t, func() string { return current.Load().(string) })
+	r, err := NewRemote(url, WithDim(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		current.Store(c.in)
+		_, err := r.once([]byte("{}"), 1)
+		var se *encodeStatusError
+		if !errors.As(err, &se) || se.code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: err = %v, want a 503 status error", c.name, err)
+		}
+		if se.retryAfter < c.min || se.retryAfter > c.max {
+			t.Errorf("%s (%q): Retry-After read as %v, want in [%v, %v]", c.name, c.in, se.retryAfter, c.min, c.max)
+		}
+	}
+}
+
+// TestRemoteHTTPDateRetryAfterRaisesBackoff pins that a 503 advising an
+// HTTP-date floors the next retry at that date rather than being read as no
+// advice, which would retry after the bare jittered delay.
+func TestRemoteHTTPDateRetryAfterRaisesBackoff(t *testing.T) {
+	date := time.Now().Add(5 * time.Second).UTC().Format(http.TimeFormat)
+	r, err := NewRemote(retryAfterStub(t, func() string { return date }), WithDim(8),
+		WithJitterRand(rand.New(rand.NewPCG(3, 3))),
+		WithRetryPolicy(exchange.RetryPolicy{
+			MaxAttempts: 2,
+			BaseDelay:   10 * time.Millisecond,
+			MaxDelay:    10 * time.Second,
+			Timeout:     time.Second,
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.once([]byte("{}"), 1)
+	if err == nil {
+		t.Fatal("stub answered 2xx")
+	}
+	if d := r.backoff(1, err); d < 3*time.Second {
+		t.Fatalf("backoff after an HTTP-date Retry-After = %v, want the ~5s advice as its floor", d)
+	}
+	if d := r.backoff(1, &encodeStatusError{code: http.StatusServiceUnavailable}); d > 10*time.Millisecond {
+		t.Fatalf("backoff without advice = %v, want at most BaseDelay", d)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -371,7 +370,7 @@ func (r *Remote) once(payload []byte, wantTexts int) (*EncodeResponse, error) {
 		return nil, &encodeStatusError{
 			code:       resp.StatusCode,
 			body:       string(snippet),
-			retryAfter: parseRetryAfterSeconds(resp.Header.Get("Retry-After")),
+			retryAfter: exchange.ParseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
@@ -453,20 +452,6 @@ func (r *Remote) backoff(attempt int, lastErr error) time.Duration {
 		}
 	}
 	return d
-}
-
-// parseRetryAfterSeconds reads delay-seconds Retry-After advice (the only
-// form the stub and exchange servers emit); anything else yields 0.
-func parseRetryAfterSeconds(v string) time.Duration {
-	v = strings.TrimSpace(v)
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }
 
 func sleep(d time.Duration) {

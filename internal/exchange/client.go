@@ -496,7 +496,7 @@ func (c *Client) once(ctx context.Context, rq request, target string, timeout ti
 		return nil, "", false, &statusError{
 			code:       resp.StatusCode,
 			body:       string(snippet),
-			retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+			retryAfter: ParseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
@@ -509,11 +509,12 @@ func (c *Client) once(ctx context.Context, rq request, target string, timeout ti
 	return c.corrupt("exchange.client.body", body), resp.Header.Get("ETag"), false, nil
 }
 
-// parseRetryAfter reads Retry-After in either of its RFC 9110 forms:
+// ParseRetryAfter reads Retry-After in either of its RFC 9110 forms:
 // delay-seconds (the form the exchange server emits) or an HTTP-date,
-// converted to a non-negative delay from now. Unparseable or past values
-// yield 0 (no advice).
-func parseRetryAfter(v string) time.Duration {
+// converted to a non-negative delay from now. Unparseable, negative or past
+// values yield 0 (no advice). The exchange client and the remote encoder
+// backend both floor their retry backoff with it.
+func ParseRetryAfter(v string) time.Duration {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0

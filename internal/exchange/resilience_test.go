@@ -86,31 +86,30 @@ func TestAttemptTimeoutRetriedWithLiveCaller(t *testing.T) {
 	}
 }
 
-// TestParseRetryAfterForms covers both RFC 9110 Retry-After forms:
-// delay-seconds and HTTP-date, plus the garbage and past-date fallbacks.
+// TestParseRetryAfterForms covers both RFC 9110 Retry-After forms —
+// delay-seconds and HTTP-date — plus the negative, past-date and garbage
+// fallbacks. The remote encoder backend floors its backoff with the same
+// parser; its twin table runs the forms through an HTTP answer.
 func TestParseRetryAfterForms(t *testing.T) {
-	if got := parseRetryAfter("3"); got != 3*time.Second {
-		t.Errorf("delay-seconds: got %v, want 3s", got)
+	now := time.Now()
+	cases := []struct {
+		name, in string
+		min, max time.Duration
+	}{
+		{"delay-seconds", "3", 3 * time.Second, 3 * time.Second},
+		{"padded delay-seconds", " 7 ", 7 * time.Second, 7 * time.Second},
+		// HTTP-dates have one-second resolution and the clock moves on.
+		{"future HTTP-date", now.Add(10 * time.Second).UTC().Format(http.TimeFormat), 8 * time.Second, 10 * time.Second},
+		{"past HTTP-date", now.Add(-time.Hour).UTC().Format(http.TimeFormat), 0, 0},
+		{"negative seconds", "-2", 0, 0},
+		{"empty", "", 0, 0},
+		{"garbage", "soon", 0, 0},
+		{"truncated HTTP-date", "Wed, 21 Oct 2015 07:28 G", 0, 0},
 	}
-	if got := parseRetryAfter(" 7 "); got != 7*time.Second {
-		t.Errorf("padded delay-seconds: got %v, want 7s", got)
-	}
-	if got := parseRetryAfter("-2"); got != 0 {
-		t.Errorf("negative seconds: got %v, want 0", got)
-	}
-	if got := parseRetryAfter(""); got != 0 {
-		t.Errorf("empty header: got %v, want 0", got)
-	}
-	if got := parseRetryAfter("soon"); got != 0 {
-		t.Errorf("garbage: got %v, want 0", got)
-	}
-	future := time.Now().Add(10 * time.Second).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(future); got <= 0 || got > 10*time.Second {
-		t.Errorf("future HTTP-date: got %v, want in (0, 10s]", got)
-	}
-	past := time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(past); got != 0 {
-		t.Errorf("past HTTP-date: got %v, want 0", got)
+	for _, c := range cases {
+		if got := ParseRetryAfter(c.in); got < c.min || got > c.max {
+			t.Errorf("%s (%q): got %v, want in [%v, %v]", c.name, c.in, got, c.min, c.max)
+		}
 	}
 }
 

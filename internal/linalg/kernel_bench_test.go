@@ -58,6 +58,50 @@ func BenchmarkKernelCosine(b *testing.B) {
 	}
 }
 
+// Sinks keep the measured calls from being optimised away.
+var (
+	svdSink *linalg.SVD
+	pcaSink *linalg.PCA
+)
+
+// BenchmarkComputeSVD times the one-sided Jacobi SVD at the shapes the
+// scoping pipeline fits: mean-centred wide schema signatures (fewer
+// elements than dimensions) and a tall input that takes the transposed
+// path. Run with -benchmem to record the decomposition's allocations.
+func BenchmarkComputeSVD(b *testing.B) {
+	for _, sh := range []struct {
+		name string
+		r, c int
+	}{{"63x768", 63, 768}, {"127x768", 127, 768}, {"768x40", 768, 40}} {
+		b.Run(sh.name, func(b *testing.B) {
+			x := randDense(b, sh.r, sh.c, 9)
+			x = x.SubRow(x.ColMean())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				svdSink = linalg.ComputeSVD(x)
+			}
+		})
+	}
+}
+
+// BenchmarkFitPCAChecked times the full per-schema fit of Algorithm 1
+// (centre, decompose, truncate) at a typical schema shape.
+func BenchmarkFitPCAChecked(b *testing.B) {
+	b.Run("63x768", func(b *testing.B) {
+		x := randDense(b, 63, 768, 10)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p, err := linalg.FitPCAChecked(x, 0.8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pcaSink = p
+		}
+	})
+}
+
 func BenchmarkKernelTopK(b *testing.B) {
 	vals := randDense(b, 1, benchRows, 8).RowView(0)
 	for i := range vals {

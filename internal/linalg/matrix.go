@@ -4,8 +4,12 @@
 // bookkeeping, and PCA encode/decode with per-row reconstruction errors.
 //
 // The matrices involved in schema scoping are small (at most a few hundred
-// rows of a few hundred columns), so the package favours clarity and
-// numerical robustness over blocked performance tricks.
+// rows of a few hundred columns). Speed comes from memory layout rather
+// than from reordered arithmetic: the GEMM, distance and cosine kernels are
+// blocked (kernel.go), and the Jacobi SVD keeps every working column in one
+// contiguous slice (svd.go). Each reduction still accumulates in one fixed
+// order, so every kernel is bit-identical to the plain loop it replaced
+// (DESIGN.md §11).
 package linalg
 
 import (

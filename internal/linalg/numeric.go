@@ -48,24 +48,35 @@ func ComputeSVDChecked(x *Dense) (*SVD, error) {
 	if err := CheckFinite(x); err != nil {
 		return nil, err
 	}
-	d := ComputeSVD(x)
+	return checkConverged(ComputeSVD(x))
+}
+
+// checkConverged turns a decomposition of an r×c matrix (U is r×n, V is
+// c×n) that exhausted the Jacobi sweep budget into ErrSVDNoConvergence.
+func checkConverged(d *SVD) (*SVD, error) {
 	if !d.Converged {
 		return nil, fmt.Errorf("%w within %d sweeps on a %d×%d matrix",
-			ErrSVDNoConvergence, maxJacobiSweeps, x.Rows(), x.Cols())
+			ErrSVDNoConvergence, maxJacobiSweeps, d.U.Rows(), d.V.Rows())
 	}
 	return d, nil
 }
 
 // FitPCAChecked is FitPCA with the numeric-failure taxonomy enforced (see
-// ComputeSVDChecked).
+// ComputeSVDChecked). The centred copy is private to the fit, so it is
+// handed to the decomposition as its working set rather than cloned again.
 func FitPCAChecked(x *Dense, variance float64) (*PCA, error) {
 	if err := CheckFinite(x); err != nil {
 		return nil, err
 	}
 	mean := x.ColMean()
-	dec, err := ComputeSVDChecked(x.SubRow(mean))
+	centred := x.SubRow(mean)
+	// A finite x can still centre to ±Inf when its column sums overflow.
+	if err := CheckFinite(centred); err != nil {
+		return nil, err
+	}
+	dec, err := checkConverged(decompose(centred))
 	if err != nil {
 		return nil, err
 	}
-	return pcaFromSVD(x, mean, dec, variance), nil
+	return pcaFromSVD(mean, dec, variance), nil
 }

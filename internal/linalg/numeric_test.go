@@ -76,6 +76,25 @@ func TestComputeSVDReportsConvergence(t *testing.T) {
 	}
 }
 
+// TestCheckConvergedNamesTheInputShape pins the no-convergence error: it
+// wraps ErrSVDNoConvergence and names the sweep budget and the r×c shape of
+// the decomposed matrix (U is r×n, V is c×n).
+func TestCheckConvergedNamesTheInputShape(t *testing.T) {
+	d := &SVD{U: NewDense(5, 3), S: make([]float64, 3), V: NewDense(7, 3)}
+	_, err := checkConverged(d)
+	if !errors.Is(err, ErrSVDNoConvergence) {
+		t.Fatalf("err = %v, want ErrSVDNoConvergence", err)
+	}
+	want := "linalg: SVD did not converge within 60 sweeps on a 5×7 matrix"
+	if err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+	d.Converged = true
+	if got, err := checkConverged(d); err != nil || got != d {
+		t.Fatalf("converged decomposition: got %v, %v", got, err)
+	}
+}
+
 func TestFitPCACheckedMatchesFitPCA(t *testing.T) {
 	x := NewDense(5, 3)
 	vals := []float64{

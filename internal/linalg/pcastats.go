@@ -233,14 +233,9 @@ func FitPCAFromStats(s *PCAStats, variance float64) (*PCA, error) {
 	ev := ExplainedVariance(sing)
 	cev := CumulativeSum(ev)
 	nc := ComponentsForVariance(cev, variance)
-	full := dec.Components()
-	comp := NewDense(nc, d)
-	for i := 0; i < nc; i++ {
-		copy(comp.RowView(i), full.RowView(i))
-	}
 	return &PCA{
 		Mean:       mean,
-		Components: comp,
+		Components: dec.leadingComponents(nc),
 		Singular:   sing,
 		Explained:  ev,
 		Cumulative: cev,

@@ -1,0 +1,182 @@
+package linalg
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// The digests below pin the exact bits of the one-sided Jacobi SVD and of
+// the PCA fits built on it. They were captured before the decomposition's
+// working set moved to a contiguous-column layout, so any change to the
+// accumulation order, the rotation order or the rotation formulas shows up
+// here as a digest mismatch rather than as a tolerance-sized drift.
+//
+// The Go specification lets a compiler fuse x*y+z into one rounding on
+// architectures with a fused multiply-add; the digests are the amd64 bits,
+// where the compiler does not contract.
+
+// bitsDigest folds the IEEE-754 bits of every value, in order, into a
+// sha256 hex digest.
+type bitsDigest struct{ buf []byte }
+
+func (d *bitsDigest) floats(v []float64) {
+	for _, x := range v {
+		d.buf = binary.LittleEndian.AppendUint64(d.buf, math.Float64bits(x))
+	}
+}
+
+func (d *bitsDigest) dense(m *Dense) {
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(m.Rows()))
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(m.Cols()))
+	d.floats(m.data)
+}
+
+func (d *bitsDigest) sum() string {
+	h := sha256.Sum256(d.buf)
+	return hex.EncodeToString(h[:])
+}
+
+func svdDigest(dec *SVD) string {
+	var d bitsDigest
+	d.floats(dec.S)
+	d.dense(dec.U)
+	d.dense(dec.V)
+	if dec.Converged {
+		d.buf = append(d.buf, 1)
+	} else {
+		d.buf = append(d.buf, 0)
+	}
+	return d.sum()
+}
+
+func pcaDigest(p *PCA) string {
+	var d bitsDigest
+	d.dense(p.Components)
+	d.floats(p.Singular)
+	d.floats(p.Mean)
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(p.NComp))
+	return d.sum()
+}
+
+// goldenMatrix returns a seeded r×c matrix of standard normal draws.
+func goldenMatrix(seed int64, r, c int) *Dense {
+	return randomMatrix(rand.New(rand.NewSource(seed)), r, c)
+}
+
+// centred returns x with its column mean subtracted — the shape FitPCA
+// hands to the decomposition.
+func centred(x *Dense) *Dense { return x.SubRow(x.ColMean()) }
+
+// svdGoldenFixtures are the pinned inputs: the wide signature shapes the
+// scoping pipeline fits (mean-centred), a tall and a square matrix, a
+// rank-deficient input whose duplicated rows leave zero singular values,
+// all-zero columns on both the tall and the wide path, and the empty
+// edge cases.
+func svdGoldenFixtures() []struct {
+	name string
+	x    *Dense
+} {
+	rankDeficient := goldenMatrix(5, 24, 48)
+	for i := 12; i < 24; i++ {
+		copy(rankDeficient.RowView(i), rankDeficient.RowView(i-12))
+	}
+	zeroColTall := goldenMatrix(6, 50, 20)
+	zeroColWide := goldenMatrix(7, 20, 50)
+	for i := 0; i < 50; i++ {
+		zeroColTall.Set(i, 7, 0)
+	}
+	for i := 0; i < 20; i++ {
+		zeroColWide.Set(i, 7, 0)
+	}
+	return []struct {
+		name string
+		x    *Dense
+	}{
+		{"wide_63x768_centred", centred(goldenMatrix(1, 63, 768))},
+		{"wide_127x768_centred", centred(goldenMatrix(2, 127, 768))},
+		{"tall_768x40", goldenMatrix(3, 768, 40)},
+		{"square_40x40", goldenMatrix(4, 40, 40)},
+		{"rank_deficient_24x48", rankDeficient},
+		{"zero_column_tall_50x20", zeroColTall},
+		{"zero_column_wide_20x50", zeroColWide},
+		{"empty_0x5", NewDense(0, 5)},
+		{"empty_5x0", NewDense(5, 0)},
+	}
+}
+
+var svdGoldenDigests = map[string]string{
+	"wide_63x768_centred":    "8aafe56823bed45b51cdaf312e6b90a9ef64d87a643701d8324daa071ce7be1b",
+	"wide_127x768_centred":   "881b7c9f0c66c158b31d67a5e5dbc3473cb5b25c27cc6aa50fc70c09b7bcc393",
+	"tall_768x40":            "5aa68f6d4e7d3126c29fa5c2880db5922cc2281f8485debc51f2f3cf84ff0f6a",
+	"square_40x40":           "ce8e2538962bc7dff52aee38907a71ab5fce9d5ad0a0df81980d75161726a1e2",
+	"rank_deficient_24x48":   "a8330a1eb84df5737379a965d289a8b2aec51c751058f388e12c1d2557cd3390",
+	"zero_column_tall_50x20": "e9020928bf3108a98826e5779aa169c2ede0357c0309a6ca711ffc6999a1572c",
+	"zero_column_wide_20x50": "f22ead1b133111842b02568d1bc2efc3713fb918591468bf3d491745bf627683",
+	"empty_0x5":              "a8e0ec3c025befcfe482e2982d77f7c52e44201b27d86ec798d8b2ff65d555fb",
+	"empty_5x0":              "9036ce88667c4de31b6693b6cc71f5a10a340248c4fb6d54b8822876bf3922ea",
+}
+
+// TestComputeSVDGoldenBits pins S, U, V and Converged of ComputeSVD, bit
+// for bit, on every fixture shape.
+func TestComputeSVDGoldenBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are amd64 bits; %s may contract multiply-adds", runtime.GOARCH)
+	}
+	for _, f := range svdGoldenFixtures() {
+		before := f.x.Clone()
+		got := svdDigest(ComputeSVD(f.x))
+		if got != svdGoldenDigests[f.name] {
+			t.Errorf("%s: digest %s, want %s", f.name, got, svdGoldenDigests[f.name])
+		}
+		if MaxAbsDiff(before, f.x) != 0 {
+			t.Errorf("%s: ComputeSVD modified its input", f.name)
+		}
+	}
+}
+
+var pcaGoldenDigests = map[string]string{
+	"fit_wide_63x768_v0.8": "fa2ca151b6f3b28fa4918d4eef8c9aaf458ac1a849671c9857ebaa5a822f0423",
+	"fit_tall_200x40_v0.9": "a3c24024b495869e8dc21a3a6074e0b15e7250c58deed097edd7f658548b1327",
+	"stats_200x40_v0.9":    "047c534932854568f7e6fb3c8ee75b43f6dd9988bac4417dfbb2966561722bb8",
+}
+
+// TestFitPCAGoldenBits pins the retained Components, the Singular spectrum,
+// the mean and the component count of the checked, best-effort and
+// stats-path fits.
+func TestFitPCAGoldenBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are amd64 bits; %s may contract multiply-adds", runtime.GOARCH)
+	}
+	check := func(name string, p *PCA) {
+		t.Helper()
+		if got := pcaDigest(p); got != pcaGoldenDigests[name] {
+			t.Errorf("%s: digest %s, want %s", name, got, pcaGoldenDigests[name])
+		}
+	}
+	fits := []struct {
+		name string
+		x    *Dense
+		v    float64
+	}{
+		{"fit_wide_63x768_v0.8", goldenMatrix(1, 63, 768), 0.8},
+		{"fit_tall_200x40_v0.9", goldenMatrix(8, 200, 40), 0.9},
+	}
+	for _, f := range fits {
+		p, err := FitPCAChecked(f.x, f.v)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		check(f.name, p)
+		check(f.name, FitPCA(f.x, f.v))
+	}
+	p, err := FitPCAFromStats(AccumulateStats(goldenMatrix(8, 200, 40)), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("stats_200x40_v0.9", p)
+}
