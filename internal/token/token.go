@@ -34,10 +34,10 @@ func Split(ident string) []string {
 				switch {
 				case unicode.IsDigit(prev):
 					flush()
-				case unicode.IsLower(prev) && unicode.IsUpper(r):
+				case unicode.IsLower(prev) && isUpper(r):
 					// camelCase boundary.
 					flush()
-				case unicode.IsUpper(prev) && unicode.IsUpper(r) &&
+				case isUpper(prev) && isUpper(r) &&
 					i+1 < len(runes) && unicode.IsLower(runes[i+1]):
 					// End of an acronym run: HTTPServer → HTTP | Server.
 					flush()
@@ -56,6 +56,12 @@ func Split(ident string) []string {
 	flush()
 	return tokens
 }
+
+// isUpper reports whether r is an uppercase letter that lowering changes.
+// Uppercase runes without a lowercase mapping (ℂ, ℿ) stay uppercase in the
+// lowered tokens, so treating them as case boundaries would split those
+// tokens again on re-tokenising; they count as caseless instead.
+func isUpper(r rune) bool { return unicode.IsUpper(r) && unicode.ToLower(r) != r }
 
 // Expand rewrites common relational abbreviations to their full words and
 // returns the expanded token list. Unknown tokens pass through unchanged.
