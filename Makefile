@@ -42,15 +42,16 @@ incremental-exactness:
 
 # chaos runs the deterministic fault-injection suite: seed-driven injected
 # errors, panics, delays, and payload corruption across the parallel pool,
-# the exchange client/server, and the dataset loaders (see DESIGN.md §9).
-# CHAOS_SEED varies the corruption-sweep seeds without losing determinism.
+# the exchange client/server, the remote encoder, and the dataset loaders
+# (see DESIGN.md §9). CHAOS_SEED varies the corruption-sweep seeds without
+# losing determinism.
 CHAOS_SEED ?= 1
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -count=1 \
 		-run 'Chaos|Injected|Corrupt|FaultInject|LoadHook|KilledMidRun' \
 		./internal/parallel ./internal/faultinject ./internal/exchange \
-		./internal/schema ./internal/embed ./internal/checkpoint \
-		./internal/core ./internal/experiments
+		./internal/encoder ./internal/schema ./internal/embed \
+		./internal/checkpoint ./internal/core ./internal/experiments
 
 # chaos-slo runs the replicated-fleet chaos SLO harness (see DESIGN.md §14):
 # a three-replica scoping fleet is driven through kill, restart, stall,

@@ -577,7 +577,7 @@ func NewLSHMatcher(k int) Matcher { return match.LSH{K: k} }
 
 // NewApproxLSHMatcher returns the genuine random-hyperplane LSH matcher.
 func NewApproxLSHMatcher(k int, seed int64) Matcher {
-	return match.LSH{K: k, Approximate: true, Seed: seed}
+	return match.LSH{K: k, Index: IndexConfig{Kind: ann.KindLSH, Seed: seed}}
 }
 
 // IndexKind names an ANN index backend of the LSH matcher family.

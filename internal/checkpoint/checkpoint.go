@@ -12,14 +12,14 @@
 package checkpoint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+
+	"collabscope/internal/seal"
 )
 
 // Version is the checkpoint file format version this package writes.
@@ -32,27 +32,14 @@ const Version = 1
 var ErrCorrupt = errors.New("checkpoint: corrupt cell")
 
 // envelope is the on-disk form of one cell: the versioned payload plus the
-// integrity trailer, mirroring the model wire format of internal/core.
+// integrity trailer, sealed like the model wire format of internal/core.
 type envelope struct {
 	Version int             `json:"version"`
 	Key     string          `json:"key"`
 	Payload json.RawMessage `json:"payload"`
-	// Sum is the hex SHA-256 of the canonical JSON encoding of this object
-	// with Sum itself omitted.
+	// Sum is the seal trailer (internal/seal): the hex SHA-256 of the
+	// canonical JSON encoding of this object with Sum itself omitted.
 	Sum string `json:"sum,omitempty"`
-}
-
-// checksum returns the content hash of the envelope with the trailer
-// blanked, exactly as in the v1 model wire format.
-func (e *envelope) checksum() (string, error) {
-	c := *e
-	c.Sum = ""
-	b, err := json.Marshal(&c)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: hash cell: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // Store is a directory of checkpoint cells, one file per key. It
@@ -117,8 +104,8 @@ func (s *Store) Save(key string, v any) error {
 		return fmt.Errorf("checkpoint: marshal cell %q: %w", key, err)
 	}
 	env := &envelope{Version: Version, Key: key, Payload: payload}
-	if env.Sum, err = env.checksum(); err != nil {
-		return err
+	if err := seal.Seal(env, &env.Sum); err != nil {
+		return fmt.Errorf("checkpoint: hash cell: %w", err)
 	}
 	b, err := json.Marshal(env)
 	if err != nil {
@@ -180,15 +167,8 @@ func verify(b []byte, key string, v any) error {
 	if env.Key != key {
 		return fmt.Errorf("%w: cell is keyed %q, want %q", ErrCorrupt, env.Key, key)
 	}
-	if env.Sum == "" {
-		return fmt.Errorf("%w: missing hash trailer", ErrCorrupt)
-	}
-	want, err := env.checksum()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if env.Sum != want {
-		return fmt.Errorf("%w: trailer says %.12s…, content hashes to %.12s…", ErrCorrupt, env.Sum, want)
+	if err := seal.Verify(&env, &env.Sum); err != nil {
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	if err := json.Unmarshal(env.Payload, v); err != nil {
 		return fmt.Errorf("%w: payload: %v", ErrCorrupt, err)

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 
 	"collabscope/internal/linalg"
+	"collabscope/internal/seal"
 )
 
 // WireVersion is the model wire-format version WriteJSON emits. Readers
@@ -40,26 +39,13 @@ type modelJSON struct {
 	Mean       []float64   `json:"mean"`
 	Components [][]float64 `json:"components"`
 	Range      float64     `json:"range"`
-	// Sum is the hash trailer: the hex SHA-256 of the canonical JSON
-	// encoding of this object with Sum itself omitted (see checksum).
-	// Mandatory from v1 on; absent in v0 payloads.
+	// Sum is the hash trailer, sealed by internal/seal: the hex SHA-256 of
+	// the compact JSON encoding of this object with Sum empty (and
+	// therefore omitted). Field order is the struct order above; floats use
+	// Go's shortest round-trip formatting, so any reader that decodes and
+	// re-encodes the payload reproduces the same bytes. Mandatory from v1
+	// on; absent in v0 payloads.
 	Sum string `json:"sum,omitempty"`
-}
-
-// checksum returns the content hash of the wire object: the hex SHA-256 of
-// its compact JSON encoding with the Sum field empty (and therefore
-// omitted). Field order is the struct order above; floats use Go's shortest
-// round-trip formatting, so any reader that decodes and re-encodes the
-// payload reproduces the same bytes.
-func (w *modelJSON) checksum() (string, error) {
-	c := *w
-	c.Sum = ""
-	b, err := json.Marshal(&c)
-	if err != nil {
-		return "", fmt.Errorf("core: hash model: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // wire builds the v1 wire object of a model, hash trailer included.
@@ -75,11 +61,9 @@ func (m *Model) wire() (*modelJSON, error) {
 	for i := 0; i < m.pca.Components.Rows(); i++ {
 		w.Components = append(w.Components, m.pca.Components.Row(i))
 	}
-	sum, err := w.checksum()
-	if err != nil {
-		return nil, err
+	if err := seal.Seal(w, &w.Sum); err != nil {
+		return nil, fmt.Errorf("core: hash model: %w", err)
 	}
-	w.Sum = sum
 	return w, nil
 }
 
@@ -154,16 +138,8 @@ func ReadModelJSON(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("core: linkability range %v must be finite and non-negative", wire.Range)
 	}
 	if wire.Version >= 1 {
-		if wire.Sum == "" {
-			return nil, fmt.Errorf("core: v%d model payload is missing its hash trailer", wire.Version)
-		}
-		want, err := wire.checksum()
-		if err != nil {
-			return nil, err
-		}
-		if wire.Sum != want {
-			return nil, fmt.Errorf("core: model checksum mismatch: payload says %.12s…, content hashes to %.12s…",
-				wire.Sum, want)
+		if err := seal.Verify(&wire, &wire.Sum); err != nil {
+			return nil, fmt.Errorf("core: v%d model %w", wire.Version, err)
 		}
 	}
 	comp := linalg.NewDense(len(wire.Components), wire.Dim)

@@ -1,16 +1,12 @@
 package encoder
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"collabscope/internal/checkpoint"
 	"collabscope/internal/exchange"
@@ -25,11 +21,13 @@ const DefaultMaxBatch = 256
 
 // Remote is the HTTP encoder backend: it speaks the versioned encode wire
 // format (SHA-256 trailers both ways) against a server's POST endpoint,
-// with the same retry/backoff/deadline discipline as the model-exchange
-// client (it reuses exchange.RetryPolicy), request coalescing across
-// concurrent callers, and a content-addressed signature cache so repeat
-// texts — and with a checkpoint store, repeat runs — never leave the
-// process.
+// coalesces requests across concurrent callers, and keeps a
+// content-addressed signature cache so repeat texts — and with a
+// checkpoint store, repeat runs — never leave the process. It has no
+// transport of its own: every request goes through the model-exchange
+// client's retry loop (an exchange.Client named "encoder"), so retry
+// classification, backoff, Retry-After floors, per-attempt deadlines and
+// error wording are the model exchange's.
 //
 // Determinism contract: the server must be a pure function of the text
 // (the stub server wraps the deterministic hash encoder). Under that
@@ -42,14 +40,14 @@ type Remote struct {
 	dim      int
 	maxBatch int
 
-	hc     *http.Client
-	policy exchange.RetryPolicy
-	randN  func(n time.Duration) time.Duration
-	inject *faultinject.Injector
+	// client carries every request; copts collects the options forwarded
+	// to it until NewRemote builds it.
+	client *exchange.Client
+	copts  []exchange.ClientOption
 	reg    *obs.Registry
 
 	cache *sigCache
-	// Cache construction inputs, consumed in finish().
+	// Cache construction inputs, consumed in NewRemote.
 	store    *checkpoint.Store
 	capacity int
 
@@ -83,17 +81,13 @@ func WithMaxBatch(n int) RemoteOption {
 
 // WithHTTPClient replaces the transport (http.DefaultClient if unset).
 func WithHTTPClient(hc *http.Client) RemoteOption {
-	return func(r *Remote) {
-		if hc != nil {
-			r.hc = hc
-		}
-	}
+	return func(r *Remote) { r.copts = append(r.copts, exchange.WithHTTPClient(hc)) }
 }
 
 // WithRetryPolicy replaces the default retry policy (the exchange client
 // defaults: 3 attempts, 100 ms base delay, 2 s cap, 5 s attempt timeout).
 func WithRetryPolicy(p exchange.RetryPolicy) RemoteOption {
-	return func(r *Remote) { r.policy = p }
+	return func(r *Remote) { r.copts = append(r.copts, exchange.WithRetryPolicy(p)) }
 }
 
 // WithStore persists the signature cache through a checkpoint store, so a
@@ -114,25 +108,22 @@ func WithCacheCapacity(n int) RemoteOption {
 // hit/miss/eviction counters. A nil registry keeps instrumentation
 // disabled.
 func WithMetrics(reg *obs.Registry) RemoteOption {
-	return func(r *Remote) { r.reg = reg }
+	return func(r *Remote) {
+		r.reg = reg
+		r.copts = append(r.copts, exchange.WithMetrics(reg))
+	}
 }
 
 // WithFaultInjector arms a fault injector on this backend only (sites
 // encoder.client.request and encoder.client.body).
 func WithFaultInjector(in *faultinject.Injector) RemoteOption {
-	return func(r *Remote) { r.inject = in }
+	return func(r *Remote) { r.copts = append(r.copts, exchange.WithFaultInjector(in)) }
 }
 
 // WithJitterRand replaces the backoff jitter's randomness source, pinning
 // the retry schedule for tests.
 func WithJitterRand(rng *rand.Rand) RemoteOption {
-	return func(r *Remote) {
-		if rng != nil {
-			r.randN = func(n time.Duration) time.Duration {
-				return time.Duration(rng.Int64N(int64(n)))
-			}
-		}
-	}
+	return func(r *Remote) { r.copts = append(r.copts, exchange.WithJitterRand(rng)) }
 }
 
 // NewRemote returns a remote backend for the given encode endpoint URL.
@@ -140,44 +131,18 @@ func NewRemote(url string, opts ...RemoteOption) (*Remote, error) {
 	if strings.TrimSpace(url) == "" {
 		return nil, fmt.Errorf("encoder: remote backend needs a server URL")
 	}
-	r := &Remote{
-		url:      url,
-		dim:      0, // filled below; New passes the configured dimension
-		maxBatch: DefaultMaxBatch,
-		hc:       http.DefaultClient,
-		policy:   exchange.DefaultRetryPolicy(),
-		randN:    func(n time.Duration) time.Duration { return rand.N(n) },
-	}
+	r := &Remote{url: url, maxBatch: DefaultMaxBatch}
 	for _, o := range opts {
 		o(r)
 	}
 	if r.dim <= 0 {
 		return nil, fmt.Errorf("encoder: remote backend needs a positive dimension")
 	}
-	r.policy = normalizePolicy(r.policy)
+	r.client = exchange.NewNamedClient("encoder", r.copts...)
 	r.cache = newSigCache(r.capacity, r.store, r.reg)
 	r.co.flush = r.flush
 	r.co.window = r.maxBatch
 	return r, nil
-}
-
-// normalizePolicy fills zero fields with the exchange client defaults —
-// the same semantics as the exchange client's own policy handling.
-func normalizePolicy(p exchange.RetryPolicy) exchange.RetryPolicy {
-	def := exchange.DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = def.MaxAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = def.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = def.MaxDelay
-	}
-	if p.Timeout <= 0 {
-		p.Timeout = def.Timeout
-	}
-	return p
 }
 
 // Dim implements embed.Encoder.
@@ -312,150 +277,26 @@ func (r *Remote) flush(batch []*pending) {
 	}
 }
 
-// post runs one encode request through the retry loop: capped exponential
-// backoff with jitter between attempts, per-attempt timeouts from the
-// policy, Retry-After honoured as a backoff floor, and checksum
-// validation of the response envelope.
+// post sends one batch through the exchange client's retry loop and
+// validates the answer outside it, as the model exchange does: a
+// malformed or checksum-invalid response is not retried and counts as a
+// request failure. encoder.requests and encoder.texts count batches, not
+// attempts; the client counts each extra attempt as encoder.retries.
 func (r *Remote) post(texts []string) (*EncodeResponse, error) {
 	payload, err := MarshalRequest(EncodeRequest{Model: r.model, Dim: r.dim, Texts: texts})
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.reg.Counter("encoder.retries").Inc()
-			sleep(r.backoff(attempt, lastErr))
-		}
-		resp, err := r.once(payload, len(texts))
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !retryableEncode(err) {
-			break
-		}
-	}
-	r.reg.Counter("encoder.request_failures").Inc()
-	return nil, fmt.Errorf("after %d attempts: %w", r.policy.MaxAttempts, lastErr)
-}
-
-// once performs a single attempt under the policy's per-attempt timeout.
-// "encoder.client.request" (error/delay before the attempt) and
-// "encoder.client.body" (response corruption, caught by the checksum
-// trailer) are fault-injection hook points, mirroring the exchange client.
-func (r *Remote) once(payload []byte, wantTexts int) (*EncodeResponse, error) {
-	if err := r.hit("encoder.client.request"); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.policy.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.url, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", "application/json")
-	sw := r.reg.Clock()
 	r.reg.Counter("encoder.requests").Inc()
-	r.reg.Counter("encoder.texts").Add(int64(wantTexts))
-	resp, err := r.hc.Do(req)
+	r.reg.Counter("encoder.texts").Add(int64(len(texts)))
+	body, err := r.client.Post(context.Background(), r.url, payload, maxResponseBody)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	r.reg.Histogram("encoder.request").ObserveSince(sw)
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &encodeStatusError{
-			code:       resp.StatusCode,
-			body:       string(snippet),
-			retryAfter: exchange.ParseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
+	resp, err := UnmarshalResponse(body, r.dim, len(texts))
 	if err != nil {
+		r.reg.Counter("encoder.request_failures").Inc()
 		return nil, err
 	}
-	if len(body) > maxResponseBody {
-		return nil, fmt.Errorf("response exceeds %d bytes", maxResponseBody)
-	}
-	return UnmarshalResponse(r.corrupt("encoder.client.body", body), r.dim, wantTexts)
-}
-
-func (r *Remote) hit(site string) error {
-	if r.inject != nil {
-		return r.inject.Hit(site)
-	}
-	return faultinject.Hit(site)
-}
-
-func (r *Remote) corrupt(site string, b []byte) []byte {
-	if r.inject != nil {
-		return r.inject.Corrupt(site, b)
-	}
-	return faultinject.Corrupt(site, b)
-}
-
-// encodeStatusError is a non-2xx response; retryable for 5xx and 429.
-type encodeStatusError struct {
-	code       int
-	body       string
-	retryAfter time.Duration
-}
-
-func (e *encodeStatusError) Error() string {
-	msg := strings.TrimSpace(e.body)
-	if msg == "" {
-		return fmt.Sprintf("http status %d", e.code)
-	}
-	return fmt.Sprintf("http status %d: %.120s", e.code, msg)
-}
-
-// retryableEncode mirrors the exchange client's retry classification: 5xx
-// and 429 retry, any other HTTP answer (including a checksum-valid but
-// malformed payload) does not, and transport-level failures do.
-func retryableEncode(err error) bool {
-	var se *encodeStatusError
-	if errors.As(err, &se) {
-		return se.code >= 500 || se.code == http.StatusTooManyRequests
-	}
-	var netErr interface{ Timeout() bool }
-	if errors.As(err, &netErr) {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
-}
-
-// backoff returns the jittered delay before retry number attempt (≥ 1):
-// BaseDelay·2^(attempt−1) capped at MaxDelay, jittered uniformly over
-// [delay/2, delay], floored by a server's Retry-After advice (itself
-// capped at MaxDelay).
-func (r *Remote) backoff(attempt int, lastErr error) time.Duration {
-	delay := r.policy.BaseDelay
-	for i := 1; i < attempt && delay < r.policy.MaxDelay; i++ {
-		delay *= 2
-	}
-	if delay > r.policy.MaxDelay {
-		delay = r.policy.MaxDelay
-	}
-	half := delay / 2
-	d := half + r.randN(delay-half+1)
-	var se *encodeStatusError
-	if errors.As(lastErr, &se) && se.retryAfter > 0 {
-		floor := se.retryAfter
-		if floor > r.policy.MaxDelay {
-			floor = r.policy.MaxDelay
-		}
-		if d < floor {
-			d = floor
-		}
-	}
-	return d
-}
-
-func sleep(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	<-t.C
+	return resp, nil
 }

@@ -7,11 +7,11 @@
 package encoder
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"collabscope/internal/seal"
 )
 
 // WireVersion is the encode wire-format version. Version bumps are
@@ -43,27 +43,13 @@ type EncodeResponse struct {
 	Sum     string      `json:"sum"`
 }
 
-// checksum returns the hex SHA-256 of v's canonical JSON encoding. Callers
-// pass a copy with the Sum field emptied.
-func checksum(v any) (string, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
-
 // MarshalRequest seals and encodes a request: the trailer is computed over
 // the canonical encoding with Sum empty, then stamped in.
 func MarshalRequest(r EncodeRequest) ([]byte, error) {
 	r.Version = WireVersion
-	r.Sum = ""
-	sum, err := checksum(r)
-	if err != nil {
+	if err := seal.Seal(&r, &r.Sum); err != nil {
 		return nil, fmt.Errorf("encoder: seal request: %w", err)
 	}
-	r.Sum = sum
 	return json.Marshal(r)
 }
 
@@ -80,31 +66,18 @@ func UnmarshalRequest(data []byte) (*EncodeRequest, error) {
 	if r.Dim <= 0 {
 		return nil, fmt.Errorf("encoder: request dimension %d is not positive", r.Dim)
 	}
-	want := r.Sum
-	if want == "" {
-		return nil, fmt.Errorf("encoder: request lacks its checksum trailer")
+	if err := seal.Verify(&r, &r.Sum); err != nil {
+		return nil, fmt.Errorf("encoder: request %w", err)
 	}
-	r.Sum = ""
-	got, err := checksum(r)
-	if err != nil {
-		return nil, err
-	}
-	if got != want {
-		return nil, fmt.Errorf("encoder: request checksum mismatch (got %.12s…, want %.12s…)", got, want)
-	}
-	r.Sum = want
 	return &r, nil
 }
 
 // MarshalResponse seals and encodes a response.
 func MarshalResponse(r EncodeResponse) ([]byte, error) {
 	r.Version = WireVersion
-	r.Sum = ""
-	sum, err := checksum(r)
-	if err != nil {
+	if err := seal.Seal(&r, &r.Sum); err != nil {
 		return nil, fmt.Errorf("encoder: seal response: %w", err)
 	}
-	r.Sum = sum
 	return json.Marshal(r)
 }
 
@@ -126,19 +99,9 @@ func UnmarshalResponse(data []byte, wantDim, wantTexts int) (*EncodeResponse, er
 	if r.Dim <= 0 {
 		return nil, fmt.Errorf("encoder: response dimension %d is not positive", r.Dim)
 	}
-	want := r.Sum
-	if want == "" {
-		return nil, fmt.Errorf("encoder: response lacks its checksum trailer")
+	if err := seal.Verify(&r, &r.Sum); err != nil {
+		return nil, fmt.Errorf("encoder: response %w", err)
 	}
-	r.Sum = ""
-	got, err := checksum(r)
-	if err != nil {
-		return nil, err
-	}
-	if got != want {
-		return nil, fmt.Errorf("encoder: response checksum mismatch (got %.12s…, want %.12s…)", got, want)
-	}
-	r.Sum = want
 	if wantDim > 0 && r.Dim != wantDim {
 		return nil, fmt.Errorf("encoder: response dimension %d, requested %d", r.Dim, wantDim)
 	}

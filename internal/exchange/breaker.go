@@ -287,7 +287,7 @@ func (c *Client) noteTransition(host string, b *breaker, tr transition) {
 	if tr == transitionNone || c.reg == nil {
 		return
 	}
-	prefix := "exchange.breaker." + host + "."
+	prefix := c.ns + ".breaker." + host + "."
 	c.reg.Gauge(prefix + "state").Set(int64(b.current()))
 	switch tr {
 	case transitionOpened:

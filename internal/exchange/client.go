@@ -20,6 +20,7 @@ import (
 	"collabscope/internal/lru"
 	"collabscope/internal/obs"
 	"collabscope/internal/parallel"
+	"collabscope/internal/seal"
 )
 
 // maxResponseBody bounds how much a single response may occupy before
@@ -88,6 +89,9 @@ func (e PeerError) Unwrap() error { return e.Err }
 // and per-peer variants) and are never counted as fresh fetches or fed into
 // the retry bookkeeping.
 type Client struct {
+	// ns prefixes every metric name and fault site: "exchange" from
+	// NewClient, "encoder" for the remote encoder backend.
+	ns     string
 	hc     *http.Client
 	policy RetryPolicy
 	// randN draws the backoff jitter: a uniform duration in [0, n). It
@@ -198,8 +202,16 @@ func WithModelCacheSize(n int) ClientOption {
 
 // NewClient returns a fetching client with the default transport and retry
 // policy.
-func NewClient(opts ...ClientOption) *Client {
+func NewClient(opts ...ClientOption) *Client { return NewNamedClient("exchange", opts...) }
+
+// NewNamedClient is NewClient under another namespace: ns takes the place
+// of "exchange" in every metric name the client records (ns.retries,
+// ns.request, ns.peer.<host>.*) and in its fault sites (ns.client.request,
+// ns.client.body). The remote encoder backend sends through the retry
+// loop this way, as "encoder".
+func NewNamedClient(ns string, opts ...ClientOption) *Client {
 	c := &Client{
+		ns:     ns,
 		hc:     http.DefaultClient,
 		policy: DefaultRetryPolicy(),
 		randN:  func(n time.Duration) time.Duration { return rand.N(n) },
@@ -263,21 +275,21 @@ func retryable(err, callerErr error) bool {
 	return !errors.Is(err, context.Canceled)
 }
 
-// peerPrefix derives the per-peer metric-name prefix from a model URL:
-// "exchange.peer.<host>.". An unparseable URL yields "" (global-only
-// metrics), never an error — metric naming must not fail a fetch.
-func peerPrefix(rawURL string) string {
-	u, err := url.Parse(rawURL)
-	if err != nil || u.Host == "" {
+// peerPrefix derives the per-peer metric-name prefix "<ns>.peer.<host>."
+// from a URL's host (see hostOf). An empty host — an unparseable URL —
+// yields "" (global-only metrics), never an error: metric naming must not
+// fail a fetch.
+func (c *Client) peerPrefix(host string) string {
+	if host == "" {
 		return ""
 	}
-	return "exchange.peer." + u.Host + "."
+	return c.ns + ".peer." + host + "."
 }
 
 // count bumps the global counter name and, when peer != "", its per-peer
 // twin. All calls are no-ops on an uninstrumented client.
 func (c *Client) count(peer, name string) {
-	c.reg.Counter("exchange." + name).Inc()
+	c.reg.Counter(c.ns + "." + name).Inc()
 	if peer != "" {
 		c.reg.Counter(peer + name).Inc()
 	}
@@ -293,6 +305,8 @@ type request struct {
 	tenant string
 	// payload, when non-nil, is the request body (POST).
 	payload []byte
+	// limit caps the response body in bytes (maxResponseBody when zero).
+	limit int
 }
 
 // get fetches a URL with per-attempt timeouts and capped exponential
@@ -302,6 +316,15 @@ type request struct {
 // retry bookkeeping.
 func (c *Client) get(ctx context.Context, rawURL, inm string) (body []byte, etag string, notModified bool, err error) {
 	return c.do(ctx, request{method: http.MethodGet, url: rawURL, inm: inm})
+}
+
+// Post sends payload as a JSON POST to rawURL through the retry loop and
+// returns the response body, read up to limit bytes (0 means the model
+// cap). The body comes back unvalidated: callers check it outside the
+// loop, so a malformed answer is never retried.
+func (c *Client) Post(ctx context.Context, rawURL string, payload []byte, limit int) ([]byte, error) {
+	body, _, _, err := c.do(ctx, request{method: http.MethodPost, url: rawURL, payload: payload, limit: limit})
+	return body, err
 }
 
 // do runs one request through the retry/failover loop. The URL resolves to
@@ -315,7 +338,7 @@ func (c *Client) get(ctx context.Context, rawURL, inm string) (body []byte, etag
 func (c *Client) do(ctx context.Context, rq request) (body []byte, etag string, notModified bool, err error) {
 	peer := ""
 	if c.reg != nil {
-		peer = peerPrefix(rq.url)
+		peer = c.peerPrefix(hostOf(rq.url))
 	}
 	candidates := c.resolve(rq.url)
 	total := c.policy.MaxAttempts
@@ -335,7 +358,7 @@ func (c *Client) do(ctx context.Context, rq request) (body []byte, etag string, 
 		}
 		target, host, br, ok := c.pick(candidates, attempt, c.now())
 		if !ok {
-			c.reg.Counter("exchange.breaker.short_circuits").Inc()
+			c.count("", "breaker.short_circuits")
 			c.count(peer, "request_failures")
 			return nil, "", false, &CircuitOpenError{Host: host}
 		}
@@ -359,11 +382,11 @@ func (c *Client) do(ctx context.Context, rq request) (body []byte, etag string, 
 			b, et, nm, oerr := c.once(ctx, rq, target, timeout)
 			res = attemptResult{body: b, etag: et, notModified: nm, err: oerr, url: target}
 		}
-		c.reg.Histogram("exchange.request").ObserveSince(sw)
+		c.reg.Histogram(c.ns + ".request").ObserveSince(sw)
 		if peer != "" {
 			c.reg.Histogram(peer + "request").ObserveSince(sw)
 		}
-		if tp := peerPrefixHost(hostOf(res.url)); tp != "" && tp != peer {
+		if tp := c.peerPrefix(hostOf(res.url)); tp != "" && tp != peer {
 			c.reg.Histogram(tp + "request").ObserveSince(sw)
 		}
 		callerErr := ctx.Err()
@@ -455,11 +478,11 @@ func (c *Client) hedgeBackup(rq request, candidates []string, attempt int, prima
 // once performs a single attempt against target under the given timeout,
 // advertising the attempt's budget to the server via the deadline header
 // so it can shed work it cannot finish in time.
-// "exchange.client.request" (error/delay before the attempt) and
-// "exchange.client.body" (response corruption, caught downstream by the
-// wire format's hash trailer) are fault-injection hook points.
+// "<ns>.client.request" (error/delay before the attempt) and
+// "<ns>.client.body" (response corruption, caught downstream by the wire
+// format's hash trailer) are fault-injection hook points.
 func (c *Client) once(ctx context.Context, rq request, target string, timeout time.Duration) ([]byte, string, bool, error) {
-	if err := c.hit("exchange.client.request"); err != nil {
+	if err := c.hit(c.ns + ".client.request"); err != nil {
 		return nil, "", false, err
 	}
 	actx, cancel := context.WithTimeout(ctx, timeout)
@@ -499,21 +522,25 @@ func (c *Client) once(ctx context.Context, rq request, target string, timeout ti
 			retryAfter: ParseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
+	limit := rq.limit
+	if limit <= 0 {
+		limit = maxResponseBody
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
 	if err != nil {
 		return nil, "", false, err
 	}
-	if len(body) > maxResponseBody {
-		return nil, "", false, fmt.Errorf("response exceeds %d bytes", maxResponseBody)
+	if len(body) > limit {
+		return nil, "", false, fmt.Errorf("response exceeds %d bytes", limit)
 	}
-	return c.corrupt("exchange.client.body", body), resp.Header.Get("ETag"), false, nil
+	return c.corrupt(c.ns+".client.body", body), resp.Header.Get("ETag"), false, nil
 }
 
 // ParseRetryAfter reads Retry-After in either of its RFC 9110 forms:
 // delay-seconds (the form the exchange server emits) or an HTTP-date,
 // converted to a non-negative delay from now. Unparseable, negative or past
-// values yield 0 (no advice). The exchange client and the remote encoder
-// backend both floor their retry backoff with it.
+// values yield 0 (no advice). The retry loop floors its backoff with it,
+// for the model exchange and the remote encoder backend alike.
 func ParseRetryAfter(v string) time.Duration {
 	v = strings.TrimSpace(v)
 	if v == "" {
@@ -592,7 +619,7 @@ func (c *Client) FetchModel(ctx context.Context, rawURL string) (*core.Model, er
 	}
 	peer := ""
 	if c.reg != nil {
-		peer = peerPrefix(rawURL)
+		peer = c.peerPrefix(hostOf(rawURL))
 	}
 	body, etag, notModified, err := c.get(ctx, rawURL, inm)
 	if err != nil {
@@ -605,7 +632,7 @@ func (c *Client) FetchModel(ctx context.Context, rawURL string) (*core.Model, er
 	m, err := core.ReadModelJSON(bytes.NewReader(body))
 	if err != nil {
 		c.count(peer, "model_invalid")
-		if strings.Contains(err.Error(), "checksum") {
+		if errors.Is(err, seal.ErrMismatch) {
 			c.count(peer, "checksum_failures")
 		}
 		return nil, err
@@ -648,7 +675,7 @@ func (c *Client) cachePut(rawURL string, e cacheEntry) {
 	_, evicted := c.cache.Put(rawURL, e)
 	c.cacheMu.Unlock()
 	if evicted {
-		c.reg.Counter("exchange.etag_evictions").Inc()
+		c.count("", "etag_evictions")
 	}
 }
 

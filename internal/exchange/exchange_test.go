@@ -325,6 +325,47 @@ func TestBackoffIsCappedAndJittered(t *testing.T) {
 	}
 }
 
+// TestBackoffHonoursRetryAfter pins the Retry-After floor: server advice
+// lifts a small jittered delay, and is itself capped at MaxDelay.
+func TestBackoffHonoursRetryAfter(t *testing.T) {
+	c := NewClient(WithRetryPolicy(RetryPolicy{
+		MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second, Timeout: time.Second,
+	}))
+	if d := c.backoff(1, &statusError{code: http.StatusTooManyRequests, retryAfter: time.Second}); d < time.Second {
+		t.Fatalf("Retry-After floor ignored: %v < 1s", d)
+	}
+	if d := c.backoff(1, &statusError{code: http.StatusTooManyRequests, retryAfter: time.Minute}); d != 2*time.Second {
+		t.Fatalf("Retry-After cap: %v, want MaxDelay 2s", d)
+	}
+}
+
+// TestStatusErrorMessage pins both Error() forms of a non-2xx answer, with
+// and without a body excerpt.
+func TestStatusErrorMessage(t *testing.T) {
+	if got := (&statusError{code: 500}).Error(); got != "http status 500" {
+		t.Fatalf("bare form: %q", got)
+	}
+	if got := (&statusError{code: 500, body: " boom \n"}).Error(); got != "http status 500: boom" {
+		t.Fatalf("body form: %q", got)
+	}
+}
+
+// TestPostCapsResponseBody pins the per-request body cap Post takes: a
+// body past the limit fails instead of being read whole.
+func TestPostCapsResponseBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte("0123456789abcdef"))
+	}))
+	defer ts.Close()
+	c := NewClient(WithRetryPolicy(quickPolicy()))
+	if _, err := c.Post(context.Background(), ts.URL, []byte("{}"), 8); err == nil || !strings.Contains(err.Error(), "exceeds 8 bytes") {
+		t.Fatalf("16-byte body under an 8-byte cap: err %v", err)
+	}
+	if body, err := c.Post(context.Background(), ts.URL, []byte("{}"), 16); err != nil || string(body) != "0123456789abcdef" {
+		t.Fatalf("16-byte body under a 16-byte cap: %q, %v", body, err)
+	}
+}
+
 func TestFetchAllHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

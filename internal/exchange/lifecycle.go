@@ -47,7 +47,7 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 func (s *Server) drain(ctx context.Context) error {
-	reg := s.registry()
+	reg := s.reg
 	reg.Counter("server.drains").Inc()
 	s.draining.Store(true)
 	// An admit section that read draining=false may still be inside

@@ -178,28 +178,68 @@ func TestClientRetryAndFailureCounters(t *testing.T) {
 	}
 }
 
+// TestFetchModelChecksumCounters pins the typed checksum detection: a
+// tampered v1 payload counts as model_invalid and checksum_failures, while
+// a v1 payload without its trailer is malformed, not corrupted, and counts
+// as model_invalid only.
+func TestFetchModelChecksumCounters(t *testing.T) {
+	cases := []struct {
+		name      string
+		edit      func(map[string]any)
+		checksums int64
+	}{
+		{"tampered", func(w map[string]any) { w["range"] = w["range"].(float64) + 1 }, 1},
+		{"no trailer", func(w map[string]any) { delete(w, "sum") }, 0},
+	}
+	for _, c := range cases {
+		body := tamper(t, testModel(t, "S1"), c.edit)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			_, _ = w.Write(body)
+		}))
+		reg := obs.NewRegistry()
+		_, err := NewClient(WithRetryPolicy(quickPolicy()), WithMetrics(reg)).FetchModel(context.Background(), ts.URL+"/models/S1")
+		ts.Close()
+		counters := reg.Snapshot().Counters
+		if err == nil || counters["exchange.model_invalid"] != 1 || counters["exchange.checksum_failures"] != c.checksums {
+			t.Errorf("%s: err %v, model_invalid %d, checksum_failures %d; want an error, 1 and %d",
+				c.name, err, counters["exchange.model_invalid"], counters["exchange.checksum_failures"], c.checksums)
+		}
+	}
+}
+
 // TestServerMetricsEndpoint: /metrics serves a parseable registry snapshot
-// with the hub-side counters, 404s without a registry, and /debug/pprof is
-// gated behind EnablePprof.
+// with the hub-side counters on a server built WithServerMetrics and 404s
+// without a registry; /debug/pprof is gated behind WithPprof.
 func TestServerMetricsEndpoint(t *testing.T) {
-	srv, err := NewServer(WithModels(testModel(t, "S1")))
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	bare, err := NewServer(WithModels(testModel(t, "S1")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsBare := httptest.NewServer(bare)
+	defer tsBare.Close()
+	if code := status(tsBare.URL + "/metrics"); code != http.StatusNotFound {
+		t.Fatalf("/metrics without registry: status %d, want 404", code)
+	}
+	if code := status(tsBare.URL + "/debug/pprof/"); code != http.StatusNotFound {
+		t.Fatalf("/debug/pprof/ without WithPprof: status %d, want 404", code)
+	}
+
+	reg := obs.NewRegistry()
+	srv, err := NewServer(WithModels(testModel(t, "S1")), WithServerMetrics(reg), WithPprof())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/metrics without registry: status %d, want 404", resp.StatusCode)
-	}
-
-	reg := obs.NewRegistry()
-	srv.SetMetrics(reg)
 	c := NewClient(WithRetryPolicy(quickPolicy()))
 	if _, err := c.FetchModel(context.Background(), ts.URL+"/models/S1"); err != nil {
 		t.Fatal(err)
@@ -208,7 +248,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Fatal("expected 404 for unpublished schema")
 	}
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,23 +270,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Fatalf("server.requests = %d, want ≥ 3", snap.Counters["server.requests"])
 	}
 
-	// pprof off by default…
-	resp, err = http.Get(ts.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/pprof/ while disabled: status %d, want 404", resp.StatusCode)
-	}
-	// …and reachable once enabled.
-	srv.EnablePprof()
-	resp, err = http.Get(ts.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/pprof/ while enabled: status %d, want 200", resp.StatusCode)
+	if code := status(ts.URL + "/debug/pprof/"); code != http.StatusOK {
+		t.Fatalf("/debug/pprof/ with WithPprof: status %d, want 200", code)
 	}
 }

@@ -151,7 +151,7 @@ func (c *Client) pick(candidates []string, attempt int, now time.Duration) (targ
 func (c *Client) hedgeDelay(host string) time.Duration {
 	d := c.hedge.Delay
 	if c.reg != nil && host != "" {
-		h := c.reg.Histogram("exchange.peer." + host + ".request")
+		h := c.reg.Histogram(c.peerPrefix(host) + "request")
 		if q := h.Quantile(c.hedge.Quantile); q > 0 {
 			if qd := time.Duration(q); qd > d {
 				d = qd
@@ -203,7 +203,7 @@ func (c *Client) onceHedged(ctx context.Context, rq request, primary, backup str
 			outstanding--
 			if r.err == nil {
 				if hedged && r.url == backup {
-					c.count(peerPrefixHost(hostOf(backup)), "hedge_wins")
+					c.count(c.peerPrefix(hostOf(backup)), "hedge_wins")
 				}
 				return r
 			}
@@ -216,17 +216,9 @@ func (c *Client) onceHedged(ctx context.Context, rq request, primary, backup str
 			if !hedged {
 				hedged = true
 				outstanding++
-				c.count(peerPrefixHost(hostOf(backup)), "hedges")
+				c.count(c.peerPrefix(hostOf(backup)), "hedges")
 				launch(backup)
 			}
 		}
 	}
-}
-
-// peerPrefixHost is peerPrefix for an already-extracted host.
-func peerPrefixHost(host string) string {
-	if host == "" {
-		return ""
-	}
-	return "exchange.peer." + host + "."
 }

@@ -126,7 +126,8 @@ type Server struct {
 	inject *faultinject.Injector
 	// reg, when set, backs GET /v1/metrics (and the legacy /metrics alias)
 	// and the service counters. Nil keeps both disabled: the metrics routes
-	// answer 404 and the counters are no-ops.
+	// answer 404 and the counters are no-ops. Only NewServer writes reg and
+	// pprofEnabled, so handlers read both without the lock.
 	reg *obs.Registry
 	// pprofEnabled exposes net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints leak timing and heap internals, so a hub
@@ -270,34 +271,9 @@ func NewServer(opts ...ServerOption) (*Server, error) {
 	return s, nil
 }
 
-// SetMetrics attaches (or, with nil, detaches) a metrics registry.
-//
-// Deprecated: pass WithServerMetrics to NewServer instead.
-func (s *Server) SetMetrics(reg *obs.Registry) {
-	s.mu.Lock()
-	s.reg = reg
-	s.mu.Unlock()
-}
-
-// EnablePprof exposes the net/http/pprof handlers under /debug/pprof/.
-//
-// Deprecated: pass WithPprof to NewServer instead.
-func (s *Server) EnablePprof() {
-	s.mu.Lock()
-	s.pprofEnabled = true
-	s.mu.Unlock()
-}
-
-func (s *Server) registry() *obs.Registry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.reg
-}
-
 // SetFaultInjector arms (or, with nil, disarms) an instance-scoped fault
-// injector on this hub.
-//
-// Deprecated: pass WithServerFaultInjector to NewServer instead.
+// injector on this hub. Unlike WithServerFaultInjector it acts on a live
+// server: the chaos SLO harness arms and disarms one replica mid-run.
 func (s *Server) SetFaultInjector(in *faultinject.Injector) {
 	s.mu.Lock()
 	s.inject = in
@@ -538,7 +514,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	reg := s.registry()
+	reg := s.reg
 	reg.Counter("server.requests").Inc()
 	path := strings.TrimSuffix(r.URL.Path, "/")
 	v1 := strings.HasPrefix(path, "/v1/") || path == "/v1"
@@ -595,7 +571,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.serveMetrics(w, reg)
-	case !v1 && strings.HasPrefix(r.URL.Path, "/debug/pprof/") && s.pprofActive():
+	case !v1 && strings.HasPrefix(r.URL.Path, "/debug/pprof/") && s.pprofEnabled:
 		servePprof(w, r)
 	default:
 		reg.Counter("server.not_found").Inc()
@@ -631,12 +607,6 @@ func (s *Server) methodNotAllowed(w http.ResponseWriter, v1 bool, allow string) 
 		return
 	}
 	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-}
-
-func (s *Server) pprofActive() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pprofEnabled
 }
 
 // serveMetrics answers the metrics routes with an indented JSON snapshot
@@ -703,7 +673,7 @@ func (s *Server) serveListing(w http.ResponseWriter, tenant string, v1 bool) {
 }
 
 func (s *Server) serveModel(w http.ResponseWriter, r *http.Request, tenant, name string, v1 bool) {
-	reg := s.registry()
+	reg := s.reg
 	p, ok := s.lookup(tenant, name)
 	if !ok {
 		reg.Counter("server.not_found").Inc()

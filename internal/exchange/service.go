@@ -71,7 +71,7 @@ func badRequest(format string, args ...any) error {
 // the model enters the registry (and, when persistence is on, the
 // checkpoint store).
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	reg := s.registry()
+	reg := s.reg
 	tenant, ok := s.resolveTenant(w, r, true)
 	if !ok {
 		return
@@ -161,7 +161,7 @@ func (req *AssessRequest) mode() core.AcceptanceMode {
 
 // handleAssess implements POST /v1/assess.
 func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
-	reg := s.registry()
+	reg := s.reg
 	tenant, ok := s.resolveTenant(w, r, true)
 	if !ok {
 		return
@@ -344,7 +344,7 @@ func (s *Server) computeAssess(ctx context.Context, tenant string, req *AssessRe
 	// republished (version-bumped) or never scored for these signatures.
 	// Reused columns are the exact values a cold pass would recompute, so
 	// verdicts are identical either way; the counters prove the saved work.
-	reg := s.registry()
+	reg := s.reg
 	sigKey := assessSigKey(tenant, req)
 	cached := s.delta.lookup(sigKey)
 	errsByModel := make([][]float64, len(foreign))

@@ -3,6 +3,7 @@ package match
 import (
 	"testing"
 
+	"collabscope/internal/ann"
 	"collabscope/internal/datasets"
 	"collabscope/internal/embed"
 )
@@ -52,7 +53,7 @@ func TestMatcherGoldens(t *testing.T) {
 		}
 	}
 
-	lshA := LSH{K: 3, Approximate: true, Seed: 4}.Match(sets[0], sets[1])
+	lshA := LSH{K: 3, Index: IndexConfig{Kind: ann.KindLSH, Seed: 4}}.Match(sets[0], sets[1])
 	if len(lshA) != 265 {
 		t.Fatalf("len(lshA) = %d, want 265", len(lshA))
 	}

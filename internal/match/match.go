@@ -141,44 +141,20 @@ type IndexConfig = ann.Config
 type LSH struct {
 	// K is the top-k cardinality, e.g. 1, 5, 20.
 	K int
-	// Approximate switches from the exact flat index to the
-	// random-hyperplane LSH index. Legacy shorthand for
-	// Index.Kind = ann.KindLSH; ignored when Index.Kind is set.
-	Approximate bool
-	// Seed drives the approximate index's randomised construction. Used
-	// when Index.Seed is zero.
-	Seed int64
 	// Index selects the ANN backend and its full parameterisation. The
-	// zero value defers to Approximate/Seed (flat or default-parameter
-	// LSH). Validate the config at construction time (the registry and
-	// NewIndexedLSHMatcher do) — Match cannot report errors.
+	// zero value is the exact flat scan. Validate the config at
+	// construction time (the registry and NewIndexedLSHMatcher do) — Match
+	// cannot report errors.
 	Index IndexConfig
-}
-
-// indexConfig resolves the effective backend config from the new Index
-// field and the legacy Approximate/Seed fields.
-func (l LSH) indexConfig() IndexConfig {
-	cfg := l.Index
-	if cfg.Kind == "" {
-		if l.Approximate {
-			cfg.Kind = ann.KindLSH
-		} else {
-			cfg.Kind = ann.KindFlat
-		}
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = l.Seed
-	}
-	return cfg
 }
 
 // Name implements Matcher.
 func (l LSH) Name() string {
-	switch cfg := l.indexConfig(); cfg.Kind {
+	switch l.Index.Kind {
 	case ann.KindLSH:
 		return fmt.Sprintf("LSH*(%d)", l.K)
 	case ann.KindHNSW, ann.KindIVF:
-		return fmt.Sprintf("LSH[%s](%d)", cfg.Kind, l.K)
+		return fmt.Sprintf("LSH[%s](%d)", l.Index.Kind, l.K)
 	default:
 		return fmt.Sprintf("LSH(%d)", l.K)
 	}
@@ -208,7 +184,7 @@ func (l LSH) direction(queries, target *embed.SignatureSet, add func(Pair)) {
 	if target.Len() == 0 || queries.Len() == 0 {
 		return
 	}
-	idx, err := ann.Build(target.Matrix, l.indexConfig())
+	idx, err := ann.Build(target.Matrix, l.Index)
 	if err != nil {
 		// Unreachable for configs validated at construction time.
 		return

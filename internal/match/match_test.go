@@ -3,6 +3,7 @@ package match
 import (
 	"testing"
 
+	"collabscope/internal/ann"
 	"collabscope/internal/embed"
 	"collabscope/internal/schema"
 )
@@ -139,7 +140,7 @@ func TestLSHMatcher(t *testing.T) {
 
 func TestLSHApproximateVariant(t *testing.T) {
 	_, sets, _ := matchSchemas()
-	pairs := LSH{K: 2, Approximate: true, Seed: 3}.Match(sets[0], sets[1])
+	pairs := LSH{K: 2, Index: IndexConfig{Kind: ann.KindLSH, Seed: 3}}.Match(sets[0], sets[1])
 	if len(pairs) == 0 {
 		t.Fatal("approximate LSH generated no pairs")
 	}
@@ -155,7 +156,7 @@ func TestMatcherNames(t *testing.T) {
 		"SIM(0.6)":   Sim{Threshold: 0.6},
 		"CLUSTER(5)": Cluster{K: 5},
 		"LSH(20)":    LSH{K: 20},
-		"LSH*(3)":    LSH{K: 3, Approximate: true},
+		"LSH*(3)":    LSH{K: 3, Index: IndexConfig{Kind: ann.KindLSH}},
 	}
 	for want, m := range cases {
 		if m.Name() != want {
