@@ -572,7 +572,8 @@ func NewSimMatcher(threshold float64) Matcher { return match.Sim{Threshold: thre
 func NewClusterMatcher(k int, seed int64) Matcher { return match.Cluster{K: k, Seed: seed} }
 
 // NewLSHMatcher returns the exact top-k nearest-neighbour matcher (the
-// paper's LSH, FAISS-IndexFlatL2 style).
+// paper's LSH, FAISS-IndexFlatL2 style). A k below 1 yields no pairs; use
+// NewIndexedLSHMatcher or the registry to have it rejected instead.
 func NewLSHMatcher(k int) Matcher { return match.LSH{K: k} }
 
 // NewApproxLSHMatcher returns the genuine random-hyperplane LSH matcher.
@@ -607,10 +608,13 @@ const (
 func ParseIndexKind(s string) (IndexKind, error) { return ann.ParseKind(s) }
 
 // NewIndexedLSHMatcher returns the top-k nearest-neighbour matcher backed
-// by the configured ANN index. The config is validated here so a bad
-// parameterisation fails at construction instead of silently producing no
-// pairs at match time.
+// by the configured ANN index. k and the config are validated here so a
+// bad parameterisation fails at construction instead of silently producing
+// no pairs at match time.
 func NewIndexedLSHMatcher(k int, cfg IndexConfig) (Matcher, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("collabscope: lsh top-k must be at least 1, got k=%d", k)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

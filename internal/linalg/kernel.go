@@ -261,11 +261,32 @@ func PairwiseSquaredDistancesInto(dst, a, b *Dense) *Dense {
 }
 
 // pairRowSquared fills di[j] for j in [jb, je) with the squared distance
-// between row i of a and row j of b.
+// between row i of a and row j of b. Four cells share each pass over ai,
+// one accumulator each, so four independent add chains run side by side;
+// every cell still sums its terms alone, in ascending k.
 func pairRowSquared(di []float64, a, b *Dense, i, jb, je int) {
 	d := a.cols
 	ai := a.data[i*d : (i+1)*d]
-	for j := jb; j < je; j++ {
+	j := jb
+	for ; j+4 <= je; j += 4 {
+		b0 := b.data[j*d : (j+1)*d]
+		b1 := b.data[(j+1)*d : (j+2)*d]
+		b2 := b.data[(j+2)*d : (j+3)*d]
+		b3 := b.data[(j+3)*d : (j+4)*d]
+		var s0, s1, s2, s3 float64
+		for k, aik := range ai {
+			d0 := aik - b0[k]
+			d1 := aik - b1[k]
+			d2 := aik - b2[k]
+			d3 := aik - b3[k]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
+	}
+	for ; j < je; j++ {
 		bj := b.data[j*d : (j+1)*d]
 		var s float64
 		for k, aik := range ai {

@@ -35,14 +35,29 @@ func BenchmarkKernelMulTrans(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelPairwiseSquared times the symmetric (a, a) path the
+// detectors run and the general (a, b) path at the shape of one LSH match
+// panel: two streamlined attribute sets at 768 dims.
 func BenchmarkKernelPairwiseSquared(b *testing.B) {
-	a := randDense(b, benchRows, benchDim, 5)
-	dst := linalg.NewDense(benchRows, benchRows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.PairwiseSquaredDistancesInto(dst, a, a)
-	}
+	b.Run("symmetric", func(b *testing.B) {
+		a := randDense(b, benchRows, benchDim, 5)
+		dst := linalg.NewDense(benchRows, benchRows)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			linalg.PairwiseSquaredDistancesInto(dst, a, a)
+		}
+	})
+	b.Run("general-63x57x768", func(b *testing.B) {
+		a := randDense(b, 63, 768, 5)
+		c := randDense(b, 57, 768, 6)
+		dst := linalg.NewDense(63, 57)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			linalg.PairwiseSquaredDistancesInto(dst, a, c)
+		}
+	})
 }
 
 func BenchmarkKernelCosine(b *testing.B) {

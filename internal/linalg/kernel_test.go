@@ -2,6 +2,7 @@ package linalg_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -160,19 +161,57 @@ func TestRowSquaredDistancesInto(t *testing.T) {
 	}
 }
 
+// requireSquaredDistances checks every cell of got against SquaredDistance
+// of the matching rows, bit for bit.
+func requireSquaredDistances(t *testing.T, name string, got, a, b *linalg.Dense) {
+	t.Helper()
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < b.Rows(); j++ {
+			if want := linalg.SquaredDistance(a.RowView(i), b.RowView(j)); got.At(i, j) != want {
+				t.Fatalf("%s: squared[%d][%d] = %v, want %v (bit-identical)", name, i, j, got.At(i, j), want)
+			}
+		}
+	}
+}
+
+// TestPairwiseKernelsMatchNaive pins the pairwise kernels to the scalar
+// SquaredDistance / Distance on the general path, the symmetric path and
+// the parallel front at 1–4 workers. The kernel computes four cells per
+// pass; the shapes {rows of a, rows of b, d} leave 1, 2 and 3 cells past
+// the last 4-cell block of a 32-wide tile or a full row, at odd d.
 func TestPairwiseKernelsMatchNaive(t *testing.T) {
-	a := randDense(t, 30, 21, 16)
-	b := randDense(t, 44, 21, 17)
-	sq := linalg.PairwiseSquaredDistancesInto(linalg.NewDense(30, 44), a, b)
-	eu := linalg.PairwiseDistancesInto(linalg.NewDense(30, 44), a, b)
-	for i := 0; i < 30; i++ {
-		for j := 0; j < 44; j++ {
-			if want := linalg.SquaredDistance(a.RowView(i), b.RowView(j)); sq.At(i, j) != want {
-				t.Fatalf("squared[%d][%d] = %v, want %v (bit-identical)", i, j, sq.At(i, j), want)
+	ctx := context.Background()
+	for _, sh := range [][3]int{{30, 44, 21}, {1, 1, 1}, {1, 3, 5}, {7, 5, 3}, {9, 34, 11}, {30, 45, 21}, {33, 37, 17}} {
+		n, m, d := sh[0], sh[1], sh[2]
+		a := randDense(t, n, d, 16)
+		b := randDense(t, m, d, 17)
+		name := fmt.Sprintf("%dx%dx%d", n, m, d)
+		sq := linalg.PairwiseSquaredDistancesInto(linalg.NewDense(n, m), a, b)
+		requireSquaredDistances(t, name+" general", sq, a, b)
+		eu := linalg.PairwiseDistancesInto(linalg.NewDense(n, m), a, b)
+		for i := 0; i < n; i++ {
+			for j := 0; j < m; j++ {
+				if want := linalg.Distance(a.RowView(i), b.RowView(j)); eu.At(i, j) != want {
+					t.Fatalf("%s: distance[%d][%d] = %v, want %v (bit-identical)", name, i, j, eu.At(i, j), want)
+				}
 			}
-			if want := linalg.Distance(a.RowView(i), b.RowView(j)); eu.At(i, j) != want {
-				t.Fatalf("distance[%d][%d] = %v, want %v (bit-identical)", i, j, eu.At(i, j), want)
+		}
+		for _, x := range []*linalg.Dense{a, b} {
+			r := x.Rows()
+			sym := linalg.PairwiseSquaredDistancesInto(linalg.NewDense(r, r), x, x)
+			requireSquaredDistances(t, fmt.Sprintf("%s symmetric %d", name, r), sym, x, x)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			par := linalg.NewDense(n, m)
+			if err := linalg.ParallelPairwiseSquaredDistancesInto(ctx, workers, par, a, b); err != nil {
+				t.Fatal(err)
 			}
+			requireSquaredDistances(t, fmt.Sprintf("%s parallel workers=%d", name, workers), par, a, b)
+			parSym := linalg.NewDense(m, m)
+			if err := linalg.ParallelPairwiseSquaredDistancesInto(ctx, workers, parSym, b, b); err != nil {
+				t.Fatal(err)
+			}
+			requireSquaredDistances(t, fmt.Sprintf("%s parallel symmetric workers=%d", name, workers), parSym, b, b)
 		}
 	}
 }

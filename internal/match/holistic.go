@@ -2,11 +2,9 @@ package match
 
 import (
 	"fmt"
-	"sort"
 
 	"collabscope/internal/cluster"
 	"collabscope/internal/embed"
-	"collabscope/internal/schema"
 )
 
 // Holistic clusters the UNION of all schemas' signatures once (per element
@@ -40,12 +38,15 @@ func HolisticAuto(candidates []int, seed int64, sets []*embed.SignatureSet) []Pa
 // holistic unions the sets per kind, clusters with the given strategy, and
 // emits cross-schema co-member pairs.
 func holistic(sets []*embed.SignatureSet, assignFn func(*embed.SignatureSet) []int) []Pair {
-	seen := map[Pair]bool{}
+	split := make([]kindSets, len(sets))
+	for i, s := range sets {
+		split[i] = splitKinds(s)
+	}
 	var out []Pair
-	for _, kind := range []schema.ElementKind{schema.KindTable, schema.KindAttribute} {
-		filtered := make([]*embed.SignatureSet, len(sets))
-		for i, s := range sets {
-			filtered[i] = filterKind(s, kind)
+	filtered := make([]*embed.SignatureSet, len(sets))
+	for k := range (kindSets{}) {
+		for i := range split {
+			filtered[i] = split[i][k]
 		}
 		union := embed.Union(filtered)
 		if union.Len() < 2 {
@@ -63,25 +64,14 @@ func holistic(sets []*embed.SignatureSet, assignFn func(*embed.SignatureSet) []i
 			for i := 0; i < len(members); i++ {
 				for j := i + 1; j < len(members); j++ {
 					a, b := union.IDs[members[i]], union.IDs[members[j]]
-					if a.Schema == b.Schema {
-						continue
-					}
-					p := (Pair{A: a, B: b}).Canonical()
-					if !seen[p] {
-						seen[p] = true
-						out = append(out, p)
+					if a.Schema != b.Schema {
+						out = append(out, Pair{A: a, B: b})
 					}
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return less(out[i].A, out[j].A)
-		}
-		return less(out[i].B, out[j].B)
-	})
-	return out
+	return sortedUnique(out)
 }
 
 // HACMatcher links same-kind cross-schema elements that hierarchical

@@ -10,13 +10,17 @@
 package match
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"collabscope/internal/ann"
 	"collabscope/internal/cluster"
 	"collabscope/internal/embed"
+	"collabscope/internal/linalg"
+	"collabscope/internal/obs"
 	"collabscope/internal/parallel"
 	"collabscope/internal/schema"
 )
@@ -36,17 +40,29 @@ func (p Pair) Canonical() Pair {
 	return p
 }
 
-func less(a, b schema.ElementID) bool {
-	if a.Schema != b.Schema {
-		return a.Schema < b.Schema
+func less(a, b schema.ElementID) bool { return compareIDs(a, b) < 0 }
+
+// compareIDs orders element IDs by schema, kind, table, then attribute.
+func compareIDs(a, b schema.ElementID) int {
+	if c := strings.Compare(a.Schema, b.Schema); c != 0 {
+		return c
 	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
 	}
-	if a.Table != b.Table {
-		return a.Table < b.Table
+	if c := strings.Compare(a.Table, b.Table); c != 0 {
+		return c
 	}
-	return a.Attribute < b.Attribute
+	return strings.Compare(a.Attribute, b.Attribute)
+}
+
+// comparePairs orders pairs by A, then B — the order of every sorted
+// matcher result.
+func comparePairs(p, q Pair) int {
+	if c := compareIDs(p.A, q.A); c != 0 {
+		return c
+	}
+	return compareIDs(p.B, q.B)
 }
 
 // Matcher generates linkage candidates between the elements of two schemas'
@@ -137,7 +153,8 @@ type IndexConfig = ann.Config
 // LSH links each element to its top-k nearest same-kind neighbours in the
 // other schema, searched in both directions — the paper's LSH matcher,
 // implemented like FAISS IndexFlatL2 (exact flat search) by default, with
-// sublinear backends (lsh, hnsw, ivf) selected through Index.
+// sublinear backends (lsh, hnsw, ivf) selected through Index. A K below 1
+// links nothing.
 type LSH struct {
 	// K is the top-k cardinality, e.g. 1, 5, 20.
 	K int
@@ -162,24 +179,95 @@ func (l LSH) Name() string {
 
 // Match implements Matcher.
 func (l LSH) Match(a, b *embed.SignatureSet) []Pair {
-	seen := map[Pair]bool{}
+	return l.matchKinds(splitKinds(a), splitKinds(b))
+}
+
+// matchKinds links the same-kind halves of two split sets, tables first.
+// Within a kind, a→b hits come first (queries of a ascending, each query's
+// hits nearest first), then b→a hits; the first occurrence of a pair
+// fixes its place. Exact flat search reads both directions off one
+// distance panel; the approximate backends, whose indexes are not
+// symmetric, search each direction through its own index.
+func (l LSH) matchKinds(a, b kindSets) []Pair {
+	backend, err := ann.ParseKind(string(l.Index.Kind))
+	if err != nil || l.K < 1 {
+		// A bad kind is unreachable for configs validated at construction.
+		return nil
+	}
+	n := 0
+	for k := range a {
+		n += min(l.K, b[k].Len())*a[k].Len() + min(l.K, a[k].Len())*b[k].Len()
+	}
+	seen := make(map[Pair]struct{}, n)
 	var out []Pair
+	if n > 0 {
+		out = make([]Pair, 0, n)
+	}
 	add := func(p Pair) {
 		p = p.Canonical()
-		if !seen[p] {
-			seen[p] = true
+		if _, ok := seen[p]; !ok {
+			seen[p] = struct{}{}
 			out = append(out, p)
 		}
 	}
-	for _, kind := range []schema.ElementKind{schema.KindTable, schema.KindAttribute} {
-		fa, fb := filterKind(a, kind), filterKind(b, kind)
-		l.direction(fa, fb, add)
-		l.direction(fb, fa, add)
+	var flat panel
+	for k := range a {
+		if backend == ann.KindFlat {
+			flat.match(l.K, a[k], b[k], add)
+			continue
+		}
+		l.direction(a[k], b[k], add)
+		l.direction(b[k], a[k], add)
 	}
 	return out
 }
 
-// direction searches each query element's top-k in the target set.
+// panel is the reusable storage of exact flat matching: the squared
+// distance panel between two same-kind sets, one column of it, and the
+// top-k heap.
+type panel struct {
+	dists *linalg.Dense
+	col   []float64
+	heap  []int
+}
+
+// match adds the top-k of every row and every column of the distance panel
+// between a and b: row i ranks b's rows for a's row i, column j ranks a's
+// rows for b's row j. Each cell is Σ_k (a_ik − b_jk)² in ascending k, and
+// (x−y)² is exactly (y−x)², so a column holds the very distances a flat
+// index over a computes for query b_j; TopKInto breaks ties by (value,
+// index) as FlatIndex.SearchInto does. The hits are therefore those of
+// two per-query flat scans, bit for bit.
+func (p *panel) match(k int, a, b *embed.SignatureSet, add func(Pair)) {
+	rows, cols := a.Len(), b.Len()
+	if rows == 0 || cols == 0 {
+		return
+	}
+	p.dists = linalg.EnsureDense(p.dists, rows, cols)
+	linalg.PairwiseSquaredDistancesInto(p.dists, a.Matrix, b.Matrix)
+	for i := 0; i < rows; i++ {
+		p.heap = linalg.TopKInto(p.dists.RowView(i), k, p.heap)
+		for _, j := range p.heap {
+			add(Pair{A: a.IDs[i], B: b.IDs[j]})
+		}
+	}
+	if cap(p.col) < rows {
+		p.col = make([]float64, rows)
+	}
+	col := p.col[:rows]
+	for j := 0; j < cols; j++ {
+		for i := range col {
+			col[i] = p.dists.At(i, j)
+		}
+		p.heap = linalg.TopKInto(col, k, p.heap)
+		for _, i := range p.heap {
+			add(Pair{A: b.IDs[j], B: a.IDs[i]})
+		}
+	}
+}
+
+// direction searches each query element's top-k in the target set through
+// the configured approximate index.
 func (l LSH) direction(queries, target *embed.SignatureSet, add func(Pair)) {
 	if target.Len() == 0 || queries.Len() == 0 {
 		return
@@ -199,11 +287,15 @@ func (l LSH) direction(queries, target *embed.SignatureSet, add func(Pair)) {
 	}
 }
 
-func filterKind(s *embed.SignatureSet, kind schema.ElementKind) *embed.SignatureSet {
-	if kind == schema.KindTable {
-		return s.TableSignatures()
-	}
-	return s.AttributeSignatures()
+// kindSets is one signature set split by element kind: tables, then
+// attributes, the order the kind-pairing matchers visit the kinds in.
+type kindSets [2]*embed.SignatureSet
+
+// splitKinds copies s's tables and attributes into separate sets.
+// MatchAllContext splits each set once, however many schema pairs it
+// takes part in.
+func splitKinds(s *embed.SignatureSet) kindSets {
+	return kindSets{s.TableSignatures(), s.AttributeSignatures()}
 }
 
 // MatchAll runs the matcher over every pair of schemas and returns the
@@ -215,40 +307,47 @@ func MatchAll(m Matcher, sets []*embed.SignatureSet) []Pair {
 
 // MatchAllContext is MatchAll with cancellation and an explicit worker
 // count (≤ 0 means GOMAXPROCS). The O(k²) schema pairs fan out over the
-// pool; candidates are deduplicated in pair-enumeration order and sorted,
-// so the result is identical for any worker count.
+// pool; candidates are sorted and deduplicated, so the result is identical
+// for any worker count. LSH splits each set by kind once here rather than
+// once per schema pair.
 func MatchAllContext(ctx context.Context, workers int, m Matcher, sets []*embed.SignatureSet) ([]Pair, error) {
+	ctx, sp := obs.Start(ctx, "match.all")
+	defer sp.End()
 	type task struct{ i, j int }
-	var tasks []task
+	tasks := make([]task, 0, len(sets)*(len(sets)-1)/2)
 	for i := 0; i < len(sets); i++ {
 		for j := i + 1; j < len(sets); j++ {
 			tasks = append(tasks, task{i, j})
 		}
 	}
+	sp.Annotate("schema_pairs", int64(len(tasks)))
+	matchPair := func(t task) []Pair { return m.Match(sets[t.i], sets[t.j]) }
+	if l, ok := m.(LSH); ok {
+		split := make([]kindSets, len(sets))
+		for i, s := range sets {
+			split[i] = splitKinds(s)
+		}
+		matchPair = func(t task) []Pair { return l.matchKinds(split[t.i], split[t.j]) }
+	}
 	batches, err := parallel.Map(ctx, workers, tasks, func(_ int, t task) ([]Pair, error) {
-		return m.Match(sets[t.i], sets[t.j]), nil
+		return matchPair(t), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	seen := map[Pair]bool{}
-	var out []Pair
-	for _, batch := range batches {
-		for _, p := range batch {
-			p = p.Canonical()
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return less(out[i].A, out[j].A)
-		}
-		return less(out[i].B, out[j].B)
-	})
+	out := sortedUnique(slices.Concat(batches...))
+	sp.Annotate("pairs", int64(len(out)))
 	return out, nil
+}
+
+// sortedUnique canonicalises pairs in place, sorts them by comparePairs and
+// drops repeats — the one order every multi-pair result is returned in.
+func sortedUnique(pairs []Pair) []Pair {
+	for i := range pairs {
+		pairs[i] = pairs[i].Canonical()
+	}
+	slices.SortFunc(pairs, comparePairs)
+	return slices.Compact(pairs)
 }
 
 // Eval holds the match-quality metrics of Section 4.2.

@@ -1,12 +1,15 @@
 package collabscope
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"collabscope/internal/leakcheck"
+	"collabscope/internal/obs"
 )
 
 // TestWithMetricsEndToEnd: a fully instrumented pipeline run must leave
@@ -113,5 +116,51 @@ func TestDisabledMetricsZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("disabled obsContext allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// TestMatchAllSpan: Pipeline.MatchContext traces the all-pairs match as
+// one match.all span nested directly under pipeline.match, annotated with
+// the schema-pair count and the number of pairs returned.
+func TestMatchAllSpan(t *testing.T) {
+	var trace bytes.Buffer
+	ctx := obs.NewContext(context.Background(), nil, obs.NewTraceLog(&trace))
+	schemas := figure1Schemas()
+	pairs, err := pipelineForTest().MatchContext(ctx, NewLSHMatcher(2), schemas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parent, spans []map[string]int64
+	sc := bufio.NewScanner(&trace)
+	for sc.Scan() {
+		var ev map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", sc.Text(), err)
+		}
+		fields := map[string]int64{}
+		for k, v := range ev {
+			if f, ok := v.(float64); ok {
+				fields[k] = int64(f)
+			}
+		}
+		switch ev["span"] {
+		case "pipeline.match":
+			parent = append(parent, fields)
+		case "match.all":
+			spans = append(spans, fields)
+		}
+	}
+	if len(parent) != 1 || len(spans) != 1 {
+		t.Fatalf("%d pipeline.match and %d match.all events, want 1 each:\n%s", len(parent), len(spans), trace.String())
+	}
+	sp := spans[0]
+	if sp["depth"] != parent[0]["depth"]+1 {
+		t.Errorf("match.all depth %d, want %d (below pipeline.match)", sp["depth"], parent[0]["depth"]+1)
+	}
+	if sp["pairs"] != int64(len(pairs)) || len(pairs) == 0 {
+		t.Errorf("match.all pairs = %d, result has %d", sp["pairs"], len(pairs))
+	}
+	if want := int64(len(schemas) * (len(schemas) - 1) / 2); sp["schema_pairs"] != want {
+		t.Errorf("match.all schema_pairs = %d, want %d", sp["schema_pairs"], want)
 	}
 }

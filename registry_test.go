@@ -106,3 +106,22 @@ func TestParseSpecStrings(t *testing.T) {
 		t.Fatal("unknown matcher spec should fail")
 	}
 }
+
+// TestLSHTopKBelowOneFailsConstruction: a top-k below 1 (a fractional
+// parameter truncates to 0) builds a matcher that links nothing, so it
+// must fail at construction and name k.
+func TestLSHTopKBelowOneFailsConstruction(t *testing.T) {
+	for _, spec := range []string{"lsh:0", "lsh:-2", "lsh-hnsw:0", "lsh:0.5"} {
+		m, err := ParseMatcher(spec)
+		if err == nil {
+			t.Errorf("ParseMatcher(%q) = %v, want an error", spec, m.Name())
+			continue
+		}
+		if !strings.Contains(err.Error(), "k=") {
+			t.Errorf("ParseMatcher(%q) error %q does not name k", spec, err)
+		}
+	}
+	if _, err := ParseMatcher("lsh:1"); err != nil {
+		t.Fatalf("lsh:1: %v", err)
+	}
+}
