@@ -4,7 +4,7 @@
 // Usage:
 //
 //	collabscope stats  s1.sql s2.sql ...
-//	collabscope stats  -metrics http://host:8080/metrics
+//	collabscope stats  -metrics http://host:8080/v1/metrics
 //	collabscope scope  -v 0.8 [-out dir] s1.sql s2.json ...
 //	collabscope scope  -method global -detector pca:0.5 -p 0.7 s1.sql s2.sql
 //	collabscope match  -matcher lsh:5 [-scope 0.8] s1.sql s2.sql ...
@@ -20,12 +20,12 @@
 //
 // serve runs the scoping service: it trains the given schemas' models (if
 // any), publishes them at /v1/models/<schema> (wire format v1, content-hash
-// ETags; /models/<schema> stays as an alias), accepts model uploads at
-// POST /v1/models, and answers linkability queries at POST /v1/assess —
-// with -registry, the uploaded registry survives restarts. fetch harvests
-// peers' models to files, tolerating flaky peers; assess accepts -models
-// files, -peers hubs, a -server scoping service, or a mix; push uploads
-// trained model files into a running service's registry.
+// ETags), accepts model uploads at POST /v1/models, and answers
+// linkability queries at POST /v1/assess — with -registry, the uploaded
+// registry survives restarts. fetch harvests peers' models to files,
+// tolerating flaky peers; assess accepts -models files, -peers hubs, a
+// -server scoping service, or a mix; push uploads trained model files into
+// a running service's registry.
 package main
 
 import (
@@ -499,7 +499,7 @@ func loadSchemasOptional(paths []string) []*collabscope.Schema {
 func runStats(args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	metricsSrc := fs.String("metrics", "",
-		"print a metrics snapshot instead of schema stats: a hub's /metrics URL or a snapshot JSON file")
+		"print a metrics snapshot instead of schema stats: a hub's /v1/metrics URL or a snapshot JSON file")
 	fs.Parse(args)
 	if *metricsSrc != "" {
 		printMetrics(*metricsSrc)
@@ -513,7 +513,7 @@ func runStats(args []string) {
 }
 
 // printMetrics renders a metrics snapshot fetched from a running hub's
-// /metrics endpoint (http:// or https:// source) or read from a JSON file.
+// /v1/metrics endpoint (http:// or https:// source) or read from a JSON file.
 func printMetrics(src string) {
 	var r io.ReadCloser
 	if strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://") {

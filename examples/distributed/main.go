@@ -123,7 +123,7 @@ func main() {
 		p, err := newParty(s, variance)
 		check(err)
 		parties[i] = p
-		fmt.Printf("%s serving its model at %s/models (%d components, range %.4g)\n",
+		fmt.Printf("%s serving its model at %s/v1/models (%d components, range %.4g)\n",
 			s.Name, p.url(), p.model.Components(), p.model.Range)
 	}
 	defer func() {

@@ -6,7 +6,7 @@
 //
 // The run scopes the paper's Figure-1 schemas twice, once instrumented and
 // once plain, and shows the metrics snapshot (pretty-printed and as the
-// JSON that a hub's /metrics endpoint serves and `collabscope stats
+// JSON that a hub's /v1/metrics endpoint serves and `collabscope stats
 // -metrics` renders), the first trace events with their nesting depth, and
 // that instrumentation never changes results — both runs agree.
 //
@@ -40,7 +40,7 @@ func main() {
 		len(fig.Schemas), res.Kept, res.Pruned)
 
 	// 1. The metrics snapshot. The same data is served by a model hub at
-	// GET /metrics and rendered by `collabscope stats -metrics <url|file>`.
+	// GET /v1/metrics and rendered by `collabscope stats -metrics <url|file>`.
 	fmt.Println("--- metrics snapshot ---")
 	snap := metrics.Snapshot()
 	snap.Fprint(os.Stdout)

@@ -254,28 +254,37 @@ func AssessContext(ctx context.Context, workers int, local *embed.SignatureSet, 
 		return nil, err
 	}
 	verdict := make(map[schema.ElementID]bool, local.Len())
-	if cfg.Mode == AllModels {
-		for _, id := range local.IDs {
-			verdict[id] = len(foreign) > 0
-		}
-	} else {
-		for _, id := range local.IDs {
-			verdict[id] = false
+	for i, linkable := range cfg.Linkable(foreign, errsByModel, local.Len()) {
+		verdict[local.IDs[i]] = linkable
+	}
+	return verdict, nil
+}
+
+// Linkable is Algorithm 2's verdict fold (Definition 4), the one copy every
+// assessment path shares: errs[k][i] is element i's reconstruction error
+// under foreign[k], and element i is linkable iff some model (AnyModel) or
+// every model (AllModels, and at least one) accepts it within its range
+// widened to l·(1+ε). Models fold in slice order, so the verdicts are
+// identical for any worker count that produced errs.
+func (cfg AssessConfig) Linkable(foreign []*Model, errs [][]float64, n int) []bool {
+	verdict := make([]bool, n)
+	if cfg.Mode == AllModels && len(foreign) > 0 {
+		for i := range verdict {
+			verdict[i] = true
 		}
 	}
 	for k, m := range foreign {
 		bound := m.Range * (1 + cfg.RelaxEpsilon)
-		for i, e := range errsByModel[k] {
+		for i, e := range errs[k] {
 			accepted := e <= bound
-			id := local.IDs[i]
 			if cfg.Mode == AllModels {
-				verdict[id] = verdict[id] && accepted
+				verdict[i] = verdict[i] && accepted
 			} else {
-				verdict[id] = verdict[id] || accepted
+				verdict[i] = verdict[i] || accepted
 			}
 		}
 	}
-	return verdict, nil
+	return verdict
 }
 
 // Scoper orchestrates collaborative scoping across a set of schemas. It

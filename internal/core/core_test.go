@@ -250,6 +250,36 @@ func TestRelaxEpsilonKeepsSuperset(t *testing.T) {
 	}
 }
 
+// TestLinkableFold pins Definition 4 on the one fold every assessment path
+// calls: an error exactly at the (relaxed) range is accepted, AnyModel is
+// the union and AllModels the intersection of per-model acceptances, and
+// AllModels with no foreign model accepts nothing.
+func TestLinkableFold(t *testing.T) {
+	foreign := []*Model{{Range: 1}, {Range: 2}}
+	errs := [][]float64{{1, 3, 0.5, 1.5}, {3, 2, 1, 2.5}}
+	cases := []struct {
+		name    string
+		cfg     AssessConfig
+		foreign []*Model
+		want    []bool
+	}{
+		{"any", AssessConfig{}, foreign, []bool{true, true, true, false}},
+		{"all", AssessConfig{Mode: AllModels}, foreign, []bool{false, false, true, false}},
+		{"any relaxed", AssessConfig{RelaxEpsilon: 0.5}, foreign, []bool{true, true, true, true}},
+		{"all relaxed", AssessConfig{Mode: AllModels, RelaxEpsilon: 0.5}, foreign, []bool{true, false, true, true}},
+		{"all, no models", AssessConfig{Mode: AllModels}, nil, []bool{false, false, false, false}},
+	}
+	for _, c := range cases {
+		got := c.cfg.Linkable(c.foreign, errs, 4)
+		for i := range c.want {
+			if got[i] != c.want[i] {
+				t.Errorf("%s: verdicts %v, want %v", c.name, got, c.want)
+				break
+			}
+		}
+	}
+}
+
 func TestStreamline(t *testing.T) {
 	schemas, sets := encodeAll(t)
 	s, _ := NewScoper(sets)

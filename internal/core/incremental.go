@@ -525,15 +525,12 @@ func (s *Scoper) AssessDelta(ctx context.Context, v float64) (map[schema.Element
 	}
 
 	keep := make(map[schema.ElementID]bool, s.PassOperations())
+	foreign := make([]*Model, 0, k)
+	errs := make([][]float64, 0, k)
 	for i := range s.sets {
 		local := s.sets[i]
 		n := local.Len()
-		verdict := make([]bool, n)
-		if s.cfg.Mode == AllModels {
-			for r := range verdict {
-				verdict[r] = k > 1
-			}
-		}
+		foreign, errs = foreign[:0], errs[:0]
 		for j := 0; j < k; j++ {
 			if j == i {
 				continue
@@ -546,18 +543,11 @@ func (s *Scoper) AssessDelta(ctx context.Context, v float64) (map[schema.Element
 			if err := s.deltaScore(local, c.models[j], c.modelVer[j], e, &rep); err != nil {
 				return nil, rep, err
 			}
-			bound := c.models[j].Range * (1 + s.cfg.RelaxEpsilon)
-			for r, ev := range e.vals {
-				accepted := ev <= bound
-				if s.cfg.Mode == AllModels {
-					verdict[r] = verdict[r] && accepted
-				} else {
-					verdict[r] = verdict[r] || accepted
-				}
-			}
+			foreign = append(foreign, c.models[j])
+			errs = append(errs, e.vals)
 		}
-		for r, id := range local.IDs {
-			keep[id] = verdict[r]
+		for r, linkable := range s.cfg.Linkable(foreign, errs, n) {
+			keep[local.IDs[r]] = linkable
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, rep, err
@@ -1011,22 +1001,10 @@ func AssessDeltaStore(ctx context.Context, workers int, local *embed.SignatureSe
 	reg.Counter("core.delta.rescored").Add(int64(rep.Rescored))
 	reg.Counter("core.delta.reused").Add(int64(rep.Reused))
 
-	// Fold verdicts exactly as AssessContext does.
+	// Fold verdicts with the fold AssessContext uses.
 	verdict := make(map[schema.ElementID]bool, n)
-	for _, id := range local.IDs {
-		verdict[id] = cfg.Mode == AllModels && len(foreign) > 0
-	}
-	for k, m := range foreign {
-		bound := m.Range * (1 + cfg.RelaxEpsilon)
-		for i, e := range errsByModel[k] {
-			accepted := e <= bound
-			id := local.IDs[i]
-			if cfg.Mode == AllModels {
-				verdict[id] = verdict[id] && accepted
-			} else {
-				verdict[id] = verdict[id] || accepted
-			}
-		}
+	for i, linkable := range cfg.Linkable(foreign, errsByModel, n) {
+		verdict[local.IDs[i]] = linkable
 	}
 	return verdict, rep, nil
 }

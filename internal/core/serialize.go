@@ -10,11 +10,12 @@ import (
 	"collabscope/internal/seal"
 )
 
-// WireVersion is the model wire-format version WriteJSON emits. Readers
-// accept every version up to this one: v0 is the legacy format without the
-// "version" key and hash trailer, v1 adds both. Versions beyond WireVersion
-// are rejected with a descriptive error so a newer peer fails loudly rather
-// than being half-parsed.
+// WireVersion is the model wire-format version WriteJSON emits and the only
+// one ReadModelJSON accepts. A payload without the "version" key (the
+// retired v0 format, which also had no hash trailer) or with any other
+// version is rejected with a descriptive error: a newer peer fails loudly
+// rather than being half-parsed, and stripping the key and trailer cannot
+// load a model around the integrity check.
 const WireVersion = 1
 
 // Wire-level resource caps. A model is exchanged with untrusted peers, so
@@ -90,12 +91,11 @@ func (m *Model) WriteJSON(w io.Writer) error {
 }
 
 // ReadModelJSON deserialises an exchanged model and validates it. It
-// accepts wire versions 0 (legacy, no integrity trailer) and 1, rejects
-// anything newer, and treats the payload as hostile: shape mismatches,
-// out-of-domain values (negative range, variance outside [0, 1], empty
-// schema name, non-finite numbers), oversized dimensions, and — for v1 —
-// a missing or mismatching hash trailer all fail with descriptive errors
-// before any large allocation happens.
+// accepts wire version WireVersion only and treats the payload as hostile:
+// another version, shape mismatches, out-of-domain values (negative range,
+// variance outside [0, 1], empty schema name, non-finite numbers),
+// oversized dimensions, and a missing or mismatching hash trailer all fail
+// with descriptive errors before any large allocation happens.
 //
 // Variance 0 is accepted: it is the sentinel of fixed-component ablation
 // models (TrainFixedComponents), which have no explained-variance target.
@@ -104,8 +104,8 @@ func ReadModelJSON(r io.Reader) (*Model, error) {
 	if err := json.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("core: decode model: %w", err)
 	}
-	if wire.Version < 0 || wire.Version > WireVersion {
-		return nil, fmt.Errorf("core: model wire version %d not supported (this build speaks ≤ %d)",
+	if wire.Version != WireVersion {
+		return nil, fmt.Errorf("core: model wire version %d not supported (this build speaks %d)",
 			wire.Version, WireVersion)
 	}
 	if wire.Schema == "" {
@@ -137,10 +137,8 @@ func ReadModelJSON(r io.Reader) (*Model, error) {
 	if math.IsNaN(wire.Range) || math.IsInf(wire.Range, 0) || wire.Range < 0 {
 		return nil, fmt.Errorf("core: linkability range %v must be finite and non-negative", wire.Range)
 	}
-	if wire.Version >= 1 {
-		if err := seal.Verify(&wire, &wire.Sum); err != nil {
-			return nil, fmt.Errorf("core: v%d model %w", wire.Version, err)
-		}
+	if err := seal.Verify(&wire, &wire.Sum); err != nil {
+		return nil, fmt.Errorf("core: v%d model %w", wire.Version, err)
 	}
 	comp := linalg.NewDense(len(wire.Components), wire.Dim)
 	for i, row := range wire.Components {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"collabscope/internal/seal"
 )
 
 func TestModelJSONRoundTrip(t *testing.T) {
@@ -38,48 +40,108 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadModelJSONValidation(t *testing.T) {
-	cases := map[string]string{
-		"bad json":        `{`,
-		"no components":   `{"schema":"S","dim":2,"mean":[0,0],"components":[],"range":0.1}`,
-		"mean mismatch":   `{"schema":"S","dim":3,"mean":[0,0],"components":[[0,0,0]],"range":0.1}`,
-		"ragged rows":     `{"schema":"S","dim":2,"mean":[0,0],"components":[[0,0],[0]],"range":0.1}`,
-		"negative range":  `{"schema":"S","dim":2,"mean":[0,0],"components":[[1,0]],"range":-1}`,
-		"zero dim":        `{"schema":"S","dim":0,"mean":[],"components":[[ ]],"range":0}`,
-		"empty schema":    `{"schema":"","dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1}`,
-		"variance > 1":    `{"schema":"S","variance":1.5,"dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1}`,
-		"variance < 0":    `{"schema":"S","variance":-0.1,"dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1}`,
-		"huge dim":        `{"schema":"S","dim":1048576,"mean":[0,0],"components":[[1,0]],"range":0.1}`,
-		"rank > dim":      `{"schema":"S","dim":1,"mean":[0],"components":[[1],[0],[1]],"range":0.1}`,
-		"future version":  `{"version":2,"schema":"S","variance":0.5,"dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1,"sum":"x"}`,
-		"v1 missing sum":  `{"version":1,"schema":"S","variance":0.5,"dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1}`,
-		"v1 wrong sum":    `{"version":1,"schema":"S","variance":0.5,"dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1,"sum":"deadbeef"}`,
-		"huge range":      `{"schema":"S","dim":2,"mean":[0,0],"components":[[1,0]],"range":1e999}`,
-		"negative varver": `{"version":-1,"schema":"S","dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1}`,
+// sealedWire returns the wire bytes of a small valid v1 model after edit,
+// sealed with a matching trailer, so a hostile shape reaches its own check
+// instead of failing at the version or trailer gate.
+func sealedWire(t *testing.T, edit func(*modelJSON)) string {
+	t.Helper()
+	w := modelJSON{
+		Version: WireVersion, Schema: "S", Variance: 0.5, Dim: 2,
+		Mean: []float64{0, 0}, Components: [][]float64{{1, 0}}, Range: 0.1,
 	}
-	for name, payload := range cases {
-		if _, err := ReadModelJSON(strings.NewReader(payload)); err == nil {
-			t.Errorf("%s: expected error", name)
+	edit(&w)
+	if err := seal.Seal(&w, &w.Sum); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(&w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func TestReadModelJSONValidation(t *testing.T) {
+	cases := map[string]struct{ payload, want string }{
+		"bad json": {`{`, "decode model"},
+		"no components": {sealedWire(t, func(w *modelJSON) { w.Components = [][]float64{} }),
+			"no principal components"},
+		"mean mismatch": {sealedWire(t, func(w *modelJSON) { w.Dim, w.Components = 3, [][]float64{{0, 0, 0}} }),
+			"mean has 2 values, header says 3"},
+		"ragged rows": {sealedWire(t, func(w *modelJSON) { w.Components = [][]float64{{0, 0}, {0}} }),
+			"component 1 has 1 values, want 2"},
+		"negative range": {sealedWire(t, func(w *modelJSON) { w.Range = -1 }),
+			"linkability range -1 must be finite and non-negative"},
+		"zero dim": {sealedWire(t, func(w *modelJSON) { w.Dim, w.Mean, w.Components = 0, []float64{}, [][]float64{{}} }),
+			"dimension 0 must be positive"},
+		"empty schema": {sealedWire(t, func(w *modelJSON) { w.Schema = "" }), "empty schema name"},
+		"variance > 1": {sealedWire(t, func(w *modelJSON) { w.Variance = 1.5 }), "variance 1.5 outside [0, 1]"},
+		"variance < 0": {sealedWire(t, func(w *modelJSON) { w.Variance = -0.1 }), "variance -0.1 outside [0, 1]"},
+		"huge dim": {sealedWire(t, func(w *modelJSON) { w.Dim = 1048576 }),
+			"dimension 1048576 exceeds the wire cap"},
+		"rank > dim": {sealedWire(t, func(w *modelJSON) {
+			w.Dim, w.Mean, w.Components = 1, []float64{0}, [][]float64{{1}, {0}, {1}}
+		}), "3 components for 1 dimensions"},
+		"future version": {`{"version":2,"schema":"S","variance":0.5,"dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1,"sum":"x"}`,
+			"wire version 2 not supported"},
+		"v1 missing sum": {`{"version":1,"schema":"S","variance":0.5,"dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1}`,
+			"missing checksum trailer"},
+		"v1 wrong sum": {`{"version":1,"schema":"S","variance":0.5,"dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1,"sum":"deadbeef"}`,
+			"checksum mismatch"},
+		"huge range": {`{"schema":"S","dim":2,"mean":[0,0],"components":[[1,0]],"range":1e999}`,
+			"decode model"},
+		"negative varver": {`{"version":-1,"schema":"S","dim":2,"mean":[0,0],"components":[[1,0]],"range":0.1}`,
+			"wire version -1 not supported"},
+	}
+	for name, c := range cases {
+		_, err := ReadModelJSON(strings.NewReader(c.payload))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
 		}
 	}
 }
 
-// TestReadModelJSONV0Compat pins the version-negotiation contract: a legacy
-// payload (no "version" key, no hash trailer) still loads, and variance 0 —
-// the fixed-component ablation sentinel — is accepted.
+// TestReadModelJSONV0Compat pins the retirement of the unsealed v0 format:
+// a genuine model body with its "version" key and hash trailer stripped is
+// rejected at the version gate. Variance 0 — the fixed-component ablation
+// sentinel — is still accepted on a sealed v1 body.
 func TestReadModelJSONV0Compat(t *testing.T) {
-	v0 := `{"schema":"S","variance":0.7,"dim":2,"mean":[0.5,0.5],"components":[[1,0]],"range":0.01}`
-	m, err := ReadModelJSON(strings.NewReader(v0))
+	_, sets := encodeAll(t)
+	m, err := Train(sets[0], 0.7)
 	if err != nil {
-		t.Fatalf("v0 payload rejected: %v", err)
+		t.Fatal(err)
 	}
-	if m.Schema != "S" || m.Variance != 0.7 || m.Components() != 1 || m.Range != 0.01 {
-		t.Fatalf("v0 payload mis-parsed: %+v", m)
+	var buf bytes.Buffer
+	if err := m.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &wire); err != nil {
+		t.Fatal(err)
+	}
+	delete(wire, "version")
+	delete(wire, "sum")
+	v0, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadModelJSON(bytes.NewReader(v0)); err == nil || !strings.Contains(err.Error(), "wire version 0 not supported") {
+		t.Fatalf("unsealed v0 payload: error %v, want a version rejection", err)
 	}
 
-	sentinel := `{"schema":"S","variance":0,"dim":2,"mean":[0.5,0.5],"components":[[1,0]],"range":0.01}`
-	if _, err := ReadModelJSON(strings.NewReader(sentinel)); err != nil {
+	fc, err := TrainFixedComponents(sets[0], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := fc.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadModelJSON(&buf)
+	if err != nil {
 		t.Fatalf("variance-0 sentinel (fixed-component models) rejected: %v", err)
+	}
+	if back.Variance != 0 || back.Components() != 2 {
+		t.Fatalf("variance-0 model mis-parsed: variance %v, %d components", back.Variance, back.Components())
 	}
 }
 

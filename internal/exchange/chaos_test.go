@@ -110,7 +110,7 @@ func TestChaosCorruptionCaughtByChecksum(t *testing.T) {
 		}
 		ts := httptest.NewServer(srv)
 		c := NewClient(opts...)
-		_, err = c.FetchModel(context.Background(), ts.URL+"/models/S1")
+		_, err = c.FetchModel(context.Background(), ts.URL+"/v1/models/S1")
 		ts.Close()
 		if err == nil {
 			t.Fatalf("%s: corrupted model accepted", site)
@@ -136,7 +136,7 @@ func TestChaosInjectedServerErrorIsRetried(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(WithRetryPolicy(quickPolicy()))
-	m, err := c.FetchModel(context.Background(), ts.URL+"/models/Flaky")
+	m, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/Flaky")
 	if err != nil {
 		t.Fatalf("retry did not recover from injected 500: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestChaosClientRequestFaultSurfacesInjectedSentinel(t *testing.T) {
 			Site: "exchange.client.request", Kind: faultinject.KindError, Rate: 1,
 		})),
 	)
-	_, err = c.FetchModel(context.Background(), ts.URL+"/models/S1")
+	_, err = c.FetchModel(context.Background(), ts.URL+"/v1/models/S1")
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want wrapped ErrInjected", err)
 	}

@@ -602,7 +602,7 @@ func sleepContext(ctx context.Context, d time.Duration) error {
 }
 
 // FetchModel fetches and validates one model from an explicit model URL
-// (…/models/<schema>). The payload's embedded hash trailer is verified by
+// (…/v1/models/<schema>). The payload's embedded hash trailer is verified by
 // the serialize layer; if the server also sent a content-hash ETag, it is
 // cross-checked against the model's fingerprint, catching transport
 // corruption end to end.
@@ -684,11 +684,11 @@ func (c *Client) cachePut(rawURL string, e cacheEntry) {
 // an error naming the models that failed (nil error means a full harvest).
 func (c *Client) FetchPeer(ctx context.Context, base string) ([]*core.Model, error) {
 	base = strings.TrimSuffix(base, "/")
-	body, _, _, err := c.get(ctx, base+"/models", "")
+	body, _, _, err := c.get(ctx, base+"/v1/models", "")
 	if err != nil {
 		return nil, fmt.Errorf("list models: %w", err)
 	}
-	var listing Listing
+	var listing ListingV1
 	if err := json.Unmarshal(body, &listing); err != nil {
 		return nil, fmt.Errorf("decode model listing: %w", err)
 	}
@@ -698,7 +698,7 @@ func (c *Client) FetchPeer(ctx context.Context, base string) ([]*core.Model, err
 	var models []*core.Model
 	var failures []string
 	for _, entry := range listing.Models {
-		m, err := c.FetchModel(ctx, base+"/models/"+url.PathEscape(entry.Schema))
+		m, err := c.FetchModel(ctx, base+"/v1/models/"+url.PathEscape(entry.Schema))
 		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", entry.Schema, err))
 			continue

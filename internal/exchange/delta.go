@@ -16,13 +16,18 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"maps"
 	"math"
 	"sync"
+
+	"collabscope/internal/lru"
+	"collabscope/internal/obs"
 )
 
 // maxDeltaEntries bounds the per-server delta cache: one entry is one
 // distinct (tenant, signature set) with up to one error column per foreign
-// model. Eviction is oldest-first; the cache is an accelerator, never a
+// model. Eviction is least-recently-used, counted as
+// "service.delta.evictions"; the cache is an accelerator, never a
 // correctness dependency.
 const maxDeltaEntries = 128
 
@@ -32,54 +37,42 @@ type deltaColumn struct {
 	errs []float64
 }
 
-// deltaEntry caches every known column of one (tenant, signatures) pair.
-type deltaEntry struct {
-	cols map[string]deltaColumn // keyed by foreign schema name
-}
-
+// deltaStore maps a (tenant, signatures) key to every known column of that
+// pair, keyed by foreign schema name.
 type deltaStore struct {
 	mu      sync.Mutex
-	entries map[string]*deltaEntry
-	order   []string // insertion order, for bounded eviction
+	entries *lru.Cache[string, map[string]deltaColumn]
+	reg     *obs.Registry
 }
 
-func newDeltaStore() *deltaStore {
-	return &deltaStore{entries: make(map[string]*deltaEntry)}
+func newDeltaStore(reg *obs.Registry) *deltaStore {
+	return &deltaStore{entries: lru.New[string, map[string]deltaColumn](maxDeltaEntries), reg: reg}
 }
 
 // lookup returns a copy of the entry's columns (so the caller reads them
-// without holding the lock against concurrent flights).
+// without holding the lock against concurrent flights) and marks the entry
+// most recently used.
 func (d *deltaStore) lookup(key string) map[string]deltaColumn {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, ok := d.entries[key]
-	if !ok {
-		return nil
-	}
-	out := make(map[string]deltaColumn, len(e.cols))
-	for name, c := range e.cols {
-		out[name] = c
-	}
-	return out
+	cols, _ := d.entries.Get(key)
+	return maps.Clone(cols)
 }
 
-// put stores freshly computed columns, evicting the oldest entries beyond
-// the capacity bound.
+// put stores freshly computed columns, evicting the least recently used
+// entry beyond the capacity bound.
 func (d *deltaStore) put(key string, cols map[string]deltaColumn) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[key]
+	e, ok := d.entries.Get(key)
+	evicted := false
 	if !ok {
-		e = &deltaEntry{cols: make(map[string]deltaColumn)}
-		d.entries[key] = e
-		d.order = append(d.order, key)
-		for len(d.order) > maxDeltaEntries {
-			delete(d.entries, d.order[0])
-			d.order = d.order[1:]
-		}
+		e = make(map[string]deltaColumn, len(cols))
+		_, evicted = d.entries.Put(key, e)
 	}
-	for name, c := range cols {
-		e.cols[name] = c
+	maps.Copy(e, cols)
+	d.mu.Unlock()
+	if evicted {
+		d.reg.Counter("service.delta.evictions").Inc()
 	}
 }
 

@@ -3,6 +3,7 @@ package exchange
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -130,15 +131,39 @@ func TestDeltaAssessReusesColumnsAcrossRepublish(t *testing.T) {
 // TestDeltaStoreBounded pins the eviction bound: the cache never holds more
 // than maxDeltaEntries signature entries.
 func TestDeltaStoreBounded(t *testing.T) {
-	d := newDeltaStore()
+	d := newDeltaStore(nil)
 	for i := 0; i < maxDeltaEntries+50; i++ {
 		d.put(string(rune(i))+"key", map[string]deltaColumn{"S": {etag: "e", errs: []float64{1}}})
 	}
-	if len(d.entries) != maxDeltaEntries || len(d.order) != maxDeltaEntries {
-		t.Fatalf("cache holds %d entries (%d order), cap %d", len(d.entries), len(d.order), maxDeltaEntries)
+	if n := d.entries.Len(); n != maxDeltaEntries {
+		t.Fatalf("cache holds %d entries, cap %d", n, maxDeltaEntries)
 	}
 	if d.lookup("missing") != nil {
 		t.Fatal("lookup of a missing key returned an entry")
+	}
+}
+
+// TestDeltaStoreEvictsLeastRecentlyUsed: a key looked up after every insert
+// survives maxDeltaEntries further inserts (oldest-first eviction would
+// drop it), and every insert beyond the cap counts one
+// service.delta.evictions.
+func TestDeltaStoreEvictsLeastRecentlyUsed(t *testing.T) {
+	reg := obs.NewRegistry()
+	d := newDeltaStore(reg)
+	col := map[string]deltaColumn{"S": {etag: "e", errs: []float64{1}}}
+	d.put("hot", col)
+	const inserts = maxDeltaEntries + 40
+	for i := 0; i < inserts; i++ {
+		d.put(fmt.Sprintf("cold%d", i), col)
+		if d.lookup("hot") == nil {
+			t.Fatalf("hot key evicted after %d inserts although touched after each", i+1)
+		}
+	}
+	if d.lookup("cold0") != nil {
+		t.Fatal("least recently used key cold0 survived")
+	}
+	if got, want := reg.Snapshot().Counters["service.delta.evictions"], int64(1+inserts-maxDeltaEntries); got != want {
+		t.Fatalf("service.delta.evictions = %d, want %d", got, want)
 	}
 }
 

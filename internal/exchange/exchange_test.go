@@ -15,6 +15,7 @@ import (
 	"collabscope/internal/core"
 	"collabscope/internal/embed"
 	"collabscope/internal/linalg"
+	"collabscope/internal/obs"
 	"collabscope/internal/schema"
 )
 
@@ -46,23 +47,27 @@ func quickPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Timeout: 250 * time.Millisecond}
 }
 
+// TestServerListingAndETagRevalidation pins the read side of the hub on
+// /v1: the listing, model bodies byte-identical to a local WriteJSON, the
+// content fingerprint as ETag, 304 revalidation, a client round trip, and
+// a 404 for an unpublished schema.
 func TestServerListingAndETagRevalidation(t *testing.T) {
-	srv, err := NewServer(WithModels(testModel(t, "S1"), testModel(t, "S2")))
+	m1 := testModel(t, "S1")
+	srv, err := NewServer(WithModels(m1, testModel(t, "S2")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/models")
-	if err != nil {
-		t.Fatal(err)
+	resp, body := doV1(t, http.MethodGet, ts.URL+"/v1/models", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("listing: status %d", resp.StatusCode)
 	}
-	var listing Listing
-	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
-		t.Fatal(err)
+	var listing ListingV1
+	if err := json.Unmarshal(body, &listing); err != nil {
+		t.Fatalf("listing shape: %v\n%s", err, body)
 	}
-	resp.Body.Close()
 	if listing.Version != core.WireVersion {
 		t.Fatalf("listing version %d, want %d", listing.Version, core.WireVersion)
 	}
@@ -70,40 +75,47 @@ func TestServerListingAndETagRevalidation(t *testing.T) {
 		t.Fatalf("unexpected listing %+v", listing)
 	}
 
-	resp, err = http.Get(ts.URL + "/models/S1")
+	var wire bytes.Buffer
+	if err := m1.WriteJSON(&wire); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := m1.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if listing.Models[0].ETag != `"`+fp+`"` {
+		t.Fatalf("listing ETag %s is not the content hash %q", listing.Models[0].ETag, fp)
+	}
+	resp, body = doV1(t, http.MethodGet, ts.URL+"/v1/models/S1", "", nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, wire.Bytes()) {
+		t.Fatalf("model body differs from the local serialisation (status %d)", resp.StatusCode)
 	}
 	etag := resp.Header.Get("ETag")
-	model, err := core.ReadModelJSON(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("served model does not parse: %v", err)
-	}
-	fp, err := model.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if etag != `"`+fp+`"` {
 		t.Fatalf("ETag %s is not the content hash %q", etag, fp)
 	}
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/models/S1", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/models/S1", nil)
 	req.Header.Set("If-None-Match", etag)
-	resp, err = http.DefaultClient.Do(req)
+	nm, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("revalidation got %d, want 304", resp.StatusCode)
+	nm.Body.Close()
+	if nm.StatusCode != http.StatusNotModified {
+		t.Fatalf("revalidation got %d, want 304", nm.StatusCode)
 	}
 
-	resp, err = http.Get(ts.URL + "/models/NOPE")
+	c := NewClient(WithRetryPolicy(quickPolicy()))
+	fetched, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/S1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	if ffp, _ := fetched.Fingerprint(); ffp != fp {
+		t.Fatalf("fetched fingerprint %s, want %s", ffp, fp)
+	}
+
+	resp, _ = doV1(t, http.MethodGet, ts.URL+"/v1/models/NOPE", "", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing model got %d, want 404", resp.StatusCode)
 	}
@@ -201,7 +213,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := NewClient(WithRetryPolicy(quickPolicy()))
-	if _, err := c.FetchModel(context.Background(), ts.URL+"/models/X"); err == nil {
+	if _, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/X"); err == nil {
 		t.Fatal("expected error on 404")
 	}
 	if calls.Load() != 1 {
@@ -239,7 +251,7 @@ func TestFetchModelRejectsTamperedPayload(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := NewClient(WithRetryPolicy(quickPolicy()))
-	_, err := c.FetchModel(context.Background(), ts.URL+"/models/S1")
+	_, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/S1")
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("expected checksum mismatch, got %v", err)
 	}
@@ -256,13 +268,14 @@ func TestFetchModelRejectsWrongETag(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := NewClient(WithRetryPolicy(quickPolicy()))
-	if _, err := c.FetchModel(context.Background(), ts.URL+"/models/S1"); err == nil {
+	if _, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/S1"); err == nil {
 		t.Fatal("expected ETag/fingerprint mismatch error")
 	}
 }
 
-// TestFetchModelV0Compat pins backward compatibility: a legacy payload
-// without version key and hash trailer still loads over the wire.
+// TestFetchModelV0Compat pins the retirement of the unsealed v0 format: a
+// payload without version key and hash trailer is refused over the wire
+// and counted as an invalid model, not as a checksum failure.
 func TestFetchModelV0Compat(t *testing.T) {
 	body := tamper(t, testModel(t, "LEGACY"), func(wire map[string]any) {
 		delete(wire, "version")
@@ -272,13 +285,15 @@ func TestFetchModelV0Compat(t *testing.T) {
 		_, _ = w.Write(body)
 	}))
 	defer ts.Close()
-	c := NewClient(WithRetryPolicy(quickPolicy()))
-	m, err := c.FetchModel(context.Background(), ts.URL+"/models/LEGACY")
-	if err != nil {
-		t.Fatalf("v0 payload rejected: %v", err)
+	reg := obs.NewRegistry()
+	c := NewClient(WithRetryPolicy(quickPolicy()), WithMetrics(reg))
+	if m, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/LEGACY"); err == nil {
+		t.Fatalf("v0 payload accepted as %q", m.Schema)
 	}
-	if m.Schema != "LEGACY" {
-		t.Fatalf("wrong schema %q", m.Schema)
+	counters := reg.Snapshot().Counters
+	if counters["exchange.model_invalid"] != 1 || counters["exchange.checksum_failures"] != 0 {
+		t.Fatalf("model_invalid %d, checksum_failures %d; want 1 and 0",
+			counters["exchange.model_invalid"], counters["exchange.checksum_failures"])
 	}
 }
 
@@ -386,7 +401,7 @@ func TestServerRejectsWrites(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/models/S1", "application/json", strings.NewReader("{}"))
+	resp, err := http.Post(ts.URL+"/v1/models/S1", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}

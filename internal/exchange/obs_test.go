@@ -54,7 +54,7 @@ func TestETagHitServedFromCache(t *testing.T) {
 		WithMetrics(reg),
 	)
 	ctx := context.Background()
-	url := ts.URL + "/models/S1"
+	url := ts.URL + "/v1/models/S1"
 
 	first, err := c.FetchModel(ctx, url)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestRepublishInvalidatesCache(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewClient(WithRetryPolicy(quickPolicy()), WithMetrics(reg))
 	ctx := context.Background()
-	url := ts.URL + "/models/S1"
+	url := ts.URL + "/v1/models/S1"
 
 	if _, err := c.FetchModel(ctx, url); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestClientRetryAndFailureCounters(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	c := NewClient(WithRetryPolicy(quickPolicy()), WithMetrics(reg))
-	if _, err := c.FetchModel(context.Background(), ts.URL+"/models/S1"); err == nil {
+	if _, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/S1"); err == nil {
 		t.Fatal("expected failure against an always-erroring hub")
 	}
 	snap := reg.Snapshot()
@@ -197,7 +197,7 @@ func TestFetchModelChecksumCounters(t *testing.T) {
 			_, _ = w.Write(body)
 		}))
 		reg := obs.NewRegistry()
-		_, err := NewClient(WithRetryPolicy(quickPolicy()), WithMetrics(reg)).FetchModel(context.Background(), ts.URL+"/models/S1")
+		_, err := NewClient(WithRetryPolicy(quickPolicy()), WithMetrics(reg)).FetchModel(context.Background(), ts.URL+"/v1/models/S1")
 		ts.Close()
 		counters := reg.Snapshot().Counters
 		if err == nil || counters["exchange.model_invalid"] != 1 || counters["exchange.checksum_failures"] != c.checksums {
@@ -207,9 +207,9 @@ func TestFetchModelChecksumCounters(t *testing.T) {
 	}
 }
 
-// TestServerMetricsEndpoint: /metrics serves a parseable registry snapshot
-// with the hub-side counters on a server built WithServerMetrics and 404s
-// without a registry; /debug/pprof is gated behind WithPprof.
+// TestServerMetricsEndpoint: /v1/metrics serves a parseable registry
+// snapshot with the hub-side counters on a server built WithServerMetrics
+// and 404s without a registry; /debug/pprof is gated behind WithPprof.
 func TestServerMetricsEndpoint(t *testing.T) {
 	status := func(url string) int {
 		t.Helper()
@@ -226,8 +226,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 	tsBare := httptest.NewServer(bare)
 	defer tsBare.Close()
-	if code := status(tsBare.URL + "/metrics"); code != http.StatusNotFound {
-		t.Fatalf("/metrics without registry: status %d, want 404", code)
+	if code := status(tsBare.URL + "/v1/metrics"); code != http.StatusNotFound {
+		t.Fatalf("/v1/metrics without registry: status %d, want 404", code)
 	}
 	if code := status(tsBare.URL + "/debug/pprof/"); code != http.StatusNotFound {
 		t.Fatalf("/debug/pprof/ without WithPprof: status %d, want 404", code)
@@ -241,19 +241,19 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(WithRetryPolicy(quickPolicy()))
-	if _, err := c.FetchModel(context.Background(), ts.URL+"/models/S1"); err != nil {
+	if _, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/S1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.FetchModel(context.Background(), ts.URL+"/models/nope"); err == nil {
+	if _, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/nope"); err == nil {
 		t.Fatal("expected 404 for unpublished schema")
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
+		t.Fatalf("/v1/metrics status %d", resp.StatusCode)
 	}
 	snap, err := obs.ReadSnapshotJSON(resp.Body)
 	resp.Body.Close()

@@ -74,7 +74,7 @@ func TestAttemptTimeoutRetriedWithLiveCaller(t *testing.T) {
 	c := NewClient(WithMetrics(reg), WithRetryPolicy(RetryPolicy{
 		MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Timeout: 50 * time.Millisecond,
 	}))
-	m, err := c.FetchModel(context.Background(), ts.URL+"/models/SRetry")
+	m, err := c.FetchModel(context.Background(), ts.URL+"/v1/models/SRetry")
 	if err != nil {
 		t.Fatalf("fetch after an attempt timeout: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestClientBreakerOpensShortCircuitsAndRecovers(t *testing.T) {
 	c.now = func() time.Duration { return time.Duration(clk.Load()) }
 
 	ctx := context.Background()
-	url := ts.URL + "/models/SBrk"
+	url := ts.URL + "/v1/models/SBrk"
 	for i := 0; i < 2; i++ {
 		if _, err := c.FetchModel(ctx, url); err == nil {
 			t.Fatalf("fetch %d against the failing host succeeded", i)
@@ -270,7 +270,7 @@ func TestReplicaFailoverAcrossDeadReplica(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewClient(WithMetrics(reg), WithRetryPolicy(quickPolicy()),
 		WithReplicas("http://fleet.invalid", deadURL, up.URL))
-	m, err := c.FetchModel(context.Background(), "http://fleet.invalid/models/SRep")
+	m, err := c.FetchModel(context.Background(), "http://fleet.invalid/v1/models/SRep")
 	if err != nil {
 		t.Fatalf("fetch across the replica group: %v", err)
 	}
@@ -303,7 +303,7 @@ func TestHedgedGetBeatsStalledPrimary(t *testing.T) {
 		WithRetryPolicy(RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Timeout: 2 * time.Second}),
 		WithReplicas("http://fleet.invalid", slow.URL, fast.URL),
 		WithHedge(HedgePolicy{Delay: 10 * time.Millisecond}))
-	m, err := c.FetchModel(context.Background(), "http://fleet.invalid/models/SHdg")
+	m, err := c.FetchModel(context.Background(), "http://fleet.invalid/v1/models/SHdg")
 	if err != nil {
 		t.Fatalf("hedged fetch: %v", err)
 	}

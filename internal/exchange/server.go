@@ -10,8 +10,8 @@
 // verdicts out, with request coalescing and admission control. Models are
 // served at /v1/models/<schema> in wire format v1 (versioned JSON with a
 // SHA-256 hash trailer) with the content hash as a strong ETag, so
-// unchanged models revalidate with 304s. The pre-/v1 routes (/models,
-// /models/<schema>, /metrics) remain as aliases of the default tenant.
+// unchanged models revalidate with 304s. Every route lives under /v1;
+// there is no unversioned dialect.
 //
 // A Client fetches peers' models with per-request timeouts, capped
 // exponential backoff with jitter, and end-to-end checksum validation.
@@ -40,20 +40,6 @@ import (
 	"collabscope/internal/faultinject"
 	"collabscope/internal/obs"
 )
-
-// Listing is the body of the legacy GET /models route: the wire version
-// the hub speaks and the default tenant's published models with their
-// content hashes.
-type Listing struct {
-	Version int            `json:"version"`
-	Models  []ListingEntry `json:"models"`
-}
-
-// ListingEntry describes one published model.
-type ListingEntry struct {
-	Schema string `json:"schema"`
-	ETag   string `json:"etag"`
-}
 
 // published is one model frozen at publish time: its canonical v1 wire
 // bytes, the content-hash ETag derived from them, the decoded model kept
@@ -124,10 +110,10 @@ type Server struct {
 	// exchange.service.assess), so chaos tests can make exactly one peer of
 	// a fleet misbehave.
 	inject *faultinject.Injector
-	// reg, when set, backs GET /v1/metrics (and the legacy /metrics alias)
-	// and the service counters. Nil keeps both disabled: the metrics routes
-	// answer 404 and the counters are no-ops. Only NewServer writes reg and
-	// pprofEnabled, so handlers read both without the lock.
+	// reg, when set, backs GET /v1/metrics and the service counters. Nil
+	// keeps both disabled: the metrics route answers 404 and the counters
+	// are no-ops. Only NewServer writes reg and pprofEnabled, so handlers
+	// read both without the lock.
 	reg *obs.Registry
 	// pprofEnabled exposes net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints leak timing and heap internals, so a hub
@@ -187,7 +173,7 @@ func WithModels(models ...*core.Model) ServerOption {
 // WithServerMetrics attaches a metrics registry: the service then counts
 // requests, sheds and latencies, and serves a JSON snapshot of the
 // registry — which may be shared with the rest of the process — at
-// GET /v1/metrics (and the legacy /metrics alias).
+// GET /v1/metrics.
 func WithServerMetrics(reg *obs.Registry) ServerOption {
 	return func(c *serverConfig) { c.reg = reg }
 }
@@ -246,7 +232,7 @@ func NewServer(opts ...ServerOption) (*Server, error) {
 		flight:       make(map[string]*flightCall),
 		tenantActive: make(map[string]int),
 		drainDone:    make(chan struct{}),
-		delta:        newDeltaStore(),
+		delta:        newDeltaStore(cfg.reg),
 	}
 	s.computeCtx, s.computeCancel = context.WithCancel(context.Background())
 	if cfg.store != nil {
@@ -506,9 +492,11 @@ func (s *Server) lookup(tenant, schema string) (*published, bool) {
 }
 
 // ServeHTTP routes the service API (see the package comment for the route
-// table). "exchange.server.request" is a fault-injection hook point:
-// injected delays stall the response (exercising client timeouts) and
-// injected errors turn into 500s (exercising client retries).
+// table). Every path outside /v1 and, under WithPprof, /debug/pprof/
+// answers 404 in the error envelope. "exchange.server.request" is a
+// fault-injection hook point: injected delays stall the response
+// (exercising client timeouts) and injected errors turn into 500s
+// (exercising client retries).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if err := s.hit("exchange.server.request"); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -517,78 +505,58 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	reg := s.reg
 	reg.Counter("server.requests").Inc()
 	path := strings.TrimSuffix(r.URL.Path, "/")
-	v1 := strings.HasPrefix(path, "/v1/") || path == "/v1"
-	if v1 {
-		path = strings.TrimPrefix(path, "/v1")
-	}
 	switch {
-	case path == "/models":
+	case path == "/v1/models":
 		switch r.Method {
 		case http.MethodGet, http.MethodHead:
-			tenant, ok := s.resolveTenant(w, r, v1)
+			tenant, ok := s.resolveTenant(w, r)
 			if !ok {
 				return
 			}
-			s.serveListing(w, tenant, v1)
+			s.serveListing(w, tenant)
 		case http.MethodPost:
-			if v1 {
-				s.handleUpload(w, r)
-				return
-			}
-			s.methodNotAllowed(w, v1, "GET, HEAD")
+			s.handleUpload(w, r)
 		default:
-			allow := "GET, HEAD"
-			if v1 {
-				allow = "GET, HEAD, POST"
-			}
-			s.methodNotAllowed(w, v1, allow)
+			s.methodNotAllowed(w, "GET, HEAD, POST")
 		}
-	case strings.HasPrefix(path, "/models/"):
+	case strings.HasPrefix(path, "/v1/models/"):
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			s.methodNotAllowed(w, v1, "GET, HEAD")
+			s.methodNotAllowed(w, "GET, HEAD")
 			return
 		}
-		tenant, ok := s.resolveTenant(w, r, v1)
+		tenant, ok := s.resolveTenant(w, r)
 		if !ok {
 			return
 		}
-		s.serveModel(w, r, tenant, strings.TrimPrefix(path, "/models/"), v1)
-	case v1 && path == "/assess":
+		s.serveModel(w, r, tenant, strings.TrimPrefix(path, "/v1/models/"))
+	case path == "/v1/assess":
 		if r.Method != http.MethodPost {
-			s.methodNotAllowed(w, v1, "POST")
+			s.methodNotAllowed(w, "POST")
 			return
 		}
 		s.handleAssess(w, r)
-	case v1 && (path == "/healthz" || path == "/readyz"):
+	case path == "/v1/healthz" || path == "/v1/readyz":
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			s.methodNotAllowed(w, v1, "GET, HEAD")
+			s.methodNotAllowed(w, "GET, HEAD")
 			return
 		}
-		s.serveHealth(w, path == "/readyz")
-	case path == "/metrics" && reg != nil:
+		s.serveHealth(w, path == "/v1/readyz")
+	case path == "/v1/metrics" && reg != nil:
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			s.methodNotAllowed(w, v1, "GET, HEAD")
+			s.methodNotAllowed(w, "GET, HEAD")
 			return
 		}
 		s.serveMetrics(w, reg)
-	case !v1 && strings.HasPrefix(r.URL.Path, "/debug/pprof/") && s.pprofEnabled:
+	case strings.HasPrefix(r.URL.Path, "/debug/pprof/") && s.pprofEnabled:
 		servePprof(w, r)
 	default:
 		reg.Counter("server.not_found").Inc()
-		if v1 {
-			writeV1Error(w, http.StatusNotFound, CodeNotFound, "no route for %s", r.URL.Path)
-			return
-		}
-		http.NotFound(w, r)
+		writeV1Error(w, http.StatusNotFound, CodeNotFound, "no route for %s", r.URL.Path)
 	}
 }
 
 // resolveTenant reads the tenant header, answering 400 on a malformed one.
-// Legacy routes ignore tenancy and always serve the default tenant.
-func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, v1 bool) (string, bool) {
-	if !v1 {
-		return DefaultTenant, true
-	}
+func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
 	tenant, ok := tenantOf(r)
 	if !ok {
 		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest,
@@ -598,18 +566,13 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, v1 bool) 
 	return tenant, true
 }
 
-// methodNotAllowed answers 405 with an accurate Allow header, in the
-// error dialect of the route's API version.
-func (s *Server) methodNotAllowed(w http.ResponseWriter, v1 bool, allow string) {
+// methodNotAllowed answers 405 with an accurate Allow header.
+func (s *Server) methodNotAllowed(w http.ResponseWriter, allow string) {
 	w.Header().Set("Allow", allow)
-	if v1 {
-		writeV1Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "allowed methods: %s", allow)
-		return
-	}
-	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	writeV1Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "allowed methods: %s", allow)
 }
 
-// serveMetrics answers the metrics routes with an indented JSON snapshot
+// serveMetrics answers GET /v1/metrics with an indented JSON snapshot
 // of the registry — the same format obs.ReadSnapshotJSON and `collabscope
 // stats -metrics` consume.
 func (s *Server) serveMetrics(w http.ResponseWriter, reg *obs.Registry) {
@@ -636,52 +599,30 @@ func servePprof(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveListing answers GET /models (legacy shape, byte-compatible with
-// PR-2 clients) and GET /v1/models (tenant-aware shape with model
-// versions).
-func (s *Server) serveListing(w http.ResponseWriter, tenant string, v1 bool) {
-	type row struct {
-		schema  string
-		etag    string
-		version int
-	}
-	var rows []row
+// serveListing answers GET /v1/models: the tenant's published models with
+// their content-hash ETags and registry versions.
+func (s *Server) serveListing(w http.ResponseWriter, tenant string) {
+	listing := ListingV1{Version: core.WireVersion, Tenant: tenant, Models: []ListingEntryV1{}}
 	s.mu.RLock()
 	if sp, ok := s.tenants[tenant]; ok {
 		for name, p := range sp.models {
-			rows = append(rows, row{schema: name, etag: p.etag, version: p.version})
+			listing.Models = append(listing.Models, ListingEntryV1{
+				Schema: name, ETag: p.etag, ModelVersion: p.version,
+			})
 		}
 	}
 	s.mu.RUnlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].schema < rows[j].schema })
+	sort.Slice(listing.Models, func(i, j int) bool { return listing.Models[i].Schema < listing.Models[j].Schema })
 	w.Header().Set("Content-Type", "application/json")
-	if !v1 {
-		listing := Listing{Version: core.WireVersion, Models: []ListingEntry{}}
-		for _, r := range rows {
-			listing.Models = append(listing.Models, ListingEntry{Schema: r.schema, ETag: r.etag})
-		}
-		_ = json.NewEncoder(w).Encode(listing)
-		return
-	}
-	listing := ListingV1{Version: core.WireVersion, Tenant: tenant, Models: []ListingEntryV1{}}
-	for _, r := range rows {
-		listing.Models = append(listing.Models, ListingEntryV1{
-			Schema: r.schema, ETag: r.etag, ModelVersion: r.version,
-		})
-	}
 	_ = json.NewEncoder(w).Encode(listing)
 }
 
-func (s *Server) serveModel(w http.ResponseWriter, r *http.Request, tenant, name string, v1 bool) {
+func (s *Server) serveModel(w http.ResponseWriter, r *http.Request, tenant, name string) {
 	reg := s.reg
 	p, ok := s.lookup(tenant, name)
 	if !ok {
 		reg.Counter("server.not_found").Inc()
-		if v1 {
-			writeV1Error(w, http.StatusNotFound, CodeNotFound, "no model published for schema %q", name)
-			return
-		}
-		http.Error(w, fmt.Sprintf("no model published for schema %q", name), http.StatusNotFound)
+		writeV1Error(w, http.StatusNotFound, CodeNotFound, "no model published for schema %q", name)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

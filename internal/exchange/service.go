@@ -13,8 +13,9 @@ package exchange
 //     quota) are shed with 429 + Retry-After instead of queueing without
 //     bound; a shed request costs no model arithmetic.
 //  3. Computation — the signature matrix is reconstructed by every foreign
-//     model of the tenant on the internal/parallel pool, folding verdicts
-//     in deterministic model order (Algorithm 2's per-model acceptance).
+//     model of the tenant on the internal/parallel pool, and the error
+//     columns are folded into verdicts by core's one Definition 4 fold
+//     (AssessConfig.Linkable), in deterministic model order.
 
 import (
 	"bytes"
@@ -72,7 +73,7 @@ func badRequest(format string, args ...any) error {
 // checkpoint store).
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	reg := s.reg
-	tenant, ok := s.resolveTenant(w, r, true)
+	tenant, ok := s.resolveTenant(w, r)
 	if !ok {
 		return
 	}
@@ -162,7 +163,7 @@ func (req *AssessRequest) mode() core.AcceptanceMode {
 // handleAssess implements POST /v1/assess.
 func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	reg := s.reg
-	tenant, ok := s.resolveTenant(w, r, true)
+	tenant, ok := s.resolveTenant(w, r)
 	if !ok {
 		return
 	}
@@ -321,8 +322,8 @@ func (s *Server) snapshotForeign(tenant, schema string) []*published {
 
 // computeAssess runs one admitted assessment: reconstruct the signature
 // matrix under every foreign model of the tenant (parallel across models)
-// and fold acceptances in model order, exactly mirroring
-// core.AssessContext so service verdicts match in-process ones.
+// and fold acceptances in model order through the same fold as
+// core.AssessContext, so service verdicts match in-process ones.
 // "exchange.service.assess" is a fault-injection hook point: injected
 // delays stall the computation inside the admission window (exercising
 // shedding and coalescing), injected errors become 500s.
@@ -333,11 +334,13 @@ func (s *Server) computeAssess(ctx context.Context, tenant string, req *AssessRe
 	foreign := s.snapshotForeign(tenant, req.Schema)
 	n := len(req.Signatures)
 	dim := len(req.Signatures[0])
-	for _, p := range foreign {
+	models := make([]*core.Model, len(foreign))
+	for k, p := range foreign {
 		if p.model.Dim() != dim {
 			return nil, badRequest("model %q has dimension %d, request signatures have %d",
 				p.model.Schema, p.model.Dim(), dim)
 		}
+		models[k] = p.model
 	}
 	// Delta assessment: reuse cached per-model error columns whose model
 	// ETag still matches, re-score only the columns of models that were
@@ -383,25 +386,14 @@ func (s *Server) computeAssess(ctx context.Context, tenant string, req *AssessRe
 	reg.Counter("service.delta.rescored").Add(int64(len(misses) * n))
 	reg.Counter("service.tenant." + tenant + ".delta.reused").Add(int64(reused * n))
 	reg.Counter("service.tenant." + tenant + ".delta.rescored").Add(int64(len(misses) * n))
-	mode := req.mode()
+	cfg := core.AssessConfig{Mode: req.mode(), RelaxEpsilon: req.RelaxEpsilon}
 	verdicts := make([]Verdict, n)
-	for i := range verdicts {
+	for i, linkable := range cfg.Linkable(models, errsByModel, n) {
 		label := strconv.Itoa(i)
 		if len(req.IDs) != 0 {
 			label = req.IDs[i]
 		}
-		verdicts[i] = Verdict{Element: label, Linkable: mode == core.AllModels && len(foreign) > 0}
-	}
-	for k, p := range foreign {
-		bound := p.model.Range * (1 + req.RelaxEpsilon)
-		for i, e := range errsByModel[k] {
-			accepted := e <= bound
-			if mode == core.AllModels {
-				verdicts[i].Linkable = verdicts[i].Linkable && accepted
-			} else {
-				verdicts[i].Linkable = verdicts[i].Linkable || accepted
-			}
-		}
+		verdicts[i] = Verdict{Element: label, Linkable: linkable}
 	}
 	resp := &AssessResponse{
 		Tenant:     tenant,

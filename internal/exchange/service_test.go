@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -200,6 +199,42 @@ func TestV1UploadRejectsCorruptPayload(t *testing.T) {
 	}
 	if got := srv.Schemas(); len(got) != 0 {
 		t.Fatalf("corrupt upload entered the registry: %v", got)
+	}
+}
+
+// TestUploadRejectsUnsealedModel: a valid model body with its version key
+// and hash trailer stripped is the retired unsealed format, and the upload
+// route must refuse it rather than register a model no trailer vouches for.
+func TestUploadRejectsUnsealedModel(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := NewServer(WithServerMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body := tamper(t, serviceModel(t, "Bare", 1.5), func(wire map[string]any) {
+		delete(wire, "version")
+		delete(wire, "sum")
+	})
+	resp, out := doV1(t, http.MethodPost, ts.URL+"/v1/models", "", body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, out)
+	}
+	if env := decodeEnvelope(t, out); env.Error.Code != CodeInvalidModel {
+		t.Fatalf("error code %q, want %q", env.Error.Code, CodeInvalidModel)
+	}
+	if n := reg.Snapshot().Counters["service.upload_rejects"]; n != 1 {
+		t.Fatalf("service.upload_rejects = %d, want 1", n)
+	}
+	resp, out = doV1(t, http.MethodGet, ts.URL+"/v1/models", "", nil)
+	var listing ListingV1
+	if err := json.Unmarshal(out, &listing); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("listing: status %d, %v: %s", resp.StatusCode, err, out)
+	}
+	if len(listing.Models) != 0 {
+		t.Fatalf("unsealed upload entered the registry: %+v", listing.Models)
 	}
 }
 
@@ -461,82 +496,9 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesBackCompat pins the PR-2 client contract on the evolved
-// service: the pre-/v1 routes still serve the default tenant with
-// byte-identical bodies, the content-hash ETag, and working If-None-Match
-// revalidation — and /v1 serves the very same bytes.
-func TestLegacyRoutesBackCompat(t *testing.T) {
-	m := testModel(t, "Legacy")
-	srv, err := NewServer(WithModels(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	var wire bytes.Buffer
-	if err := m.WriteJSON(&wire); err != nil {
-		t.Fatal(err)
-	}
-	fp, err := m.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resp, body := doV1(t, http.MethodGet, ts.URL+"/models", "", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy listing: status %d", resp.StatusCode)
-	}
-	var listing Listing
-	if err := json.Unmarshal(body, &listing); err != nil {
-		t.Fatalf("legacy listing shape: %v\n%s", err, body)
-	}
-	if listing.Version != core.WireVersion || len(listing.Models) != 1 ||
-		listing.Models[0].Schema != "Legacy" || listing.Models[0].ETag != `"`+fp+`"` {
-		t.Fatalf("legacy listing = %+v", listing)
-	}
-
-	resp, body = doV1(t, http.MethodGet, ts.URL+"/models/Legacy", "", nil)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, wire.Bytes()) {
-		t.Fatalf("legacy model body differs from the local serialisation (status %d)", resp.StatusCode)
-	}
-	if got := resp.Header.Get("ETag"); got != `"`+fp+`"` {
-		t.Fatalf("ETag = %q, want the content fingerprint", got)
-	}
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/models/Legacy", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("If-None-Match", `"`+fp+`"`)
-	nm, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nm.Body.Close()
-	if nm.StatusCode != http.StatusNotModified {
-		t.Fatalf("If-None-Match revalidation: status %d, want 304", nm.StatusCode)
-	}
-
-	// The PR-2 client round-trips against the evolved hub.
-	c := NewClient(WithRetryPolicy(quickPolicy()))
-	fetched, err := c.FetchModel(context.Background(), ts.URL+"/models/Legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ffp, _ := fetched.Fingerprint(); ffp != fp {
-		t.Fatalf("fetched fingerprint %s, want %s", ffp, fp)
-	}
-
-	// /v1 serves the same frozen bytes for the default tenant.
-	_, v1body := doV1(t, http.MethodGet, ts.URL+"/v1/models/Legacy", "", nil)
-	if !bytes.Equal(v1body, wire.Bytes()) {
-		t.Fatalf("/v1 model body differs from the legacy route's")
-	}
-}
-
 // TestMethodNotAllowed pins the 405 contract: read-only routes answer
-// non-GET with 405 + an accurate Allow header (never 404), in each API
-// dialect.
+// non-GET with 405 + an accurate Allow header (never 404), in the error
+// envelope.
 func TestMethodNotAllowed(t *testing.T) {
 	srv, err := NewServer(WithModels(testModel(t, "M")), WithServerMetrics(obs.NewRegistry()))
 	if err != nil {
@@ -545,17 +507,11 @@ func TestMethodNotAllowed(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	cases := []struct {
-		method, path, allow string
-		v1                  bool
-	}{
-		{http.MethodPost, "/models", "GET, HEAD", false},
-		{http.MethodPut, "/models/M", "GET, HEAD", false},
-		{http.MethodDelete, "/v1/models", "GET, HEAD, POST", true},
-		{http.MethodPut, "/v1/models/M", "GET, HEAD", true},
-		{http.MethodGet, "/v1/assess", "POST", true},
-		{http.MethodPost, "/metrics", "GET, HEAD", false},
-		{http.MethodPost, "/v1/metrics", "GET, HEAD", true},
+	cases := []struct{ method, path, allow string }{
+		{http.MethodDelete, "/v1/models", "GET, HEAD, POST"},
+		{http.MethodPut, "/v1/models/M", "GET, HEAD"},
+		{http.MethodGet, "/v1/assess", "POST"},
+		{http.MethodPost, "/v1/metrics", "GET, HEAD"},
 	}
 	for _, tc := range cases {
 		resp, body := doV1(t, tc.method, ts.URL+tc.path, "", nil)
@@ -565,48 +521,39 @@ func TestMethodNotAllowed(t *testing.T) {
 		if got := resp.Header.Get("Allow"); got != tc.allow {
 			t.Fatalf("%s %s: Allow = %q, want %q", tc.method, tc.path, got, tc.allow)
 		}
-		if tc.v1 {
-			if env := decodeEnvelope(t, body); env.Error.Code != CodeMethodNotAllowed {
-				t.Fatalf("%s %s: error code %q", tc.method, tc.path, env.Error.Code)
-			}
-		} else if strings.Contains(string(body), "{") {
-			t.Fatalf("%s %s: legacy 405 answered with a JSON body: %s", tc.method, tc.path, body)
+		if env := decodeEnvelope(t, body); env.Error.Code != CodeMethodNotAllowed {
+			t.Fatalf("%s %s: error code %q", tc.method, tc.path, env.Error.Code)
 		}
 	}
 }
 
-// TestV1ErrorDialect pins the error envelope on /v1 and the plain-text
-// errors on the legacy routes.
+// TestV1ErrorDialect pins the one error dialect: every failure, including
+// a request for a path outside /v1 (the retired /models, /models/<schema>
+// and /metrics among them), answers in the JSON error envelope.
 func TestV1ErrorDialect(t *testing.T) {
-	srv, err := NewServer(WithModels(testModel(t, "M")))
+	srv, err := NewServer(WithModels(testModel(t, "M")), WithServerMetrics(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, body := doV1(t, http.MethodGet, ts.URL+"/v1/no-such-route", "", nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d, want 404", resp.StatusCode)
-	}
-	if env := decodeEnvelope(t, body); env.Error.Code != CodeNotFound {
-		t.Fatalf("error code %q, want %q", env.Error.Code, CodeNotFound)
+	for _, path := range []string{"/v1/no-such-route", "/models", "/models/M", "/metrics", "/no-such-route"} {
+		resp, body := doV1(t, http.MethodGet, ts.URL+path, "", nil)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
+		if env := decodeEnvelope(t, body); env.Error.Code != CodeNotFound {
+			t.Fatalf("GET %s: error code %q, want %q", path, env.Error.Code, CodeNotFound)
+		}
 	}
 
-	resp, body = doV1(t, http.MethodGet, ts.URL+"/v1/models", "bad tenant!", nil)
+	resp, body := doV1(t, http.MethodGet, ts.URL+"/v1/models", "bad tenant!", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed tenant: status %d, want 400", resp.StatusCode)
 	}
 	if env := decodeEnvelope(t, body); env.Error.Code != CodeInvalidRequest {
 		t.Fatalf("error code %q, want %q", env.Error.Code, CodeInvalidRequest)
-	}
-
-	resp, body = doV1(t, http.MethodGet, ts.URL+"/no-such-route", "", nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("legacy 404: status %d", resp.StatusCode)
-	}
-	if bytes.Contains(body, []byte(`"error"`)) {
-		t.Fatalf("legacy 404 answered in the v1 dialect: %s", body)
 	}
 
 	resp, body = doV1(t, http.MethodPost, ts.URL+"/v1/assess", "",

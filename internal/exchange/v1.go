@@ -6,11 +6,10 @@ import (
 	"net/http"
 )
 
-// The /v1 wire surface of the scoping service. Every route under /v1/
+// The /v1 wire surface of the scoping service. Every route lives under /v1/,
 // speaks the typed request/response structs below and reports failures
-// through one JSON error envelope; the legacy unversioned routes
-// (/models, /models/<schema>, /metrics) remain as aliases with their
-// original plain-text errors, so PR-2-era clients keep round-tripping.
+// through one JSON error envelope; any other path answers 404 in that
+// envelope.
 //
 // Routes:
 //
@@ -26,15 +25,14 @@ import (
 //	                           server should receive new traffic
 //
 // Tenancy is carried by the X-Collabscope-Tenant header; an absent header
-// means the DefaultTenant namespace, which is also where the legacy routes
-// read from.
+// means the DefaultTenant namespace.
 
 // TenantHeader is the HTTP header naming the tenant namespace of a /v1
 // request. Absent or empty means DefaultTenant.
 const TenantHeader = "X-Collabscope-Tenant"
 
-// DefaultTenant is the namespace used when no tenant header is sent — and
-// the namespace the legacy unversioned routes serve.
+// DefaultTenant is the namespace used when no tenant header is sent, and
+// the one Server.Publish and WithModels publish into.
 const DefaultTenant = "default"
 
 // DeadlineHeader carries the client's per-attempt deadline budget in

@@ -374,7 +374,7 @@ func RunChaosSLO(cfg ChaosSLOConfig) (*ChaosSLOReport, error) {
 	stall := phase("stall", cfg.Requests)
 	fire(stall)
 	for _, m := range models {
-		if _, err := hedged.FetchModel(ctx, logical+"/models/"+m.Schema); err != nil {
+		if _, err := hedged.FetchModel(ctx, logical+"/v1/models/"+m.Schema); err != nil {
 			stall.Failed++
 		} else {
 			stall.OK++
@@ -399,7 +399,7 @@ func RunChaosSLO(cfg ChaosSLOConfig) (*ChaosSLOReport, error) {
 	fetcher := exchange.NewClient(exchange.WithReplicas(logical, victim.base()))
 	corrupt := phase("corrupt", 2)
 	for try := 0; try < 2; try++ {
-		m, err := fetcher.FetchModel(ctx, logical+"/models/"+models[0].Schema)
+		m, err := fetcher.FetchModel(ctx, logical+"/v1/models/"+models[0].Schema)
 		if err != nil {
 			// Any error on the corrupted body is a detection: the damaged
 			// model never reached the caller (whether the wire checksum or

@@ -107,8 +107,8 @@ func (p *Pipeline) exchangeClient() *exchange.Client {
 // ModelServer is the scoping service (an http.Handler): a multi-tenant
 // model registry fed by POST /v1/models uploads, the POST /v1/assess
 // linkability hot path with admission control and request coalescing,
-// model serving at /v1/models/<schema> (plus the legacy /models aliases),
-// and an optional GET /v1/metrics JSON snapshot.
+// model serving at /v1/models/<schema>, and an optional GET /v1/metrics
+// JSON snapshot.
 type ModelServer = exchange.Server
 
 type (
@@ -158,9 +158,9 @@ func NewScopingServer(opts ...ServerOption) (*ModelServer, error) {
 	return exchange.NewServer(opts...)
 }
 
-// NewModelServer returns a hub publishing the models at /models/<schema>
-// (and /v1/models/<schema>) in wire format v1, each with its content hash
-// as a strong ETag, plus a models listing. It is NewScopingServer with the
+// NewModelServer returns a hub publishing the models at
+// /v1/models/<schema> in wire format v1, each with its content hash as a
+// strong ETag, plus a models listing. It is NewScopingServer with the
 // models pre-published — kept for the original publish-only call sites.
 func NewModelServer(models ...*Model) (*ModelServer, error) {
 	return exchange.NewServer(exchange.WithModels(models...))
