@@ -77,23 +77,27 @@ func (d *deltaStore) put(key string, cols map[string]deltaColumn) {
 }
 
 // assessSigKey fingerprints the signature content of an assess request —
-// the requesting schema's name plus the exact float64 bits of every row.
-// Mode, epsilon and element labels are deliberately excluded: they only
-// shape the verdict fold, not the error columns the cache holds.
+// the requesting schema's name plus the exact float64 bits of every row,
+// little-endian, fed to SHA-256 a few KB at a time. Mode, epsilon and
+// element labels are deliberately excluded: they only shape the verdict
+// fold, not the error columns the cache holds.
 func assessSigKey(tenant string, req *AssessRequest) string {
 	h := sha256.New()
-	var buf [8]byte
 	h.Write([]byte(tenant))
 	h.Write([]byte{0})
 	h.Write([]byte(req.Schema))
 	h.Write([]byte{0})
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(req.Signatures)))
-	h.Write(buf[:])
+	var buf [4096]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(len(req.Signatures)))
 	for _, row := range req.Signatures {
 		for _, v := range row {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
+			if len(b) == len(buf) {
+				h.Write(b)
+				b = buf[:0]
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,7 +2,6 @@ package exchange
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -167,69 +166,30 @@ func TestDeltaStoreEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-// FuzzAssessRequestJSON fuzzes the /v1/assess request decoder + validator —
-// the other untrusted wire surface besides model bodies. The contract:
-// never panic, and every ACCEPTED request must be internally consistent
-// (rectangular finite signature matrix, ids aligned, a known mode), since
-// the compute path indexes rows and ids by those invariants.
-func FuzzAssessRequestJSON(f *testing.F) {
-	valid, err := json.Marshal(&AssessRequest{
-		Schema:     "S",
-		IDs:        []string{"a", "b"},
-		Signatures: [][]float64{{1, 0.5}, {0.25, 0}},
-		Mode:       "all",
-	})
-	if err != nil {
-		f.Fatal(err)
+// TestAssessSigKeyGolden pins the delta-cache key of a fixed request. The
+// digest was taken from the one-Write-per-float hasher, so feeding SHA-256
+// in chunks must not move it; the 900 floats cross a chunk boundary.
+func TestAssessSigKeyGolden(t *testing.T) {
+	req := &AssessRequest{Schema: "Orders", Signatures: make([][]float64, 9)}
+	for i := range req.Signatures {
+		row := make([]float64, 100)
+		for j := range row {
+			row[j] = float64(i*100+j-450) / 337
+		}
+		req.Signatures[i] = row
 	}
-	f.Add(valid)
-	f.Add([]byte(`{"schema":"S","signatures":[[1,2],[3]]}`))
-	f.Add([]byte(`{"schema":"","signatures":[[1]]}`))
-	f.Add([]byte(`{"schema":"S","signatures":[[1e309]]}`))
-	f.Add([]byte(`{"schema":"S","signatures":[[1]],"mode":"some"}`))
-	f.Add([]byte(`{"schema":"S","signatures":[[1]],"relax_epsilon":-1}`))
-	f.Add([]byte(`{"schema":"S","signatures":[],"ids":["x"]}`))
-	f.Add([]byte(`{"schema":"S","signatures":[[0,0]],"ids":["x","y"]}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(``))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var req AssessRequest
-		if err := json.Unmarshal(data, &req); err != nil {
-			return
+	req.Signatures[0][1] = math.Copysign(0, -1)
+	req.Signatures[8][99] = math.SmallestNonzeroFloat64
+	for _, tc := range []struct {
+		tenant string
+		req    *AssessRequest
+		want   string
+	}{
+		{"acme", req, "fdcfb85280c8ae6d8b98165717cef3c0447ab826fde2e7ef09428c668c8f5dfb"},
+		{"", &AssessRequest{}, "01d448afd928065458cf670b60f5a594d735af0172c8d67f22a81680132681ca"},
+	} {
+		if got := assessSigKey(tc.tenant, tc.req); got != tc.want {
+			t.Errorf("assessSigKey(%q, %d rows) = %s, want %s", tc.tenant, len(tc.req.Signatures), got, tc.want)
 		}
-		if err := req.validate(); err != nil {
-			return // rejected requests only need to fail cleanly
-		}
-		// Accepted requests must uphold the compute path's invariants.
-		if req.Schema == "" {
-			t.Fatal("accepted request with empty schema")
-		}
-		if len(req.Signatures) == 0 {
-			t.Fatal("accepted request with no signatures")
-		}
-		dim := len(req.Signatures[0])
-		if dim == 0 {
-			t.Fatal("accepted request with empty rows")
-		}
-		for _, row := range req.Signatures {
-			if len(row) != dim {
-				t.Fatal("accepted request with a ragged signature matrix")
-			}
-			for _, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatal("accepted request with non-finite signatures")
-				}
-			}
-		}
-		if len(req.IDs) != 0 && len(req.IDs) != len(req.Signatures) {
-			t.Fatal("accepted request with misaligned ids")
-		}
-		switch req.mode() {
-		default:
-			// mode() must map any accepted Mode string to a defined constant.
-		}
-		_ = assessSigKey("t", &req) // fingerprinting an accepted request must not panic
-	})
+	}
 }

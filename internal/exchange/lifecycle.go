@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -152,7 +153,9 @@ func (s *Server) serveHealth(w http.ResponseWriter, ready bool) {
 
 // deadlineBudget reads the client's advertised per-attempt budget from the
 // deadline header; ok=false when absent or malformed (both mean "no
-// advice", never an error).
+// advice", never an error). A count of milliseconds beyond what a
+// time.Duration holds saturates instead of wrapping, so a huge budget
+// never reads as a spent one.
 func deadlineBudget(r *http.Request) (time.Duration, bool) {
 	v := strings.TrimSpace(r.Header.Get(DeadlineHeader))
 	if v == "" {
@@ -161,6 +164,13 @@ func deadlineBudget(r *http.Request) (time.Duration, bool) {
 	ms, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
 		return 0, false
+	}
+	const most = math.MaxInt64 / int64(time.Millisecond)
+	switch {
+	case ms > most:
+		return math.MaxInt64, true
+	case ms < -most:
+		return math.MinInt64, true
 	}
 	return time.Duration(ms) * time.Millisecond, true
 }

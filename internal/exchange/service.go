@@ -3,7 +3,10 @@ package exchange
 // The service hot path: POST /v1/models (registry uploads) and
 // POST /v1/assess (signatures in → linkability verdicts out).
 //
-// Assess requests pass three gates:
+// An assess body is first decoded in one pass from wire bytes to the
+// row-major signature matrix (decode.go): one buffer sized from a bounded
+// Content-Length holds the body, one flat buffer the floats, and the
+// scorer adopts that buffer. The request then passes three gates:
 //
 //  1. Coalescing — a request byte-identical to one already in flight for
 //     the same tenant and registry generation joins it and shares the one
@@ -44,6 +47,11 @@ const (
 	// maxAssessFloats caps elements × dimension of one assess request,
 	// mirroring the wire format's maxWireFloats.
 	maxAssessFloats = 1 << 24
+	// maxBodyPresize bounds what a request's Content-Length alone, before
+	// any body byte arrives, can make a POST handler allocate. It covers
+	// the benchmark's ~1.1 MB assess bodies; a larger body grows by
+	// doubling.
+	maxBodyPresize = 4 << 20
 )
 
 // flightCall is one in-flight assess computation that coalesced requests
@@ -82,14 +90,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reg.Counter("service.uploads").Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBody+1))
-	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if len(body) > maxUploadBody {
-		writeV1Error(w, http.StatusRequestEntityTooLarge, CodeInvalidRequest,
-			"model body exceeds %d bytes", maxUploadBody)
+	body, ok := readBody(w, r, maxUploadBody, "model")
+	if !ok {
 		return
 	}
 	m, err := core.ReadModelJSON(bytes.NewReader(body))
@@ -110,6 +112,23 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(UploadResponse{
 		Tenant: tenant, Schema: m.Schema, Version: version, ETag: p.etag,
 	})
+}
+
+// readBody reads a POST body of at most limit bytes into one buffer
+// pre-sized from the request's Content-Length. It answers 413 for a longer
+// body and 400 for one that cannot be read, and then reports ok=false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyPresize)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, limit+1)); err != nil {
+		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, "read body: %v", err)
+		return nil, false
+	}
+	if int64(buf.Len()) > limit {
+		writeV1Error(w, http.StatusRequestEntityTooLarge, CodeInvalidRequest,
+			"%s body exceeds %d bytes", what, limit)
+		return nil, false
+	}
+	return buf.Bytes(), true
 }
 
 // validate checks an assess request's shape before it can touch the
@@ -170,18 +189,12 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	sw := obs.NewStopwatch()
 	reg.Counter("service.requests").Inc()
 	reg.Counter("service.tenant." + tenant + ".requests").Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxAssessBody+1))
+	body, ok := readBody(w, r, maxAssessBody, "assess")
+	if !ok {
+		return
+	}
+	req, flat, err := decodeAssess(body)
 	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, "read body: %v", err)
-		return
-	}
-	if len(body) > maxAssessBody {
-		writeV1Error(w, http.StatusRequestEntityTooLarge, CodeInvalidRequest,
-			"assess body exceeds %d bytes", maxAssessBody)
-		return
-	}
-	var req AssessRequest
-	if err := json.Unmarshal(body, &req); err != nil {
 		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, "decode request: %v", err)
 		return
 	}
@@ -246,7 +259,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	// followers share the result, so the leader hanging up must not void
 	// their work. The server-level computeCtx stands in for the request
 	// context — it only dies when Drain force-cancels stragglers.
-	fc.resp, fc.err = s.computeAssess(s.computeCtx, tenant, &req)
+	fc.resp, fc.err = s.computeAssess(s.computeCtx, tenant, &req, flat)
 	s.assessMu.Lock()
 	delete(s.flight, key)
 	s.active--
@@ -321,13 +334,14 @@ func (s *Server) snapshotForeign(tenant, schema string) []*published {
 }
 
 // computeAssess runs one admitted assessment: reconstruct the signature
-// matrix under every foreign model of the tenant (parallel across models)
+// matrix — flat, the decoder's row-major buffer behind req.Signatures —
+// under every foreign model of the tenant (parallel across models)
 // and fold acceptances in model order through the same fold as
 // core.AssessContext, so service verdicts match in-process ones.
 // "exchange.service.assess" is a fault-injection hook point: injected
 // delays stall the computation inside the admission window (exercising
 // shedding and coalescing), injected errors become 500s.
-func (s *Server) computeAssess(ctx context.Context, tenant string, req *AssessRequest) (*AssessResponse, error) {
+func (s *Server) computeAssess(ctx context.Context, tenant string, req *AssessRequest, flat []float64) (*AssessResponse, error) {
 	if err := s.hit("exchange.service.assess"); err != nil {
 		return nil, err
 	}
@@ -361,13 +375,7 @@ func (s *Server) computeAssess(ctx context.Context, tenant string, req *AssessRe
 		}
 		misses = append(misses, k)
 	}
-	var x *linalg.Dense
-	if len(misses) > 0 {
-		x = linalg.NewDense(n, dim)
-		for i, row := range req.Signatures {
-			copy(x.RowView(i), row)
-		}
-	}
+	x := linalg.WrapDense(n, dim, flat)
 	fresh, err := parallel.Map(ctx, s.workers, misses, func(_ int, k int) ([]float64, error) {
 		return foreign[k].model.ErrorsInto(x, make([]float64, n), nil), nil
 	})

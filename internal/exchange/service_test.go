@@ -1,13 +1,17 @@
 package exchange
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -563,5 +567,196 @@ func TestV1ErrorDialect(t *testing.T) {
 	}
 	if env := decodeEnvelope(t, body); env.Error.Code != CodeInvalidRequest {
 		t.Fatalf("error code %q, want %q", env.Error.Code, CodeInvalidRequest)
+	}
+}
+
+// TestDeadlineBudgetSaturates sends deadline budgets through POST
+// /v1/assess. A millisecond count too large for a time.Duration must read
+// as a huge budget, not wrap into a spent one; zero and negative budgets
+// are still shed, and a non-numeric one is still ignored.
+func TestDeadlineBudgetSaturates(t *testing.T) {
+	srv, err := NewServer(WithServerMetrics(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	body := marshalAssess(t, &AssessRequest{Schema: "S", Signatures: [][]float64{{1, 0, 0, 0}}})
+
+	for _, tc := range []struct {
+		budget string
+		want   int
+	}{
+		{"10000000000000", http.StatusOK},
+		{"9223372036854775807", http.StatusOK},
+		{"-10000000000000", http.StatusServiceUnavailable},
+		{"0", http.StatusServiceUnavailable},
+		{"-5", http.StatusServiceUnavailable},
+		{"soon", http.StatusOK},
+	} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/assess", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(DeadlineHeader, tc.budget)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("budget %s: status %d, want %d: %s", tc.budget, resp.StatusCode, tc.want, out)
+			continue
+		}
+		if tc.want != http.StatusOK {
+			if env := decodeEnvelope(t, out); env.Error.Code != CodeDeadline {
+				t.Errorf("budget %s: error code %q, want %q", tc.budget, env.Error.Code, CodeDeadline)
+			}
+		}
+	}
+}
+
+// repeatByte is an endless reader of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestUploadBodyCap: a model upload one byte over maxUploadBody answers
+// 413 in the error envelope.
+func TestUploadBodyCap(t *testing.T) {
+	defer debug.FreeOSMemory() // return the 64 MiB body before the next test
+	srv, err := NewServer(WithServerMetrics(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models", io.LimitReader(repeatByte(' '), maxUploadBody+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = maxUploadBody + 1
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, out)
+	}
+	if env := decodeEnvelope(t, out); env.Error.Code != CodeInvalidRequest {
+		t.Fatalf("error code %q, want %q", env.Error.Code, CodeInvalidRequest)
+	}
+}
+
+// TestChunkedBodiesDecode: bodies sent without a Content-Length (chunked
+// transfer encoding) are read and decoded on both POST routes.
+func TestChunkedBodiesDecode(t *testing.T) {
+	srv, err := NewServer(WithServerMetrics(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The wrapper echoes the Content-Length the server saw; -1 is unknown.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Seen-Content-Length", strconv.FormatInt(r.ContentLength, 10))
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	post := func(path string, body []byte) (int, []byte) {
+		t.Helper()
+		// A reader of unknown length makes the transport send chunks.
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, io.MultiReader(bytes.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if seen := resp.Header.Get("X-Seen-Content-Length"); seen != "-1" {
+			t.Fatalf("POST %s reached the server with Content-Length %s, want none", path, seen)
+		}
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+
+	var model bytes.Buffer
+	if err := serviceModel(t, "Beta", 1.5).WriteJSON(&model); err != nil {
+		t.Fatal(err)
+	}
+	if status, out := post("/v1/models", model.Bytes()); status != http.StatusCreated {
+		t.Fatalf("chunked upload: status %d, want 201: %s", status, out)
+	}
+	body := marshalAssess(t, &AssessRequest{
+		Schema: "Alpha", IDs: []string{"e0", "e1"},
+		Signatures: [][]float64{{1, 0.1, 0, 0.5}, {9, 9, 9, 9}},
+	})
+	status, out := post("/v1/assess", body)
+	if status != http.StatusOK {
+		t.Fatalf("chunked assess: status %d, want 200: %s", status, out)
+	}
+	var res AssessResponse
+	if err := json.Unmarshal(out, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Verdicts) != 2 || res.Verdicts[1].Element != "e1" || len(res.Used) != 1 || res.Used[0].Schema != "Beta" {
+		t.Fatalf("chunked assess answered %+v", res)
+	}
+}
+
+// TestOverstatedContentLength: a body shorter than its Content-Length,
+// followed by the client closing its side, answers 400 invalid_request on
+// both POST routes.
+func TestOverstatedContentLength(t *testing.T) {
+	srv, err := NewServer(WithServerMetrics(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	body := `{"schema":"S","signatures":[[1]]}`
+	for _, path := range []string{"/v1/assess", "/v1/models"} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+			path, len(body)+100, body)
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s: status %d, want 400: %s", path, resp.StatusCode, out)
+		}
+		if env := decodeEnvelope(t, out); env.Error.Code != CodeInvalidRequest {
+			t.Fatalf("POST %s: error code %q, want %q", path, env.Error.Code, CodeInvalidRequest)
+		}
 	}
 }

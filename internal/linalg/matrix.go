@@ -19,8 +19,8 @@ import (
 
 // Dense is a row-major dense matrix.
 //
-// The zero value is an empty matrix. Use NewDense or FromRows to construct
-// a sized one.
+// The zero value is an empty matrix. Use NewDense, WrapDense or FromRows
+// to construct a sized one.
 type Dense struct {
 	rows, cols int
 	data       []float64
@@ -32,6 +32,16 @@ func NewDense(r, c int) *Dense {
 		panic(fmt.Sprintf("linalg: negative dimension %dx%d", r, c))
 	}
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
+}
+
+// WrapDense returns an r×c matrix that adopts data as its row-major
+// storage: nothing is copied, so a write through either shows in both. It
+// panics unless len(data) == r*c.
+func WrapDense(r, c int, data []float64) *Dense {
+	if r < 0 || c < 0 || len(data) != r*c {
+		panic(fmt.Sprintf("linalg: %d values for a %dx%d matrix", len(data), r, c))
+	}
+	return &Dense{rows: r, cols: c, data: data}
 }
 
 // FromRows builds a matrix from row slices. All rows must have equal length.

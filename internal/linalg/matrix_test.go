@@ -81,6 +81,29 @@ func TestRowViewAliases(t *testing.T) {
 	}
 }
 
+func TestWrapDenseAdoptsStorage(t *testing.T) {
+	data := []float64{1, 2, 3, 4, 5, 6}
+	m := WrapDense(2, 3, data)
+	if m.Rows() != 2 || m.Cols() != 3 || m.At(1, 0) != 4 {
+		t.Fatalf("shape %dx%d, At(1,0) = %v; want 2x3 and 4", m.Rows(), m.Cols(), m.At(1, 0))
+	}
+	m.Set(0, 2, 9)
+	data[4] = 8
+	if data[2] != 9 || m.At(1, 1) != 8 {
+		t.Fatal("WrapDense must adopt data, not copy it")
+	}
+	for _, bad := range []struct{ r, c, n int }{{2, 3, 5}, {2, 3, 7}, {-1, -1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WrapDense(%d, %d) over %d values did not panic", bad.r, bad.c, bad.n)
+				}
+			}()
+			WrapDense(bad.r, bad.c, make([]float64, bad.n))
+		}()
+	}
+}
+
 func TestTranspose(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	mt := m.T()
