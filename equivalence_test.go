@@ -1,0 +1,367 @@
+package collabscope
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http/httptest"
+	"testing"
+
+	"collabscope/internal/checkpoint"
+	"collabscope/internal/core"
+	"collabscope/internal/embed"
+	"collabscope/internal/exchange"
+	"collabscope/internal/linalg"
+	"collabscope/internal/obs"
+	"collabscope/internal/schema"
+)
+
+// TestAssessmentPathsAgree is the differential gate over every way this
+// repository runs Algorithm 2. Each seed draws 3–6 schemas of 2–40 rows in
+// d ∈ {8, 16, 48} dimensions, then churns them with random AddElements and
+// RemoveElements calls. After every step these must agree bit for bit:
+//
+//   - ScopeContext on the churned Scoper and on fresh Scopers at 1..4 workers;
+//   - per-schema core.Train + AssessContext at 1..4 workers;
+//   - AssessDelta on the churned Scoper;
+//   - AssessDeltaStore over one checkpoint store, cold and then warm;
+//   - POST /v1/assess on a server holding the Scoper's models: cold, warm,
+//     and after republishing only the churned schema.
+//
+// Every schema keeps fewer rows than dimensions, so each refit takes the
+// rows path, which is bit-identical to a from-scratch fit.
+func TestAssessmentPathsAgree(t *testing.T) {
+	ctx := context.Background()
+	var linkable, unlinkable int
+	for seed := int64(1); seed <= 24; seed++ {
+		g := newPathGen(seed)
+		sets := g.schemas()
+		cfg := core.AssessConfig{}
+		if g.rng.Intn(4) == 0 {
+			cfg.Mode = core.AllModels
+		}
+		if g.rng.Intn(3) == 0 {
+			cfg.RelaxEpsilon = 0.25
+		}
+		v := []float64{0.5, 0.7, 0.9, 0.99}[g.rng.Intn(4)]
+		what := func(step int) string {
+			return fmt.Sprintf("seed %d (d=%d, %d schemas, v=%v, cfg %+v) step %d", seed, g.d, len(sets), v, cfg, step)
+		}
+
+		s, err := core.NewScoperContext(ctx, 1+g.rng.Intn(4), sets, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what(0), err)
+		}
+		store, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := newAssessService(t)
+		churned := -1
+		for step := 0; step <= 3; step++ {
+			if step > 0 {
+				churned = g.churn(t, s)
+			}
+			ref, err := s.ScopeContext(ctx, v)
+			if err != nil {
+				t.Fatalf("%s: %v", what(step), err)
+			}
+			for _, ok := range ref {
+				if ok {
+					linkable++
+				} else {
+					unlinkable++
+				}
+			}
+			models, err := s.ModelsContext(ctx, v)
+			if err != nil {
+				t.Fatalf("%s: %v", what(step), err)
+			}
+			checkScoperWorkers(t, ctx, s.Sets(), cfg, v, ref, what(step))
+			trained := trainAll(t, s.Sets(), v, models, what(step))
+			checkTrainAssess(t, ctx, s.Sets(), trained, cfg, ref, what(step))
+
+			keep, rep, err := s.AssessDelta(ctx, v)
+			if err != nil {
+				t.Fatalf("%s: AssessDelta: %v", what(step), err)
+			}
+			sameVerdicts(t, keep, ref, what(step)+": AssessDelta")
+			if rep.Rescored+rep.Reused != s.PassOperations() {
+				t.Fatalf("%s: AssessDelta report %+v does not partition %d passes", what(step), rep, s.PassOperations())
+			}
+
+			checkDeltaStore(t, ctx, store, s.Sets(), trained, cfg, ref, step == 0, what(step))
+			svc.check(t, ctx, s.Sets(), models, churned, cfg, ref, what(step))
+		}
+	}
+	if linkable == 0 || unlinkable == 0 {
+		t.Fatalf("vacuous generator: %d linkable and %d unlinkable verdicts", linkable, unlinkable)
+	}
+}
+
+// pathGen draws the seeded schemas and churn of one differential scenario.
+// Rows mix a low-rank subspace shared by every schema (elements another
+// schema's model can reconstruct) with schema-private noise (elements no
+// foreign model explains), so both verdicts occur. One row in five copies
+// an earlier row, as two schemas' identical columns would: when the copy's
+// source is the row that set a foreign model's range, the copy's error
+// equals that range exactly, and any path that computed the column
+// differently would flip its verdict.
+type pathGen struct {
+	rng    *rand.Rand
+	d      int
+	shared *linalg.Dense
+	drawn  [][]float64
+	next   int
+}
+
+func newPathGen(seed int64) *pathGen {
+	rng := rand.New(rand.NewSource(seed))
+	g := &pathGen{rng: rng, d: []int{8, 16, 48}[rng.Intn(3)]}
+	g.shared = linalg.NewDense(3, g.d)
+	for i := 0; i < 3; i++ {
+		for j, row := 0, g.shared.RowView(i); j < g.d; j++ {
+			row[j] = rng.NormFloat64()
+		}
+	}
+	return g
+}
+
+// maxRows keeps every schema below d rows, the rows-path regime.
+func (g *pathGen) maxRows() int { return min(40, g.d-1) }
+
+func (g *pathGen) schemas() []*embed.SignatureSet {
+	sets := make([]*embed.SignatureSet, 3+g.rng.Intn(4))
+	for i := range sets {
+		sets[i] = g.rows(fmt.Sprintf("S%d", i), 2+g.rng.Intn(g.maxRows()-1))
+	}
+	return sets
+}
+
+// rows draws n fresh elements of one schema.
+func (g *pathGen) rows(name string, n int) *embed.SignatureSet {
+	set := &embed.SignatureSet{IDs: make([]schema.ElementID, n), Matrix: linalg.NewDense(n, g.d)}
+	for k := 0; k < n; k++ {
+		g.next++
+		set.IDs[k] = schema.AttributeID(name, "T", fmt.Sprintf("a%d", g.next))
+		row := set.Matrix.RowView(k)
+		g.drawn = append(g.drawn, row)
+		switch {
+		case len(g.drawn) > 1 && g.rng.Intn(5) == 0:
+			copy(row, g.drawn[g.rng.Intn(len(g.drawn)-1)])
+		case g.rng.Intn(2) == 0:
+			for r := 0; r < 3; r++ {
+				z := g.rng.NormFloat64()
+				for j, b := range g.shared.RowView(r) {
+					row[j] += z * b
+				}
+			}
+			for j := range row {
+				row[j] += 0.05 * g.rng.NormFloat64()
+			}
+		default:
+			for j := range row {
+				row[j] = g.rng.NormFloat64()
+			}
+		}
+	}
+	return set
+}
+
+// churn applies one random AddElements or RemoveElements to the Scoper and
+// returns the index of the schema it changed.
+func (g *pathGen) churn(t *testing.T, s *core.Scoper) int {
+	t.Helper()
+	sets := s.Sets()
+	for {
+		i := g.rng.Intn(len(sets))
+		set := sets[i]
+		name := set.IDs[0].Schema
+		n := set.Len()
+		if g.rng.Intn(2) == 0 && n < g.maxRows() {
+			if err := s.AddElements(i, g.rows(name, 1+g.rng.Intn(g.maxRows()-n))); err != nil {
+				t.Fatalf("AddElements(%d): %v", i, err)
+			}
+			return i
+		}
+		if n > 2 {
+			drop := make([]schema.ElementID, 0, n)
+			for _, k := range g.rng.Perm(n)[:1+g.rng.Intn(n-2)] {
+				drop = append(drop, set.IDs[k])
+			}
+			if err := s.RemoveElements(i, drop...); err != nil {
+				t.Fatalf("RemoveElements(%d): %v", i, err)
+			}
+			return i
+		}
+	}
+}
+
+func sameVerdicts(t *testing.T, got, want map[schema.ElementID]bool, what string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d verdicts, want %d", what, len(got), len(want))
+	}
+	for id, w := range want {
+		if g, ok := got[id]; !ok || g != w {
+			t.Fatalf("%s: verdict for %s is %v (present %v), want %v", what, id, g, ok, w)
+		}
+	}
+}
+
+// checkScoperWorkers scopes fresh Scopers over the same sets at 1..4
+// workers.
+func checkScoperWorkers(t *testing.T, ctx context.Context, sets []*embed.SignatureSet, cfg core.AssessConfig, v float64, ref map[schema.ElementID]bool, what string) {
+	t.Helper()
+	for w := 1; w <= 4; w++ {
+		fresh, err := core.NewScoperContext(ctx, w, sets, cfg)
+		if err != nil {
+			t.Fatalf("%s: fresh Scoper at %d workers: %v", what, w, err)
+		}
+		keep, err := fresh.ScopeContext(ctx, v)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		sameVerdicts(t, keep, ref, fmt.Sprintf("%s: fresh ScopeContext at %d workers", what, w))
+	}
+}
+
+// trainAll runs core.Train on every schema; each model must equal the
+// Scoper's model of the same schema bit for bit.
+func trainAll(t *testing.T, sets []*embed.SignatureSet, v float64, scoped []*core.Model, what string) []*core.Model {
+	t.Helper()
+	models := make([]*core.Model, len(sets))
+	for i, set := range sets {
+		m, err := core.Train(set, v)
+		if err != nil {
+			t.Fatalf("%s: Train(%d): %v", what, i, err)
+		}
+		if math.Float64bits(m.Range) != math.Float64bits(scoped[i].Range) || m.Components() != scoped[i].Components() {
+			t.Fatalf("%s: Train(%d) range %v with %d components, Scoper model %v with %d", what, i,
+				m.Range, m.Components(), scoped[i].Range, scoped[i].Components())
+		}
+		models[i] = m
+	}
+	return models
+}
+
+// checkTrainAssess runs Algorithm 2 directly: AssessContext of each schema
+// against the other schemas' trained models, at 1..4 workers.
+func checkTrainAssess(t *testing.T, ctx context.Context, sets []*embed.SignatureSet, models []*core.Model, cfg core.AssessConfig, ref map[schema.ElementID]bool, what string) {
+	t.Helper()
+	for w := 1; w <= 4; w++ {
+		got := map[schema.ElementID]bool{}
+		for i, set := range sets {
+			verdict, err := core.AssessContext(ctx, w, set, foreignOf(models, i), cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			for id, ok := range verdict {
+				got[id] = ok
+			}
+		}
+		sameVerdicts(t, got, ref, fmt.Sprintf("%s: Train + AssessContext at %d workers", what, w))
+	}
+}
+
+func foreignOf(models []*core.Model, i int) []*core.Model {
+	out := make([]*core.Model, 0, len(models)-1)
+	for j, m := range models {
+		if j != i {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// checkDeltaStore assesses every schema through AssessDeltaStore twice over
+// the seed's one store: the first pass reuses only columns whose model and
+// signatures are unchanged (none at step 0), the second reuses everything.
+func checkDeltaStore(t *testing.T, ctx context.Context, store core.CellStore, sets []*embed.SignatureSet, models []*core.Model, cfg core.AssessConfig, ref map[schema.ElementID]bool, cold bool, what string) {
+	t.Helper()
+	for pass := 0; pass < 2; pass++ {
+		got := map[schema.ElementID]bool{}
+		for i, set := range sets {
+			verdict, rep, err := core.AssessDeltaStore(ctx, 2, set, foreignOf(models, i), cfg, store, "paths")
+			if err != nil {
+				t.Fatalf("%s: AssessDeltaStore: %v", what, err)
+			}
+			if pass == 0 && cold && rep.Reused != 0 {
+				t.Fatalf("%s: cold store reused %d scores", what, rep.Reused)
+			}
+			if pass == 1 && rep.Rescored != 0 {
+				t.Fatalf("%s: warm store rescored %d scores", what, rep.Rescored)
+			}
+			for id, ok := range verdict {
+				got[id] = ok
+			}
+		}
+		sameVerdicts(t, got, ref, fmt.Sprintf("%s: AssessDeltaStore pass %d", what, pass))
+	}
+}
+
+// assessService is one seed's scoping service: an httptest server with its
+// own metrics registry and a client.
+type assessService struct {
+	srv    *exchange.Server
+	url    string
+	client *exchange.Client
+	reg    *obs.Registry
+}
+
+func newAssessService(t *testing.T) *assessService {
+	t.Helper()
+	reg := obs.NewRegistry()
+	srv, err := exchange.NewServer(exchange.WithServerMetrics(reg), exchange.WithServerWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return &assessService{srv: srv, url: ts.URL, client: exchange.NewClient(), reg: reg}
+}
+
+// check publishes the models — all of them at step 0 (churned < 0), only
+// the churned schema's afterwards — and assesses every schema twice over
+// HTTP. Each round after the first must reuse cached columns.
+func (a *assessService) check(t *testing.T, ctx context.Context, sets []*embed.SignatureSet, models []*core.Model, churned int, cfg core.AssessConfig, ref map[schema.ElementID]bool, what string) {
+	t.Helper()
+	for i, m := range models {
+		if churned < 0 || i == churned {
+			if _, err := a.srv.PublishTenant("paths", m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mode := "any"
+	if cfg.Mode == core.AllModels {
+		mode = "all"
+	}
+	for round := 0; round < 2; round++ {
+		before := a.reg.Snapshot().Counters["service.delta.reused"]
+		for i, set := range sets {
+			req := &exchange.AssessRequest{Schema: set.IDs[0].Schema, Mode: mode, RelaxEpsilon: cfg.RelaxEpsilon}
+			for k, id := range set.IDs {
+				req.IDs = append(req.IDs, id.String())
+				req.Signatures = append(req.Signatures, set.Matrix.RowView(k))
+			}
+			resp, err := a.client.Assess(ctx, a.url, "paths", req)
+			if err != nil {
+				t.Fatalf("%s: /v1/assess round %d: %v", what, round, err)
+			}
+			if len(resp.Used) != len(sets)-1 || len(resp.Verdicts) != set.Len() {
+				t.Fatalf("%s: schema %d used %d models for %d verdicts", what, i, len(resp.Used), len(resp.Verdicts))
+			}
+			for k, vd := range resp.Verdicts {
+				if vd.Element != req.IDs[k] || vd.Linkable != ref[set.IDs[k]] {
+					t.Fatalf("%s: /v1/assess round %d: %s linkable=%v, want %v", what, round, vd.Element, vd.Linkable, ref[set.IDs[k]])
+				}
+			}
+		}
+		reused := a.reg.Snapshot().Counters["service.delta.reused"]
+		if (round > 0 || churned >= 0) && reused <= before {
+			t.Fatalf("%s: /v1/assess round %d reused no cached column (service.delta.reused %d)", what, round, reused)
+		}
+	}
+}

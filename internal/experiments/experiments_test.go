@@ -1,15 +1,82 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"math"
+	"runtime"
 	"testing"
 
 	"collabscope/internal/datasets"
+	"collabscope/internal/match"
+	"collabscope/internal/metrics"
 	"collabscope/internal/schema"
 )
 
 // The tests in this file pin the paper's qualitative claims (Section 4.3)
-// on the reproduced pipeline, at FastConfig scale.
+// on the reproduced pipeline, at FastConfig scale. The four claim tests
+// also pin every number they compute: the inequalities say what the paper
+// claims, and the golden digests say the reproduction still computes the
+// same Table 4, Figure 5-7 and Section 4.4 numbers, bit for bit.
+
+// numbers hashes, with SHA-256, the little-endian float64 bits of a test's
+// computed numbers in the order they are added. Counts enter as float64.
+type numbers struct{ h hash.Hash }
+
+func newNumbers() *numbers { return &numbers{h: sha256.New()} }
+
+func (n *numbers) add(vs ...float64) {
+	for _, v := range vs {
+		n.h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+}
+
+func (n *numbers) summary(s metrics.SweepSummary) { n.add(s.AUCF1, s.AUCROC, s.AUCROCp, s.AUCPR) }
+
+func (n *numbers) sweep(entries []metrics.SweepEntry) {
+	for _, e := range entries {
+		c := e.Confusion
+		n.add(e.Param, float64(c.TP), float64(c.FP), float64(c.TN), float64(c.FN))
+	}
+}
+
+func (n *numbers) points(ps []metrics.Point) {
+	for _, p := range ps {
+		n.add(p.X, p.Y)
+	}
+}
+
+func (n *numbers) curves(c CurveSet) {
+	n.sweep(c.Sweep)
+	n.points(c.ROC)
+	n.points(c.PR)
+	n.points(c.ROCSmoothed)
+}
+
+func (n *numbers) eval(e match.Eval) {
+	n.add(e.PQ, e.PC, e.F1, e.RR, float64(e.Generated), float64(e.Correct))
+}
+
+func (n *numbers) discussion(d Discussion) {
+	n.add(float64(d.PassOperations), float64(d.CartesianSize), d.PassOverCartPct,
+		float64(d.PrunedAtMinV), d.PrunedAtMinVPct, float64(d.FalselyPrunedMin))
+}
+
+// check compares the digest with the one taken before the change under
+// test. Like TestSealedWireGoldens it runs on amd64 only: elsewhere Go may
+// fuse multiply-adds and move the last bits.
+func (n *numbers) check(t *testing.T, want string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Log("numbers golden skipped: pinned on amd64")
+		return
+	}
+	if got := hex.EncodeToString(n.h.Sum(nil)); got != want {
+		t.Errorf("computed numbers digest %s, want %s", got, want)
+	}
+}
 
 func encodeBoth(t *testing.T) (Config, *Encoded, *Encoded) {
 	t.Helper()
@@ -91,6 +158,12 @@ func TestTable4Claims(t *testing.T) {
 		t.Errorf("OC3-FO: PCA(0.5) AUC-PR %.3f should beat Z-Score %.3f and LOF %.3f",
 			pca, byODA["Z-Score"].Summary.AUCPR, byODA["LOF(n=20)"].Summary.AUCPR)
 	}
+
+	got := newNumbers()
+	for _, r := range append(rowsOC3, rowsFO...) {
+		got.summary(r.Summary)
+	}
+	got.check(t, "99d5997daa85eef5d5c85b5f2c762bb3db60154b13cb1ba84bac3d6b886145d9")
 }
 
 func TestDiscussionNumbers(t *testing.T) {
@@ -132,6 +205,11 @@ func TestDiscussionNumbers(t *testing.T) {
 		t.Errorf("OC3-FO should prune a larger share at v=0.01: %.2f vs %.2f",
 			dfo.PrunedAtMinVPct, d3.PrunedAtMinVPct)
 	}
+
+	got := newNumbers()
+	got.discussion(d3)
+	got.discussion(dfo)
+	got.check(t, "6e8ccd6211498f420e51a63df13ca5fbea6472b340b375b1cd3deab1f8acd06d")
 }
 
 func TestFigure3Histogram(t *testing.T) {
@@ -196,6 +274,11 @@ func TestFigure56Curves(t *testing.T) {
 			t.Fatalf("collaborative FPR reached 100%% at v=%v", e.Param)
 		}
 	}
+
+	got := newNumbers()
+	got.curves(sc)
+	got.curves(cc)
+	got.check(t, "49b94dbcddfaca8de1d480b71e730201945af07e0b4c87e48490618bfa8d6425")
 }
 
 func TestFigure7Claims(t *testing.T) {
@@ -263,6 +346,16 @@ func TestFigure7Claims(t *testing.T) {
 	if !improved {
 		t.Error("LSH(1) should improve F1 over SOTA at some v")
 	}
+
+	got := newNumbers()
+	for _, s := range series {
+		got.eval(s.SOTA)
+		got.add(s.V...)
+		for _, e := range s.Evals {
+			got.eval(e)
+		}
+	}
+	got.check(t, "39c4e1ea41a79f7dbf9de2d7e24b8c79b3513d1d78aa1b91c4074449359d360e")
 }
 
 func TestEncodeShapes(t *testing.T) {
