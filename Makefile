@@ -33,12 +33,13 @@ fuzz-smoke:
 # incremental-exactness pins the incremental-maintenance contract
 # (DESIGN.md §15): merged/updated/downdated sufficient statistics must
 # reproduce the from-scratch PCA fit within linalg.StatsFitTolerance, the
-# rows-path refit must be bit-identical, and AssessDelta verdicts must
-# equal a full reassessment while re-scoring strictly fewer passes.
+# rows-path refit must be bit-identical, AssessDelta verdicts must equal a
+# full reassessment while re-scoring strictly fewer passes, and every
+# Algorithm 2 path must agree on seeded random schemas and churn.
 incremental-exactness:
 	$(GO) test -count=1 -run 'IncrementalExactness|Stats' ./internal/linalg
-	$(GO) test -count=1 -run 'ScoperIncremental|AssessDelta|TrainFromPartialFits|ModelState' ./internal/core
-	$(GO) test -count=1 -run 'UpdateModelIncremental|AssessDeltaState' .
+	$(GO) test -count=1 -run 'ScoperIncremental|AssessDelta|ModelState' ./internal/core
+	$(GO) test -count=1 -run 'UpdateModelIncremental|AssessDeltaState|AssessmentPathsAgree' .
 
 # chaos runs the deterministic fault-injection suite: seed-driven injected
 # errors, panics, delays, and payload corruption across the parallel pool,

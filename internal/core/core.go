@@ -14,9 +14,13 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"collabscope/internal/embed"
 	"collabscope/internal/linalg"
@@ -76,8 +80,15 @@ func Train(set *embed.SignatureSet, v float64) (*Model, error) {
 	if err != nil {
 		return nil, trainError(name, set, err)
 	}
-	m := &Model{Schema: name, Variance: v, pca: pca}
-	m.Range = maxOf(pca.ReconstructionErrors(set.Matrix))
+	return newModel(name, v, pca, set.Matrix)
+}
+
+// newModel is the last step of Algorithm 1, the one copy every training
+// path shares: the local linkability range l_k is the maximum
+// reconstruction error of the model's own training rows (Definition 3),
+// and the model is checked against the ErrDegenerateModel taxonomy.
+func newModel(name string, v float64, pca *linalg.PCA, rows *linalg.Dense) (*Model, error) {
+	m := &Model{Schema: name, Variance: v, pca: pca, Range: maxOf(pca.ReconstructionErrors(rows))}
 	return m, checkModel(m)
 }
 
@@ -152,9 +163,7 @@ func TrainFixedComponents(set *embed.SignatureSet, n int) (*Model, error) {
 		Cumulative: full.Cumulative,
 		NComp:      n,
 	}
-	m := &Model{Schema: name, Variance: 0, pca: pca}
-	m.Range = maxOf(pca.ReconstructionErrors(set.Matrix))
-	return m, checkModel(m)
+	return newModel(name, 0, pca, set.Matrix)
 }
 
 func componentSlice(full *linalg.PCA, n int) *linalg.Dense {
@@ -247,17 +256,110 @@ func AssessContext(ctx context.Context, workers int, local *embed.SignatureSet, 
 	sp.Annotate("elements", int64(local.Len()))
 	sp.Annotate("models", int64(len(foreign)))
 	defer sp.End()
-	errsByModel, err := parallel.Map(ctx, workers, foreign, func(_ int, m *Model) ([]float64, error) {
-		return m.ErrorsInto(local.Matrix, make([]float64, local.Len()), nil), nil
-	})
+	errs, _, err := Columns(ctx, workers, local.Matrix, foreign, nil)
 	if err != nil {
 		return nil, err
 	}
+	return cfg.verdicts(local, foreign, errs), nil
+}
+
+// ColumnCache holds error columns computed earlier, so Columns re-scores
+// only the models whose column is missing or stale. Column returns the
+// cached column of m, if there is one; Keep stores a column Columns has
+// just computed.
+type ColumnCache interface {
+	Column(m *Model) ([]float64, bool, error)
+	Keep(m *Model, errs []float64) error
+}
+
+// scratchPool recycles the encode–decode scratch of reconstruction passes,
+// so a warm pass allocates only its error column.
+var scratchPool = sync.Pool{New: func() any { return new(linalg.PCAScratch) }}
+
+// Columns runs the reconstruction passes of Algorithm 2, the |S|·|M| term
+// of the paper's complexity analysis: errs[k][r] is the reconstruction
+// error of row r of x under foreign[k]. Every assessment path scores here:
+// AssessContext, AssessDeltaStore, Scoper.AssessDelta and the exchange
+// service's /v1/assess. A cached column is used when its length is
+// x.Rows(); the other models are scored on a pool of workers (≤ 0 means
+// GOMAXPROCS) and handed to cache.Keep in model order. A nil cache scores
+// every model. Each row's error depends on that row alone (DESIGN.md §11),
+// so the columns are bit-identical for any worker count, row batch or
+// cache state; the report counts the element×model passes rescored and
+// reused.
+func Columns(ctx context.Context, workers int, x *linalg.Dense, foreign []*Model, cache ColumnCache) ([][]float64, DeltaReport, error) {
+	var rep DeltaReport
+	n := x.Rows()
+	errs := make([][]float64, len(foreign))
+	misses := make([]int, 0, len(foreign))
+	for k, m := range foreign {
+		if cache != nil {
+			col, ok, err := cache.Column(m)
+			if err != nil {
+				return nil, rep, err
+			}
+			if ok && len(col) == n {
+				errs[k] = col
+				rep.Reused += n
+				continue
+			}
+		}
+		misses = append(misses, k)
+	}
+	fresh, err := parallel.Map(ctx, workers, misses, func(_ int, k int) ([]float64, error) {
+		sc := scratchPool.Get().(*linalg.PCAScratch)
+		defer scratchPool.Put(sc)
+		return foreign[k].ErrorsInto(x, make([]float64, n), sc), nil
+	})
+	if err != nil {
+		return nil, rep, err
+	}
+	for t, k := range misses {
+		errs[k] = fresh[t]
+		rep.Rescored += n
+		if cache != nil {
+			if err := cache.Keep(foreign[k], fresh[t]); err != nil {
+				return nil, rep, err
+			}
+		}
+	}
+	return errs, rep, nil
+}
+
+// SignatureDigest fingerprints a signature matrix for the column caches:
+// SHA-256 over scope, a NUL byte, the schema name, a NUL byte, the row
+// count as a little-endian uint64, and the little-endian float64 bits of
+// every row in order, fed to the hash 4 KB at a time. Element IDs are left
+// out because they do not change an error column; the scope keeps the
+// entries of different tenants or stores apart.
+func SignatureDigest(scope, schema string, x *linalg.Dense) string {
+	h := sha256.New()
+	h.Write([]byte(scope))
+	h.Write([]byte{0})
+	h.Write([]byte(schema))
+	h.Write([]byte{0})
+	var buf [4096]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(x.Rows()))
+	for r := 0; r < x.Rows(); r++ {
+		for _, v := range x.RowView(r) {
+			if len(b) == len(buf) {
+				h.Write(b)
+				b = buf[:0]
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// verdicts folds local's error columns into its verdict map.
+func (cfg AssessConfig) verdicts(local *embed.SignatureSet, foreign []*Model, errs [][]float64) map[schema.ElementID]bool {
 	verdict := make(map[schema.ElementID]bool, local.Len())
-	for i, linkable := range cfg.Linkable(foreign, errsByModel, local.Len()) {
+	for i, linkable := range cfg.Linkable(foreign, errs, local.Len()) {
 		verdict[local.IDs[i]] = linkable
 	}
-	return verdict, nil
+	return verdict
 }
 
 // Linkable is Algorithm 2's verdict fold (Definition 4), the one copy every
@@ -378,35 +480,6 @@ func (s *Scoper) fit(set *embed.SignatureSet) (*linalg.PCA, error) {
 	return pca, nil
 }
 
-// UpdateSchema replaces schema i's signature set wholesale after a schema
-// evolution and refits only that schema's model — the other schemas'
-// expensive SVDs are untouched. The replacement bumps schema i's model
-// version and forgets its sufficient statistics and cached delta scores;
-// for diff-shaped evolutions prefer AddElements / RemoveElements, which
-// keep the delta cache warm for the unchanged elements.
-func (s *Scoper) UpdateSchema(i int, set *embed.SignatureSet) error {
-	if i < 0 || i >= len(s.sets) {
-		return fmt.Errorf("core: schema index %d out of range %d", i, len(s.sets))
-	}
-	if set.Len() == 0 {
-		return fmt.Errorf("core: updated signature set is empty")
-	}
-	if set.Matrix.Cols() != s.sets[i].Matrix.Cols() {
-		return fmt.Errorf("core: updated set has dimension %d, want %d",
-			set.Matrix.Cols(), s.sets[i].Matrix.Cols())
-	}
-	pca, err := s.fit(set)
-	if err != nil {
-		return err
-	}
-	s.sets[i] = set
-	s.full[i] = pca
-	s.version[i]++
-	s.stats[i] = nil
-	s.deltaInvalidateSchema(i)
-	return nil
-}
-
 // Models returns the local models of all schemas at explained variance v.
 // Model construction is embarrassingly parallel — each schema trains
 // independently, as the paper's complexity analysis notes — so the work
@@ -425,21 +498,23 @@ func (s *Scoper) ModelsContext(ctx context.Context, v float64) ([]*Model, error)
 	sp.Annotate("schemas", int64(len(s.sets)))
 	defer sp.End()
 	models := make([]*Model, len(s.sets))
-	err := parallel.ForEach(ctx, s.workers, len(s.sets), func(i int) error {
-		set := s.sets[i]
-		pca := s.full[i].Truncate(v)
-		m := &Model{Schema: set.IDs[0].Schema, Variance: v, pca: pca}
-		m.Range = maxOf(pca.ReconstructionErrors(set.Matrix))
-		if cerr := checkModel(m); cerr != nil {
-			return cerr
-		}
-		models[i] = m
-		return nil
+	err := parallel.ForEach(ctx, s.workers, len(s.sets), func(i int) (err error) {
+		models[i], err = s.model(i, v)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return models, nil
+}
+
+// model builds schema i's model at explained variance v by truncating the
+// schema's full-spectrum decomposition. ModelsContext and AssessDelta both
+// build through it, so a model AssessDelta caches is the one a full round
+// would build.
+func (s *Scoper) model(i int, v float64) (*Model, error) {
+	set := s.sets[i]
+	return newModel(set.IDs[0].Schema, v, s.full[i].Truncate(v), set.Matrix)
 }
 
 // Scope runs the full collaborative assessment at explained variance v and
@@ -486,20 +561,6 @@ func (s *Scoper) ScopeContext(ctx context.Context, v float64) (map[schema.Elemen
 		}
 	}
 	return keep, nil
-}
-
-// Streamline applies Scope and materialises the streamlined schemas S′
-// (Definition 2) in the order of the input schemas.
-func (s *Scoper) Streamline(schemas []*schema.Schema, v float64) ([]*schema.Schema, error) {
-	keep, err := s.Scope(v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*schema.Schema, len(schemas))
-	for i, sch := range schemas {
-		out[i] = sch.Subset(keep)
-	}
-	return out, nil
 }
 
 // Sweep evaluates collaborative scoping over a grid of explained-variance

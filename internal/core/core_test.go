@@ -280,32 +280,6 @@ func TestLinkableFold(t *testing.T) {
 	}
 }
 
-func TestStreamline(t *testing.T) {
-	schemas, sets := encodeAll(t)
-	s, _ := NewScoper(sets)
-	streamlined, err := s.Streamline(schemas, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamlined) != 3 {
-		t.Fatalf("streamlined count = %d", len(streamlined))
-	}
-	for i, st := range streamlined {
-		if st.NumElements() > schemas[i].NumElements() {
-			t.Fatalf("streamlined schema %d grew", i)
-		}
-		if st.Name != schemas[i].Name {
-			t.Fatalf("name changed: %q", st.Name)
-		}
-	}
-	// The racing schema should shrink more than the order-customer ones.
-	racingKept := float64(streamlined[2].NumElements()) / float64(schemas[2].NumElements())
-	ocKept := float64(streamlined[0].NumElements()) / float64(schemas[0].NumElements())
-	if racingKept >= ocKept {
-		t.Fatalf("racing kept %.2f vs order-customer %.2f", racingKept, ocKept)
-	}
-}
-
 func TestSweepAndEvaluate(t *testing.T) {
 	schemas, sets := encodeAll(t)
 	s, _ := NewScoper(sets)
@@ -386,50 +360,6 @@ func TestNewScoperDimensionMismatch(t *testing.T) {
 	other := embed.EncodeSchema(embed.NewHashEncoder(embed.WithDim(64)), testSchemas()[1])
 	if _, err := NewScoper([]*embed.SignatureSet{sets[0], other}); err == nil {
 		t.Fatal("dimension mismatch should fail")
-	}
-}
-
-func TestUpdateSchema(t *testing.T) {
-	schemas, sets := encodeAll(t)
-	s, _ := NewScoper(sets)
-	before, err := s.Scope(0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Evolve S3: the racing schema gains order-customer attributes, so
-	// after the incremental refit more of the other schemas' elements can
-	// be recognised through S3's model.
-	evolved := schemas[2]
-	tbl := evolved.Table("RACES")
-	tbl.Attributes = append(tbl.Attributes,
-		schema.Attribute{Name: "CUSTOMER_NAME", Type: schema.TypeText},
-		schema.Attribute{Name: "CUSTOMER_PHONE", Type: schema.TypeText},
-	)
-	evolved.Normalize()
-	enc := embed.NewHashEncoder(embed.WithDim(128))
-	if err := s.UpdateSchema(2, embed.EncodeSchema(enc, evolved)); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.Scope(0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) == len(before) {
-		// The evolved schema has more elements, so the verdict map grows.
-		t.Fatalf("verdict map did not grow: %d vs %d", len(after), len(before))
-	}
-
-	// Validation errors.
-	if err := s.UpdateSchema(-1, sets[0]); err == nil {
-		t.Fatal("negative index should fail")
-	}
-	if err := s.UpdateSchema(0, &embed.SignatureSet{}); err == nil {
-		t.Fatal("empty set should fail")
-	}
-	wrongDim := embed.EncodeSchema(embed.NewHashEncoder(embed.WithDim(32)), schemas[0])
-	if err := s.UpdateSchema(0, wrongDim); err == nil {
-		t.Fatal("dimension change should fail")
 	}
 }
 

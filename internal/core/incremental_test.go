@@ -79,22 +79,18 @@ func TestScoperIncrementalMatchesFromScratch(t *testing.T) {
 	if err := s.AddElements(0, add); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ModelVersion(0); got != 2 {
+	if got := s.version[0]; got != 2 {
 		t.Fatalf("version after AddElements: %d, want 2", got)
 	}
 	// Remove two elements from S1.
 	if err := s.RemoveElements(1, sets[1].IDs[0], sets[1].IDs[4]); err != nil {
 		t.Fatal(err)
 	}
-	// Merge a partial fit into S2.
-	part, err := NewPartialFit(renameElements(incRandSet(rng, "S2", 4, d, 0.7), "_shard"))
-	if err != nil {
+	// Add four more elements to S2.
+	if err := s.AddElements(2, renameElements(incRandSet(rng, "S2", 4, d, 0.7), "_shard")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MergePartialFits(2, part); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ModelVersion(1); got != 2 {
+	if got := s.version[1]; got != 2 {
 		t.Fatalf("version after RemoveElements: %d, want 2", got)
 	}
 
@@ -265,24 +261,6 @@ func TestAssessDeltaMatchesScope(t *testing.T) {
 		t.Fatalf("delta after RemoveElements did not save work: %+v", rep)
 	}
 
-	// Wholesale UpdateSchema drops S0's cache but stays correct.
-	repl := incRandSet(rand.New(rand.NewSource(99)), "S0", 7, d, 0.5)
-	if err := s.UpdateSchema(0, repl); err != nil {
-		t.Fatal(err)
-	}
-	keep, rep, err = s.AssessDelta(ctx, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err = s.ScopeContext(ctx, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameVerdicts(t, keep, full, "delta after UpdateSchema")
-	if rep.Reused == 0 {
-		t.Fatalf("pairs not involving the replaced schema should be reused: %+v", rep)
-	}
-
 	if reg.Counter("core.delta.reused").Value() == 0 || reg.Counter("core.delta.rescored").Value() == 0 {
 		t.Fatal("obs counters core.delta.* did not record the delta rounds")
 	}
@@ -346,14 +324,8 @@ func TestScoperMutationErrors(t *testing.T) {
 	if err := s.RemoveElements(0, s.sets[0].IDs...); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("emptying removal: %v", err)
 	}
-	if err := s.MergePartialFits(0); err == nil {
-		t.Fatal("empty merge accepted")
-	}
-	if s.ModelVersion(0) != 1 || s.ModelVersion(1) != 1 {
+	if s.version[0] != 1 || s.version[1] != 1 {
 		t.Fatal("failed mutations must not bump versions")
-	}
-	if s.ModelVersion(-1) != 0 || s.ModelVersion(9) != 0 {
-		t.Fatal("out-of-range ModelVersion should report 0")
 	}
 	// A rejected refit (non-finite added rows) rolls the scoper back.
 	bad := renameElements(incRandSet(rng, "S0", 2, d, 0.4), "_bad")
@@ -370,63 +342,30 @@ func TestScoperMutationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameVerdicts(t, after, before, "scope after rejected add")
-}
-
-// TestTrainFromPartialFits pins the distributed-merge training path against
-// monolithic Train, plus its validation surface.
-func TestTrainFromPartialFits(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	whole := incRandSet(rng, "S", 30, 7, 0.3)
-	cuts := []int{0, 9, 17, 30}
-	parts := make([]*PartialFit, 0, 3)
-	for c := 0; c+1 < len(cuts); c++ {
-		lo, hi := cuts[c], cuts[c+1]
-		sub := &embed.SignatureSet{IDs: whole.IDs[lo:hi], Matrix: linalg.NewDense(hi-lo, 7)}
-		for k := lo; k < hi; k++ {
-			copy(sub.Matrix.RowView(k-lo), whole.Matrix.RowView(k))
-		}
-		p, err := NewPartialFit(sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, p)
+	inf := renameElements(incRandSet(rng, "S0", 1, d, 0.4), "_inf")
+	inf.Matrix.Set(0, 3, math.Inf(1))
+	if err := s.AddElements(0, inf); err == nil {
+		t.Fatal("infinite add accepted")
 	}
-	got, err := TrainFromPartialFits(0.9, parts...)
+	// The rejected adds must leave the sufficient statistics clean: the
+	// next valid add takes S0 to n ≥ d, refits from the statistics, and
+	// scopes like a fresh Scoper over the same sets.
+	if err := s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.4), "_ok")); err != nil {
+		t.Fatalf("valid add after rejected ones: %v", err)
+	}
+	fresh, err := NewScoper(s.Sets())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Train(whole, 0.9)
+	got, err := s.Scope(0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != "S" || got.Components() != want.Components() {
-		t.Fatalf("merged model: schema %q, %d comps; want %q, %d", got.Schema, got.Components(), want.Schema, want.Components())
+	want, err := fresh.Scope(0.9)
+	if err != nil {
+		t.Fatal(err)
 	}
-	diff := math.Abs(got.Range - want.Range)
-	if diff > linalg.StatsFitTolerance*math.Max(got.Range, want.Range)+linalg.StatsFitTolerance {
-		t.Fatalf("merged range %v vs monolithic %v", got.Range, want.Range)
-	}
-
-	if _, err := TrainFromPartialFits(0.9); err == nil {
-		t.Fatal("no parts accepted")
-	}
-	if _, err := TrainFromPartialFits(0, parts...); err == nil {
-		t.Fatal("v=0 accepted")
-	}
-	other, _ := NewPartialFit(incRandSet(rng, "OTHER", 3, 7, 0))
-	if _, err := TrainFromPartialFits(0.9, parts[0], other); err == nil || !strings.Contains(err.Error(), "OTHER") {
-		t.Fatalf("mixed-schema parts: %v", err)
-	}
-	if _, err := TrainFromPartialFits(0.9, parts[0], parts[0]); err == nil || !strings.Contains(err.Error(), "more than one") {
-		t.Fatalf("duplicate elements across parts: %v", err)
-	}
-	broken := &PartialFit{Set: parts[0].Set, Stats: linalg.NewPCAStats(7)}
-	if _, err := TrainFromPartialFits(0.9, broken); err == nil || !strings.Contains(err.Error(), "stats over") {
-		t.Fatalf("stats/set mismatch: %v", err)
-	}
-	if _, err := NewPartialFit(&embed.SignatureSet{Matrix: linalg.NewDense(1, 7)}); err == nil {
-		t.Fatal("empty partial fit accepted")
-	}
+	sameVerdicts(t, got, want, "scope after a valid add following rejected ones")
 }
 
 // TestModelStateApplyAndPersist drives a ModelState through a schema
@@ -576,7 +515,7 @@ func TestModelStateApplyAndPersist(t *testing.T) {
 	}
 }
 
-// TestModelStateErrors covers Apply/MergePartialFit validation.
+// TestModelStateErrors covers Apply validation.
 func TestModelStateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	st, err := NewModelState(incRandSet(rng, "S", 5, 6, 0.2))
@@ -602,20 +541,6 @@ func TestModelStateErrors(t *testing.T) {
 	}
 	if _, err := st.Model(0); err == nil {
 		t.Fatal("v=0 accepted")
-	}
-	p, err := NewPartialFit(renameElements(incRandSet(rng, "S", 2, 6, 0.2), "_p"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.MergePartialFit(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.MergePartialFit(p); err == nil || !strings.Contains(err.Error(), "already part") {
-		t.Fatalf("re-merging the same shard: %v", err)
-	}
-	other, _ := NewPartialFit(incRandSet(rng, "OTHER", 2, 6, 0))
-	if err := st.MergePartialFit(other); err == nil {
-		t.Fatal("cross-schema merge accepted")
 	}
 }
 

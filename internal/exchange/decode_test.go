@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"collabscope/internal/core"
 	"collabscope/internal/embed"
 	"collabscope/internal/linalg"
 )
@@ -133,7 +134,7 @@ func FuzzAssessRequestJSON(f *testing.F) {
 				}
 			}
 		}
-		if assessSigKey("t", &got) != assessSigKey("t", &want) {
+		if core.SignatureDigest("t", got.Schema, x) != core.SignatureDigest("t", want.Schema, linalg.FromRows(want.Signatures)) {
 			t.Fatal("delta-cache keys differ for equal requests")
 		}
 	})

@@ -1,25 +1,22 @@
 package exchange
 
 // Delta assessment on the service hot path (DESIGN.md §15): per-model
-// reconstruction-error columns are cached keyed by (tenant, signature
-// fingerprint), each column stamped with the ETag of the model it was
-// computed under. When a tenant republishes one schema's model — a version
-// bump — the registry generation moves and the coalescer stops sharing old
-// flights, but the next assessment of the same signatures recomputes ONLY
-// the republished model's column; every other column is reused unchanged.
-// Reused columns hold the exact float64s a fresh pass would produce (the
-// kernels are deterministic per row), so delta-served verdicts are
-// byte-identical to cold ones — the service.delta.* counters exist to
-// prove the saved work, not to excuse drift.
+// reconstruction-error columns are cached keyed by core.SignatureDigest of
+// (tenant, schema, signatures), each column stamped with the ETag of the
+// model it was computed under. When a tenant republishes one schema's
+// model — a version bump — the registry generation moves and the coalescer
+// stops sharing old flights, but the next assessment of the same
+// signatures recomputes ONLY the republished model's column; every other
+// column is reused unchanged. Reused columns hold the exact float64s a
+// fresh pass would produce (the kernels are deterministic per row), so
+// delta-served verdicts are byte-identical to cold ones — the
+// service.delta.* counters exist to prove the saved work, not to excuse
+// drift.
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"maps"
-	"math"
 	"sync"
 
+	"collabscope/internal/core"
 	"collabscope/internal/lru"
 	"collabscope/internal/obs"
 )
@@ -49,55 +46,48 @@ func newDeltaStore(reg *obs.Registry) *deltaStore {
 	return &deltaStore{entries: lru.New[string, map[string]deltaColumn](maxDeltaEntries), reg: reg}
 }
 
-// lookup returns a copy of the entry's columns (so the caller reads them
-// without holding the lock against concurrent flights) and marks the entry
-// most recently used.
-func (d *deltaStore) lookup(key string) map[string]deltaColumn {
+// get returns the cached column of one foreign schema under key and marks
+// the entry most recently used.
+func (d *deltaStore) get(key, schema string) (deltaColumn, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	cols, _ := d.entries.Get(key)
-	return maps.Clone(cols)
+	col, ok := cols[schema]
+	return col, ok
 }
 
-// put stores freshly computed columns, evicting the least recently used
+// put stores one freshly computed column, evicting the least recently used
 // entry beyond the capacity bound.
-func (d *deltaStore) put(key string, cols map[string]deltaColumn) {
+func (d *deltaStore) put(key, schema string, col deltaColumn) {
 	d.mu.Lock()
 	e, ok := d.entries.Get(key)
 	evicted := false
 	if !ok {
-		e = make(map[string]deltaColumn, len(cols))
+		e = make(map[string]deltaColumn)
 		_, evicted = d.entries.Put(key, e)
 	}
-	maps.Copy(e, cols)
+	e[schema] = col
 	d.mu.Unlock()
 	if evicted {
 		d.reg.Counter("service.delta.evictions").Inc()
 	}
 }
 
-// assessSigKey fingerprints the signature content of an assess request —
-// the requesting schema's name plus the exact float64 bits of every row,
-// little-endian, fed to SHA-256 a few KB at a time. Mode, epsilon and
-// element labels are deliberately excluded: they only shape the verdict
-// fold, not the error columns the cache holds.
-func assessSigKey(tenant string, req *AssessRequest) string {
-	h := sha256.New()
-	h.Write([]byte(tenant))
-	h.Write([]byte{0})
-	h.Write([]byte(req.Schema))
-	h.Write([]byte{0})
-	var buf [4096]byte
-	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(len(req.Signatures)))
-	for _, row := range req.Signatures {
-		for _, v := range row {
-			if len(b) == len(buf) {
-				h.Write(b)
-				b = buf[:0]
-			}
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-	}
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil))
+// deltaColumns is one assessment's view of the delta cache, the
+// core.ColumnCache computeAssess scores through: a cached column counts
+// only while it carries the ETag its model is published under now.
+type deltaColumns struct {
+	store *deltaStore
+	key   string
+	etags map[string]string // foreign schema → published ETag
+}
+
+func (c *deltaColumns) Column(m *core.Model) ([]float64, bool, error) {
+	col, ok := c.store.get(c.key, m.Schema)
+	return col.errs, ok && col.etag == c.etags[m.Schema], nil
+}
+
+func (c *deltaColumns) Keep(m *core.Model, errs []float64) error {
+	c.store.put(c.key, m.Schema, deltaColumn{etag: c.etags[m.Schema], errs: errs})
+	return nil
 }

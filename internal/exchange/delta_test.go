@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"collabscope/internal/core"
+	"collabscope/internal/linalg"
 	"collabscope/internal/obs"
 )
 
@@ -132,12 +134,12 @@ func TestDeltaAssessReusesColumnsAcrossRepublish(t *testing.T) {
 func TestDeltaStoreBounded(t *testing.T) {
 	d := newDeltaStore(nil)
 	for i := 0; i < maxDeltaEntries+50; i++ {
-		d.put(string(rune(i))+"key", map[string]deltaColumn{"S": {etag: "e", errs: []float64{1}}})
+		d.put(string(rune(i))+"key", "S", deltaColumn{etag: "e", errs: []float64{1}})
 	}
 	if n := d.entries.Len(); n != maxDeltaEntries {
 		t.Fatalf("cache holds %d entries, cap %d", n, maxDeltaEntries)
 	}
-	if d.lookup("missing") != nil {
+	if _, ok := d.get("missing", "S"); ok {
 		t.Fatal("lookup of a missing key returned an entry")
 	}
 }
@@ -149,16 +151,16 @@ func TestDeltaStoreBounded(t *testing.T) {
 func TestDeltaStoreEvictsLeastRecentlyUsed(t *testing.T) {
 	reg := obs.NewRegistry()
 	d := newDeltaStore(reg)
-	col := map[string]deltaColumn{"S": {etag: "e", errs: []float64{1}}}
-	d.put("hot", col)
+	col := deltaColumn{etag: "e", errs: []float64{1}}
+	d.put("hot", "S", col)
 	const inserts = maxDeltaEntries + 40
 	for i := 0; i < inserts; i++ {
-		d.put(fmt.Sprintf("cold%d", i), col)
-		if d.lookup("hot") == nil {
+		d.put(fmt.Sprintf("cold%d", i), "S", col)
+		if _, ok := d.get("hot", "S"); !ok {
 			t.Fatalf("hot key evicted after %d inserts although touched after each", i+1)
 		}
 	}
-	if d.lookup("cold0") != nil {
+	if _, ok := d.get("cold0", "S"); ok {
 		t.Fatal("least recently used key cold0 survived")
 	}
 	if got, want := reg.Snapshot().Counters["service.delta.evictions"], int64(1+inserts-maxDeltaEntries); got != want {
@@ -188,8 +190,8 @@ func TestAssessSigKeyGolden(t *testing.T) {
 		{"acme", req, "fdcfb85280c8ae6d8b98165717cef3c0447ab826fde2e7ef09428c668c8f5dfb"},
 		{"", &AssessRequest{}, "01d448afd928065458cf670b60f5a594d735af0172c8d67f22a81680132681ca"},
 	} {
-		if got := assessSigKey(tc.tenant, tc.req); got != tc.want {
-			t.Errorf("assessSigKey(%q, %d rows) = %s, want %s", tc.tenant, len(tc.req.Signatures), got, tc.want)
+		if got := core.SignatureDigest(tc.tenant, tc.req.Schema, linalg.FromRows(tc.req.Signatures)); got != tc.want {
+			t.Errorf("SignatureDigest(%q, %d rows) = %s, want %s", tc.tenant, len(tc.req.Signatures), got, tc.want)
 		}
 	}
 }

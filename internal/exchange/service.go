@@ -15,10 +15,11 @@ package exchange
 //  2. Admission — computations beyond the queue depth (or one tenant's
 //     quota) are shed with 429 + Retry-After instead of queueing without
 //     bound; a shed request costs no model arithmetic.
-//  3. Computation — the signature matrix is reconstructed by every foreign
-//     model of the tenant on the internal/parallel pool, and the error
-//     columns are folded into verdicts by core's one Definition 4 fold
-//     (AssessConfig.Linkable), in deterministic model order.
+//  3. Computation — core.Columns, the one Algorithm 2 engine, reconstructs
+//     the signature matrix under every foreign model of the tenant on the
+//     internal/parallel pool, reusing the delta cache's columns (delta.go),
+//     and core's one Definition 4 fold (AssessConfig.Linkable) turns the
+//     columns into verdicts in deterministic model order.
 
 import (
 	"bytes"
@@ -36,7 +37,6 @@ import (
 	"collabscope/internal/core"
 	"collabscope/internal/linalg"
 	"collabscope/internal/obs"
-	"collabscope/internal/parallel"
 )
 
 // Request body caps: a model upload is a few MB even at wire-format
@@ -333,10 +333,10 @@ func (s *Server) snapshotForeign(tenant, schema string) []*published {
 	return out
 }
 
-// computeAssess runs one admitted assessment: reconstruct the signature
-// matrix — flat, the decoder's row-major buffer behind req.Signatures —
-// under every foreign model of the tenant (parallel across models)
-// and fold acceptances in model order through the same fold as
+// computeAssess runs one admitted assessment: score the signature matrix —
+// flat, the decoder's row-major buffer behind req.Signatures — under every
+// foreign model of the tenant through core.Columns (parallel across
+// models) and fold acceptances in model order through the same fold as
 // core.AssessContext, so service verdicts match in-process ones.
 // "exchange.service.assess" is a fault-injection hook point: injected
 // delays stall the computation inside the admission window (exercising
@@ -349,54 +349,34 @@ func (s *Server) computeAssess(ctx context.Context, tenant string, req *AssessRe
 	n := len(req.Signatures)
 	dim := len(req.Signatures[0])
 	models := make([]*core.Model, len(foreign))
+	etags := make(map[string]string, len(foreign))
 	for k, p := range foreign {
 		if p.model.Dim() != dim {
 			return nil, badRequest("model %q has dimension %d, request signatures have %d",
 				p.model.Schema, p.model.Dim(), dim)
 		}
 		models[k] = p.model
+		etags[p.model.Schema] = p.etag
 	}
 	// Delta assessment: reuse cached per-model error columns whose model
 	// ETag still matches, re-score only the columns of models that were
 	// republished (version-bumped) or never scored for these signatures.
 	// Reused columns are the exact values a cold pass would recompute, so
 	// verdicts are identical either way; the counters prove the saved work.
-	reg := s.reg
-	sigKey := assessSigKey(tenant, req)
-	cached := s.delta.lookup(sigKey)
-	errsByModel := make([][]float64, len(foreign))
-	misses := make([]int, 0, len(foreign))
-	reused := 0
-	for k, p := range foreign {
-		if c, ok := cached[p.model.Schema]; ok && c.etag == p.etag && len(c.errs) == n {
-			errsByModel[k] = c.errs
-			reused++
-			continue
-		}
-		misses = append(misses, k)
-	}
 	x := linalg.WrapDense(n, dim, flat)
-	fresh, err := parallel.Map(ctx, s.workers, misses, func(_ int, k int) ([]float64, error) {
-		return foreign[k].model.ErrorsInto(x, make([]float64, n), nil), nil
-	})
+	cache := &deltaColumns{store: s.delta, key: core.SignatureDigest(tenant, req.Schema, x), etags: etags}
+	errs, rep, err := core.Columns(ctx, s.workers, x, models, cache)
 	if err != nil {
 		return nil, err
 	}
-	if len(misses) > 0 {
-		newCols := make(map[string]deltaColumn, len(misses))
-		for t, k := range misses {
-			errsByModel[k] = fresh[t]
-			newCols[foreign[k].model.Schema] = deltaColumn{etag: foreign[k].etag, errs: fresh[t]}
-		}
-		s.delta.put(sigKey, newCols)
-	}
-	reg.Counter("service.delta.reused").Add(int64(reused * n))
-	reg.Counter("service.delta.rescored").Add(int64(len(misses) * n))
-	reg.Counter("service.tenant." + tenant + ".delta.reused").Add(int64(reused * n))
-	reg.Counter("service.tenant." + tenant + ".delta.rescored").Add(int64(len(misses) * n))
+	reg := s.reg
+	reg.Counter("service.delta.reused").Add(int64(rep.Reused))
+	reg.Counter("service.delta.rescored").Add(int64(rep.Rescored))
+	reg.Counter("service.tenant." + tenant + ".delta.reused").Add(int64(rep.Reused))
+	reg.Counter("service.tenant." + tenant + ".delta.rescored").Add(int64(rep.Rescored))
 	cfg := core.AssessConfig{Mode: req.mode(), RelaxEpsilon: req.RelaxEpsilon}
 	verdicts := make([]Verdict, n)
-	for i, linkable := range cfg.Linkable(models, errsByModel, n) {
+	for i, linkable := range cfg.Linkable(models, errs, n) {
 		label := strconv.Itoa(i)
 		if len(req.IDs) != 0 {
 			label = req.IDs[i]
