@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fuzz-smoke incremental-exactness chaos chaos-slo bench-smoke ci bench bench-parallel bench-json bench-diff lintobs cover serve-smoke encoder-smoke
+.PHONY: all build test race vet fmt fuzz-smoke incremental-exactness chaos chaos-slo bench-smoke ci bench bench-parallel bench-compare lintobs cover serve-smoke encoder-smoke
 
 all: build
 
@@ -13,8 +13,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet covers the benchmark module too (bench/go.mod), which the root
+# ./... pattern does not reach.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # fmt fails if any file is not gofmt-clean (prints the offenders).
 fmt:
@@ -31,15 +34,16 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEncoderResponseJSON -fuzztime=5s ./internal/encoder
 
 # incremental-exactness pins the incremental-maintenance contract
-# (DESIGN.md §15): merged/updated/downdated sufficient statistics must
+# (DESIGN.md §15): updated/downdated sufficient statistics must
 # reproduce the from-scratch PCA fit within linalg.StatsFitTolerance, the
 # rows-path refit must be bit-identical, AssessDelta verdicts must equal a
-# full reassessment while re-scoring strictly fewer passes, and every
-# Algorithm 2 path must agree on seeded random schemas and churn.
+# full reassessment while re-scoring strictly fewer passes, every
+# Algorithm 2 path must agree on seeded random schemas and churn, and the
+# verdicts must keep Definition 4's metamorphic properties.
 incremental-exactness:
 	$(GO) test -count=1 -run 'IncrementalExactness|Stats' ./internal/linalg
 	$(GO) test -count=1 -run 'ScoperIncremental|AssessDelta|ModelState' ./internal/core
-	$(GO) test -count=1 -run 'UpdateModelIncremental|AssessDeltaState|AssessmentPathsAgree' .
+	$(GO) test -count=1 -run 'UpdateModelIncremental|AssessDeltaState|AssessmentPathsAgree|Definition4Metamorphic' .
 
 # chaos runs the deterministic fault-injection suite: seed-driven injected
 # errors, panics, delays, and payload corruption across the parallel pool,
@@ -84,19 +88,14 @@ bench:
 bench-parallel:
 	$(GO) test -run xxx -bench 'Parallel(EncodeAll|MatchAll|Assess)' -cpu 1,4 .
 
-# bench-json times the evaluation tables (reduced -fast settings, matching
-# the committed baseline) and writes the machine-readable report, including
-# a machine-speed calibration entry, to BENCH_OUT.
-BENCH_OUT ?= /tmp/BENCH_tables.json
-bench-json:
-	$(GO) run ./cmd/benchtables -fast -benchjson $(BENCH_OUT)
-
-# bench-diff gates performance regressions: a fresh bench-json run must not
-# be more than 25% slower (calibration-normalised) than the committed
-# baseline. Refresh the baseline with:
-#	make bench-json BENCH_OUT=BENCH_tables.json
-bench-diff: bench-json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_tables.json -current $(BENCH_OUT)
+# bench-compare gates performance regressions on the benchmark of record
+# (bench/, bounded by BENCHMARK.json): every workload runs in 3 alternating
+# pairs on the base commit BASE and on the working tree, and the target
+# fails on a regressed verdict, an incorrect change-side run, or more failed
+# operations than the base. The runs and the compare table are kept under
+# .bench_compare/. See scripts/bench-compare.sh.
+bench-compare:
+	bash scripts/bench-compare.sh $(BASE)
 
 # serve-smoke boots the scoping service end to end: upload through
 # POST /v1/models into a persistent registry, assess through

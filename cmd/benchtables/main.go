@@ -51,8 +51,6 @@ func main() {
 			"persist sweep cells into this directory; a rerun resumes where a killed run stopped")
 		detector = flag.String("detector", "pca:0.5",
 			"scoping detector for the Figure 5-6 curves: "+strings.Join(collabscope.Detectors(), ", ")+" (name or name:param)")
-		benchJSON = flag.String("benchjson", "",
-			"time the evaluation tables and write a machine-readable report (with a machine-speed calibration entry) to this file; compare runs with benchdiff")
 	)
 	flag.Parse()
 
@@ -134,10 +132,6 @@ func main() {
 	}
 	if *reportPath != "" {
 		r.report(*reportPath)
-		ran = true
-	}
-	if *benchJSON != "" {
-		r.benchJSON(*benchJSON)
 		ran = true
 	}
 	if !ran {
@@ -391,18 +385,6 @@ func (r *runner) matchers() {
 		}
 		fmt.Println()
 	}
-}
-
-// benchJSON times every evaluation table and writes the machine-readable
-// report benchdiff compares against a committed baseline.
-func (r *runner) benchJSON(path string) {
-	rep, err := experiments.RunBench(r.cfg)
-	fatal(err)
-	fh, err := os.Create(path)
-	fatal(err)
-	fatal(rep.WriteJSON(fh))
-	fatal(fh.Close())
-	fmt.Printf("wrote %d benchmark entries (%s) to %s\n", len(rep.Entries), rep.Config, path)
 }
 
 func (r *runner) writeCSV(name string, header []string, records [][]string) {

@@ -100,6 +100,75 @@ func TestAssessmentPathsAgree(t *testing.T) {
 	}
 }
 
+// TestDefinition4Metamorphic checks three properties of Definition 4's
+// verdicts on pathGen's seeded schemas, at the seed's v:
+//
+//   - permuting the schema order passed to NewScoper changes no verdict;
+//   - in the default AnyModel mode, where one accepting foreign model makes
+//     an element linkable, adding one more schema only adds linkable
+//     verdicts to the others (not asserted for AllModels, where the new
+//     model must accept too, so a verdict can be lost);
+//   - raising RelaxEpsilon from 0 to 0.25 never removes a linkable verdict.
+func TestDefinition4Metamorphic(t *testing.T) {
+	ctx := context.Background()
+	var grown, relaxed int
+	for seed := int64(1); seed <= 24; seed++ {
+		g := newPathGen(seed)
+		sets := g.schemas()
+		mode := []core.AcceptanceMode{core.AnyModel, core.AllModels}[g.rng.Intn(2)]
+		v := []float64{0.5, 0.7, 0.9, 0.99}[g.rng.Intn(4)]
+		what := fmt.Sprintf("seed %d (d=%d, %d schemas, v=%v, AllModels %v)", seed, g.d, len(sets), v, mode == core.AllModels)
+		scope := func(sets []*embed.SignatureSet, cfg core.AssessConfig) map[schema.ElementID]bool {
+			t.Helper()
+			s, err := core.NewScoperContext(ctx, 1, sets, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			keep, err := s.ScopeContext(ctx, v)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			return keep
+		}
+		// onlyGains fails if an element of before lost its linkable verdict
+		// in after, and returns how many gained one.
+		onlyGains := func(before, after map[schema.ElementID]bool, how string) int {
+			t.Helper()
+			gained := 0
+			for id, was := range before {
+				now, ok := after[id]
+				switch {
+				case !ok:
+					t.Fatalf("%s: %s: verdict for %s missing", what, how, id)
+				case was && !now:
+					t.Fatalf("%s: %s: %s lost its linkable verdict", what, how, id)
+				case !was && now:
+					gained++
+				}
+			}
+			return gained
+		}
+
+		cfg := core.AssessConfig{Mode: mode}
+		ref := scope(sets, cfg)
+		permuted := make([]*embed.SignatureSet, len(sets))
+		for i, k := range g.rng.Perm(len(sets)) {
+			permuted[i] = sets[k]
+		}
+		sameVerdicts(t, scope(permuted, cfg), ref, what+": permuted schema order")
+
+		relaxed += onlyGains(ref, scope(sets, core.AssessConfig{Mode: mode, RelaxEpsilon: 0.25}), "RelaxEpsilon 0.25")
+
+		if mode == core.AnyModel {
+			extra := g.rows(fmt.Sprintf("S%d", len(sets)), 2+g.rng.Intn(g.maxRows()-1))
+			grown += onlyGains(ref, scope(append(sets[:len(sets):len(sets)], extra), cfg), "one schema added")
+		}
+	}
+	if grown == 0 || relaxed == 0 {
+		t.Fatalf("vacuous generator: %d verdicts gained from an added schema, %d from relaxation", grown, relaxed)
+	}
+}
+
 // pathGen draws the seeded schemas and churn of one differential scenario.
 // Rows mix a low-rank subspace shared by every schema (elements another
 // schema's model can reconstruct) with schema-private noise (elements no

@@ -342,8 +342,8 @@ type RecallStats struct {
 // Recall computes the fraction of exact top-k neighbours that an index
 // retrieves, averaged over the rows of queries — a quality probe for
 // approximate indexes. Degenerate measurements (no queries, k ≤ 0, an
-// empty exact index) return an error instead of NaN, so a recall number
-// written into a BENCH report is always a finite, comparable value.
+// empty exact index) return an error instead of NaN, so a recall number is
+// always a finite, comparable value.
 func Recall(exact, approx Index, queries *linalg.Dense, k int) (float64, error) {
 	stats, err := MeasureRecall(exact, approx, queries, k)
 	if err != nil {

@@ -163,8 +163,8 @@ func TestRecallDegenerateCasesError(t *testing.T) {
 	if _, err := Recall(empty, empty, x, 3); err == nil {
 		t.Fatal("empty exact index must error")
 	}
-	// The error contract exists so a recall value is always JSON-encodable:
-	// NaN entries broke benchdiff report parsing.
+	// The error contract exists so a recall value is always finite, and so
+	// JSON-encodable.
 	if r, err := Recall(flat, flat, x, 3); err != nil || math.IsNaN(r) {
 		t.Fatalf("healthy recall = (%v, %v), want finite and nil", r, err)
 	}

@@ -76,11 +76,21 @@ func Train(set *embed.SignatureSet, v float64) (*Model, error) {
 	if v <= 0 || v > 1 {
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
 	}
-	pca, err := linalg.FitPCAChecked(set.Matrix, v)
+	pca, err := fitRows(set, v)
 	if err != nil {
-		return nil, trainError(name, set, err)
+		return nil, err
 	}
 	return newModel(name, v, pca, set.Matrix)
+}
+
+// fitRows is Algorithm 1's decomposition of one schema's signature rows at
+// explained variance v, from scratch.
+func fitRows(set *embed.SignatureSet, v float64) (*linalg.PCA, error) {
+	pca, err := linalg.FitPCAChecked(set.Matrix, v)
+	if err != nil {
+		return nil, trainError(set.IDs[0].Schema, set, err)
+	}
+	return pca, nil
 }
 
 // newModel is the last step of Algorithm 1, the one copy every training
@@ -473,11 +483,7 @@ func (s *Scoper) fit(set *embed.SignatureSet) (*linalg.PCA, error) {
 		}
 		return linalg.FitPCAApprox(set.Matrix, 1.0, s.cfg.ApproxMaxRank, s.cfg.Seed), nil
 	}
-	pca, err := linalg.FitPCAChecked(set.Matrix, 1.0)
-	if err != nil {
-		return nil, trainError(set.IDs[0].Schema, set, err)
-	}
-	return pca, nil
+	return fitRows(set, 1.0)
 }
 
 // Models returns the local models of all schemas at explained variance v.

@@ -26,6 +26,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -40,8 +41,8 @@ import (
 
 // Sets returns the scoper's current signature sets (a copy of the slice;
 // the sets themselves are shared and must be treated as read-only). The
-// churn benchmark uses it to hand the incrementally maintained state to a
-// from-scratch Scoper for comparison.
+// benchmark's evolve_churn workload uses it to hand the incrementally
+// maintained state to a from-scratch Scoper for comparison.
 func (s *Scoper) Sets() []*embed.SignatureSet {
 	out := make([]*embed.SignatureSet, len(s.sets))
 	copy(out, s.sets)
@@ -84,26 +85,48 @@ func (s *Scoper) ensureStats(i int) {
 	s.stats[i] = linalg.AccumulateStats(s.sets[i].Matrix)
 }
 
-// refitIncremental refits schema i's full-spectrum decomposition after a
-// membership change, choosing the cheaper exact path: with fewer rows than
-// dimensions (the schema-scoping regime) it reruns the from-scratch fit on
-// the maintained rows — bit-identical to a fresh Scoper over the same
-// state — and with rows ≥ dimensions it fits from the maintained
-// sufficient statistics, whose cost is independent of how many rows ever
-// churned (within linalg.StatsFitTolerance of from-scratch). Both choices
-// are deterministic functions of the maintained state.
-func (s *Scoper) refitIncremental(i int) error {
-	set := s.sets[i]
-	if s.stats[i] != nil && set.Len() >= set.Matrix.Cols() {
-		pca, err := linalg.FitPCAFromStats(s.stats[i], 1.0)
-		if err != nil {
-			return trainError(set.IDs[0].Schema, set, err)
-		}
-		s.full[i] = pca
-		s.version[i]++
-		return nil
+// fitMaintained is incremental maintenance's one choice between its two
+// exact refit paths, shared by the Scoper and ModelState. With fewer rows
+// than dimensions (the schema-scoping regime) it runs rowsFit, the
+// from-scratch code path, so the fit is bit-identical to retraining. With
+// rows ≥ dimensions it fits at v from the maintained sufficient statistics,
+// whose cost does not grow with the rows' churn history, within
+// linalg.StatsFitTolerance of from-scratch. A nil stats (the randomized
+// path maintains none) always fits the rows.
+//
+// A finite but huge row overflows the statistics (its square is +Inf), and
+// downdating it later leaves Inf−Inf = NaN. So statistics that are not
+// finite are rebuilt from the rows, and the rows are fitted if the rebuilt
+// ones are still not finite. It returns the statistics to keep.
+func fitMaintained(set *embed.SignatureSet, stats *linalg.PCAStats, v float64,
+	rowsFit func() (*linalg.PCA, error)) (*linalg.PCA, *linalg.PCAStats, error) {
+	if stats == nil || set.Len() < set.Matrix.Cols() {
+		pca, err := rowsFit()
+		return pca, stats, err
 	}
-	pca, err := s.fit(set)
+	pca, err := linalg.FitPCAFromStats(stats, v)
+	if errors.Is(err, linalg.ErrNonFinite) {
+		stats = linalg.AccumulateStats(set.Matrix)
+		if pca, err = linalg.FitPCAFromStats(stats, v); errors.Is(err, linalg.ErrNonFinite) {
+			pca, err = rowsFit()
+			return pca, stats, err
+		}
+	}
+	if err != nil {
+		return nil, stats, trainError(set.IDs[0].Schema, set, err)
+	}
+	return pca, stats, nil
+}
+
+// refitIncremental refits schema i's full-spectrum decomposition after a
+// membership change through fitMaintained: bit-identical to a fresh Scoper
+// over the same state while rows are fewer than dimensions, and a
+// deterministic function of the maintained state either way.
+func (s *Scoper) refitIncremental(i int) error {
+	pca, stats, err := fitMaintained(s.sets[i], s.stats[i], 1.0, func() (*linalg.PCA, error) {
+		return s.fit(s.sets[i])
+	})
+	s.stats[i] = stats
 	if err != nil {
 		return err
 	}
@@ -237,8 +260,8 @@ func appendSet(a, b *embed.SignatureSet) *embed.SignatureSet {
 // encoder-decoder passes ran versus how many cached scores were reused, and
 // how many models had to be rebuilt. Rescored+Reused equals the pass count
 // of a full assessment round (Scoper.PassOperations), which is how the
-// churn benchmark and the service counters prove delta assessment does
-// strictly less work for identical verdicts.
+// benchmark's evolve_churn workload and the service counters prove delta
+// assessment does strictly less work for identical verdicts.
 type DeltaReport struct {
 	// Rescored counts element×model passes actually computed.
 	Rescored int
@@ -578,26 +601,27 @@ func (st *ModelState) Apply(set *embed.SignatureSet) (StateDelta, error) {
 	st.ids = ids
 	st.rows = set.Matrix.Clone()
 	st.version++
+	// Downdating a huge row leaves NaN in the statistics (see
+	// fitMaintained), which Save could not write: rebuild them from the
+	// rows that remain.
+	if linalg.FirstNonFinite(st.stats.Sum) >= 0 || linalg.CheckFinite(st.stats.Scatter) != nil {
+		st.stats = linalg.AccumulateStats(st.rows)
+	}
 	return delta, nil
 }
 
-// Model trains the current state's model at explained variance v. With
-// fewer rows than dimensions — the schema-scoping regime — it runs the
-// exact Train code path over the maintained rows, so the result is
-// bit-identical to retraining from scratch. With rows ≥ dimensions it fits
-// from the maintained sufficient statistics, whose cost does not grow with
-// the rows' churn history, within linalg.StatsFitTolerance of from-scratch.
+// Model trains the current state's model at explained variance v through
+// fitMaintained: bit-identical to Train over the maintained rows while they
+// are fewer than dimensions, and from the maintained sufficient statistics
+// otherwise.
 func (st *ModelState) Model(v float64) (*Model, error) {
 	if v <= 0 || v > 1 {
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
 	}
 	set := &embed.SignatureSet{IDs: st.ids, Matrix: st.rows}
-	if st.Len() < st.Dim() {
-		return Train(set, v)
-	}
-	pca, err := linalg.FitPCAFromStats(st.stats, v)
+	pca, _, err := fitMaintained(set, st.stats, v, func() (*linalg.PCA, error) { return fitRows(set, v) })
 	if err != nil {
-		return nil, trainError(st.name, set, err)
+		return nil, err
 	}
 	return newModel(st.name, v, pca, st.rows)
 }

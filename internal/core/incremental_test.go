@@ -366,6 +366,136 @@ func TestScoperMutationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameVerdicts(t, got, want, "scope after a valid add following rejected ones")
+
+	// A finite but huge row passes every finiteness check, yet its square
+	// overflows the sufficient statistics to +Inf, and downdating it again
+	// leaves Inf−Inf = NaN. Neither may wedge the scoper: after every step
+	// it scopes like a fresh Scoper over the same sets, with the same
+	// verdicts or the same error (at n < d the huge row's own
+	// reconstruction error overflows, so both refuse the degenerate model).
+	seeded := func() *Scoper {
+		rng := rand.New(rand.NewSource(31))
+		s, err := NewScoper([]*embed.SignatureSet{
+			incRandSet(rng, "S0", 6, d, 0.4),
+			incRandSet(rng, "S1", 5, d, 0.1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	scopesLikeFresh := func(s *Scoper, what string) {
+		t.Helper()
+		fresh, err := NewScoper(s.Sets())
+		if err != nil {
+			t.Fatalf("%s: fresh scoper: %v", what, err)
+		}
+		got, err := s.Scope(0.9)
+		want, werr := fresh.Scope(0.9)
+		if werr != nil {
+			if err == nil || err.Error() != werr.Error() {
+				t.Fatalf("%s: scope error %v, a fresh scoper's %v", what, err, werr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		sameVerdicts(t, got, want, what)
+	}
+	huge := hugeRow("S0", d)
+	mutate := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+
+	// Add the huge row (n < d: rows path), remove it, then add valid rows
+	// until n ≥ d takes the statistics path.
+	s = seeded()
+	mutate("add huge row", s.AddElements(0, huge))
+	scopesLikeFresh(s, "huge row added")
+	mutate("remove huge row", s.RemoveElements(0, huge.IDs...))
+	scopesLikeFresh(s, "huge row removed")
+	mutate("add after the huge row left", s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.4), "_a")))
+	scopesLikeFresh(s, "valid rows added after the huge row left")
+	mutate("second add after the huge row left", s.AddElements(0, renameElements(incRandSet(rng, "S0", 2, d, 0.4), "_b")))
+	scopesLikeFresh(s, "more valid rows added after the huge row left")
+
+	// Keep the huge row while valid rows take the schema to n ≥ d, then
+	// remove it.
+	s = seeded()
+	mutate("add huge row", s.AddElements(0, huge))
+	mutate("add beside the huge row", s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.4), "_c")))
+	scopesLikeFresh(s, "valid rows added beside the huge row")
+	mutate("remove huge row at n ≥ d", s.RemoveElements(0, huge.IDs...))
+	scopesLikeFresh(s, "huge row removed at n ≥ d")
+	mutate("add after the huge row left", s.AddElements(0, renameElements(incRandSet(rng, "S0", 2, d, 0.4), "_d")))
+	scopesLikeFresh(s, "valid rows added after the huge row left at n ≥ d")
+}
+
+// hugeRow is a one-element set whose signature, 1e200·(j+1), is finite but
+// squares past the float64 range.
+func hugeRow(name string, d int) *embed.SignatureSet {
+	m := linalg.NewDense(1, d)
+	for j, row := 0, m.RowView(0); j < d; j++ {
+		row[j] = 1e200 * float64(j+1)
+	}
+	return &embed.SignatureSet{IDs: []schema.ElementID{schema.AttributeID(name, "T", "huge")}, Matrix: m}
+}
+
+// TestModelStateHugeRow pins ModelState against a finite but huge row at
+// n ≥ d: Model must succeed wherever Train over the same rows does, and
+// once Apply has dropped the row the state must train and save again.
+func TestModelStateHugeRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	d := 8
+	valid := incRandSet(rng, "S", 9, d, 0.2)
+	withHuge := appendSet(valid, hugeRow("S", d))
+	st, err := NewModelState(withHuge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainedLike := func(set *embed.SignatureSet, what string) *Model {
+		t.Helper()
+		want, err := Train(set, 0.9)
+		if err != nil {
+			t.Fatalf("%s: Train: %v", what, err)
+		}
+		m, err := st.Model(0.9)
+		if err != nil {
+			t.Fatalf("%s: Model fails where Train succeeds: %v", what, err)
+		}
+		if diff := math.Abs(m.Range - want.Range); diff > linalg.StatsFitTolerance*math.Max(m.Range, want.Range)+linalg.StatsFitTolerance {
+			t.Fatalf("%s: range %v, Train's %v", what, m.Range, want.Range)
+		}
+		return m
+	}
+	trainedLike(withHuge, "huge row present")
+
+	if _, err := st.Apply(valid); err != nil {
+		t.Fatal(err)
+	}
+	m := trainedLike(valid, "huge row dropped")
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(store); err != nil {
+		t.Fatalf("save after the huge row left: %v", err)
+	}
+	re, ok, err := LoadModelState(store, "S")
+	if err != nil || !ok {
+		t.Fatalf("reload: ok=%v err=%v", ok, err)
+	}
+	rm, err := re.Model(0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm.Range != m.Range {
+		t.Fatalf("reloaded model range %v, want %v", rm.Range, m.Range)
+	}
 }
 
 // TestModelStateApplyAndPersist drives a ModelState through a schema

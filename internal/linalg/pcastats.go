@@ -5,13 +5,12 @@ import (
 	"math"
 )
 
-// PCAStats holds the mergeable sufficient statistics of a PCA fit: the row
-// count n, the column sum Σx, and the uncentered scatter Σ xᵀx. Everything
-// a PCA needs — mean, covariance, principal components — is a pure function
-// of these three, so partial fits computed on disjoint row sets combine by
-// componentwise addition (Merge), elements can be added (Update) or removed
-// (Downdate) without revisiting the remaining rows, and the accumulated
-// state serialises to exact decimal floats, making a persisted-and-reloaded
+// PCAStats holds the sufficient statistics of a PCA fit: the row count n,
+// the column sum Σx, and the uncentered scatter Σ xᵀx. Everything a PCA
+// needs — mean, covariance, principal components — is a pure function of
+// these three, so elements can be added (Update) or removed (Downdate)
+// without revisiting the remaining rows, and the accumulated state
+// serialises to exact decimal floats, making a persisted-and-reloaded
 // accumulator bit-identical to the in-memory one.
 //
 // # Accumulation order
@@ -20,10 +19,7 @@ import (
 // plain float64 accumulator per cell and no reduction splits, mirroring the
 // determinism contract of the kernel layer (DESIGN.md §11). Two
 // accumulators fed the same rows in the same order are therefore
-// bit-identical; Merge(a, b) is the single reassociation (Σ_a) + (Σ_b) of
-// the joint left-to-right sum, so a merged accumulator may differ from a
-// one-shot accumulator by ordinary floating-point reassociation — bounded
-// by the fit tolerance below, never by order nondeterminism.
+// bit-identical.
 //
 // # Exactness contract
 //
@@ -35,8 +31,8 @@ import (
 // only defined up to sign and rotation within ties, so the contract is
 // stated on the invariants assessment consumes, not on raw component
 // entries). The incremental-exactness suite (make incremental-exactness)
-// pins this over seeded random add/remove/merge grids; drift is a red
-// build, not a silent quality regression.
+// pins this over seeded random shapes and add/remove schedules; drift is a
+// red build, not a silent quality regression.
 type PCAStats struct {
 	// N is the number of accumulated rows.
 	N int
@@ -78,13 +74,6 @@ func AccumulateStats(x *Dense) *PCAStats {
 
 // Dim returns the row dimensionality the accumulator was built for.
 func (s *PCAStats) Dim() int { return len(s.Sum) }
-
-// Clone returns a deep copy.
-func (s *PCAStats) Clone() *PCAStats {
-	out := &PCAStats{N: s.N, Sum: make([]float64, len(s.Sum)), Scatter: s.Scatter.Clone()}
-	copy(out.Sum, s.Sum)
-	return out
-}
 
 // Update folds one row into the accumulator.
 func (s *PCAStats) Update(row []float64) {
@@ -140,24 +129,6 @@ func (s *PCAStats) apply(row []float64, sign float64) {
 			}
 		}
 	}
-}
-
-// MergePCAStats returns the componentwise sum of two accumulators built
-// over disjoint row sets — the distributed-training merge: shards
-// accumulate locally and only the (n, Σx, Σxᵀx) triple travels, never rows.
-func MergePCAStats(a, b *PCAStats) (*PCAStats, error) {
-	if a.Dim() != b.Dim() {
-		return nil, fmt.Errorf("linalg: merge of %d-dimensional stats with %d-dimensional stats", a.Dim(), b.Dim())
-	}
-	out := a.Clone()
-	out.N += b.N
-	for j := range out.Sum {
-		out.Sum[j] += b.Sum[j]
-	}
-	for i := range out.Scatter.data {
-		out.Scatter.data[i] += b.Scatter.data[i]
-	}
-	return out, nil
 }
 
 // Mean returns the column mean Σx / n. It errors on an empty accumulator.

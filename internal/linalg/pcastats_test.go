@@ -63,45 +63,24 @@ func assertStatsFitMatches(t *testing.T, x *Dense, got *PCA, v float64) {
 	}
 }
 
-// TestIncrementalExactnessMerge pins FitPCAFromStats(Merge(...)) against
-// FitPCAChecked over seeded random split grids — the CI exactness gate for
-// the distributed-merge path.
-func TestIncrementalExactnessMerge(t *testing.T) {
+// TestIncrementalExactnessShapes pins FitPCAFromStats against
+// FitPCAChecked over seeded random shapes — wide (n < d), square and tall —
+// each folded into one accumulator.
+func TestIncrementalExactnessShapes(t *testing.T) {
 	for _, tc := range []struct {
-		seed   int64
-		n, d   int
-		splits []int
-		v      float64
+		seed int64
+		n, d int
+		v    float64
 	}{
-		{seed: 1, n: 40, d: 12, splits: []int{13, 27}, v: 0.8},
-		{seed: 2, n: 60, d: 8, splits: []int{1, 2, 30}, v: 0.95},
-		{seed: 3, n: 25, d: 25, splits: []int{12}, v: 0.5},
-		{seed: 4, n: 10, d: 30, splits: []int{5}, v: 0.9}, // wide: n < d
-		{seed: 5, n: 80, d: 6, splits: []int{20, 40, 60}, v: 1.0},
+		{seed: 1, n: 40, d: 12, v: 0.8},
+		{seed: 2, n: 60, d: 8, v: 0.95},
+		{seed: 3, n: 25, d: 25, v: 0.5},
+		{seed: 4, n: 10, d: 30, v: 0.9}, // wide: n < d
+		{seed: 5, n: 80, d: 6, v: 1.0},
 	} {
 		rng := rand.New(rand.NewSource(tc.seed))
 		x := statsRandMatrix(rng, tc.n, tc.d, 0.5)
-		parts := make([]*PCAStats, 0, len(tc.splits)+1)
-		prev := 0
-		for _, cut := range append(append([]int{}, tc.splits...), tc.n) {
-			part := NewPCAStats(tc.d)
-			for i := prev; i < cut; i++ {
-				part.Update(x.RowView(i))
-			}
-			parts = append(parts, part)
-			prev = cut
-		}
-		merged := parts[0]
-		var err error
-		for _, p := range parts[1:] {
-			if merged, err = MergePCAStats(merged, p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if merged.N != tc.n {
-			t.Fatalf("seed %d: merged N=%d, want %d", tc.seed, merged.N, tc.n)
-		}
-		got, err := FitPCAFromStats(merged, tc.v)
+		got, err := FitPCAFromStats(AccumulateStats(x), tc.v)
 		if err != nil {
 			t.Fatalf("seed %d: stats fit: %v", tc.seed, err)
 		}
@@ -189,21 +168,6 @@ func TestStatsAccumulationDeterministic(t *testing.T) {
 	}
 }
 
-// TestStatsCloneIsolation: mutating a clone never leaks into the original.
-func TestStatsCloneIsolation(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := statsRandMatrix(rng, 6, 4, 0)
-	a := AccumulateStats(x)
-	c := a.Clone()
-	c.Update([]float64{1, 2, 3, 4})
-	if a.N != 6 || c.N != 7 {
-		t.Fatalf("clone mutation leaked: a.N=%d c.N=%d", a.N, c.N)
-	}
-	if a.Sum[0] == c.Sum[0] {
-		t.Fatal("clone shares sum storage with original")
-	}
-}
-
 func TestStatsFitErrors(t *testing.T) {
 	if _, err := FitPCAFromStats(NewPCAStats(3), 0.9); err == nil {
 		t.Fatal("empty accumulator fit succeeded")
@@ -217,9 +181,6 @@ func TestStatsFitErrors(t *testing.T) {
 	}
 	if err := NewPCAStats(2).Downdate([]float64{1, 2}); err == nil {
 		t.Fatal("downdate of empty accumulator succeeded")
-	}
-	if _, err := MergePCAStats(NewPCAStats(2), NewPCAStats(3)); err == nil {
-		t.Fatal("dimension-mismatched merge succeeded")
 	}
 	bad := AccumulateStats(FromRows([][]float64{{1, 0}, {0, 1}}))
 	bad.Sum[0] = math.NaN()

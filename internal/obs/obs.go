@@ -2,8 +2,8 @@
 // atomic counters and gauges, fixed-bucket latency histograms, and
 // lightweight spans that propagate through context.Context and nest across
 // goroutines (see span.go). Every pipeline stage, the worker pool, and the
-// model-exchange client/server report into it; cmd/benchtables serialises
-// its snapshots into the BENCH_*.json files the CI regression gate compares.
+// model-exchange client/server report into it, and the scoping service
+// serves its snapshots at /v1/metrics.
 //
 // The cardinal design rule is that instrumentation must be zero-cost when
 // disabled. Every instrument is nil-safe — methods on a nil *Registry,
@@ -436,8 +436,7 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// WriteJSON serialises the snapshot as indented JSON — the payload of the
-// exchange hub's /metrics endpoint and the BENCH_*.json bench snapshots.
+// WriteJSON serialises the snapshot as indented JSON.
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
