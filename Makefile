@@ -39,11 +39,15 @@ fuzz-smoke:
 # rows-path refit must be bit-identical, AssessDelta verdicts must equal a
 # full reassessment while re-scoring strictly fewer passes, every
 # Algorithm 2 path must agree on seeded random schemas and churn, and the
-# verdicts must keep Definition 4's metamorphic properties.
+# verdicts must keep Definition 4's metamorphic properties. Refits and
+# AssessDelta run on the Scoper's worker pool, so the Jacobi SVD must give
+# the same bits on 1–8 workers and twin Scopers at 1 and 4 workers must
+# agree after every churn step; those lines run at -cpu 1,2,4, where
+# GOMAXPROCS 1 under a multi-member Jacobi team proves that waits yield.
 incremental-exactness:
-	$(GO) test -count=1 -run 'IncrementalExactness|Stats' ./internal/linalg
-	$(GO) test -count=1 -run 'ScoperIncremental|AssessDelta|ModelState' ./internal/core
-	$(GO) test -count=1 -run 'UpdateModelIncremental|AssessDeltaState|AssessmentPathsAgree|Definition4Metamorphic' .
+	$(GO) test -count=1 -cpu 1,2,4 -run 'IncrementalExactness|Stats|Jacobi' ./internal/linalg
+	$(GO) test -count=1 -run 'ScoperIncremental|ScoperHoldsStats|AssessDelta|ModelState' ./internal/core
+	$(GO) test -count=1 -cpu 1,2,4 -run 'UpdateModelIncremental|AssessDeltaState|AssessmentPathsAgree|Definition4Metamorphic' .
 
 # chaos runs the deterministic fault-injection suite: seed-driven injected
 # errors, panics, delays, and payload corruption across the parallel pool,

@@ -19,8 +19,10 @@ import (
 
 // TestAssessmentPathsAgree is the differential gate over every way this
 // repository runs Algorithm 2. Each seed draws 3–6 schemas of 2–40 rows in
-// d ∈ {8, 16, 48} dimensions, then churns them with random AddElements and
-// RemoveElements calls. After every step these must agree bit for bit:
+// d ∈ {8, 16, 48} dimensions, then churns twin Scopers over them, at 1 and
+// at 4 workers, with the same random AddElements and RemoveElements calls.
+// After every step the twins' model ranges, AssessDelta verdicts and
+// DeltaReports must be equal bit for bit, and these must agree:
 //
 //   - ScopeContext on the churned Scoper and on fresh Scopers at 1..4 workers;
 //   - per-schema core.Train + AssessContext at 1..4 workers;
@@ -49,7 +51,11 @@ func TestAssessmentPathsAgree(t *testing.T) {
 			return fmt.Sprintf("seed %d (d=%d, %d schemas, v=%v, cfg %+v) step %d", seed, g.d, len(sets), v, cfg, step)
 		}
 
-		s, err := core.NewScoperContext(ctx, 1+g.rng.Intn(4), sets, cfg)
+		s, err := core.NewScoperContext(ctx, 1, sets, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what(0), err)
+		}
+		twin, err := core.NewScoperContext(ctx, 4, sets, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", what(0), err)
 		}
@@ -61,7 +67,7 @@ func TestAssessmentPathsAgree(t *testing.T) {
 		churned := -1
 		for step := 0; step <= 3; step++ {
 			if step > 0 {
-				churned = g.churn(t, s)
+				churned = g.churn(t, s, twin)
 			}
 			ref, err := s.ScopeContext(ctx, v)
 			if err != nil {
@@ -90,6 +96,7 @@ func TestAssessmentPathsAgree(t *testing.T) {
 			if rep.Rescored+rep.Reused != s.PassOperations() {
 				t.Fatalf("%s: AssessDelta report %+v does not partition %d passes", what(step), rep, s.PassOperations())
 			}
+			checkTwin(t, ctx, twin, v, models, keep, rep, what(step))
 
 			checkDeltaStore(t, ctx, store, s.Sets(), trained, cfg, ref, step == 0, what(step))
 			svc.check(t, ctx, s.Sets(), models, churned, cfg, ref, what(step))
@@ -238,19 +245,23 @@ func (g *pathGen) rows(name string, n int) *embed.SignatureSet {
 	return set
 }
 
-// churn applies one random AddElements or RemoveElements to the Scoper and
-// returns the index of the schema it changed.
-func (g *pathGen) churn(t *testing.T, s *core.Scoper) int {
+// churn applies one random AddElements or RemoveElements, the same to
+// every Scoper (all over the same sets), and returns the index of the
+// schema it changed.
+func (g *pathGen) churn(t *testing.T, scopers ...*core.Scoper) int {
 	t.Helper()
-	sets := s.Sets()
+	sets := scopers[0].Sets()
 	for {
 		i := g.rng.Intn(len(sets))
 		set := sets[i]
 		name := set.IDs[0].Schema
 		n := set.Len()
 		if g.rng.Intn(2) == 0 && n < g.maxRows() {
-			if err := s.AddElements(i, g.rows(name, 1+g.rng.Intn(g.maxRows()-n))); err != nil {
-				t.Fatalf("AddElements(%d): %v", i, err)
+			add := g.rows(name, 1+g.rng.Intn(g.maxRows()-n))
+			for _, s := range scopers {
+				if err := s.AddElements(i, add); err != nil {
+					t.Fatalf("AddElements(%d): %v", i, err)
+				}
 			}
 			return i
 		}
@@ -259,11 +270,37 @@ func (g *pathGen) churn(t *testing.T, s *core.Scoper) int {
 			for _, k := range g.rng.Perm(n)[:1+g.rng.Intn(n-2)] {
 				drop = append(drop, set.IDs[k])
 			}
-			if err := s.RemoveElements(i, drop...); err != nil {
-				t.Fatalf("RemoveElements(%d): %v", i, err)
+			for _, s := range scopers {
+				if err := s.RemoveElements(i, drop...); err != nil {
+					t.Fatalf("RemoveElements(%d): %v", i, err)
+				}
 			}
 			return i
 		}
+	}
+}
+
+// checkTwin requires the 4-worker twin of the churned Scoper to hold the
+// same model ranges bit for bit and to delta-assess to the same verdicts
+// and report.
+func checkTwin(t *testing.T, ctx context.Context, twin *core.Scoper, v float64, models []*core.Model, keep map[schema.ElementID]bool, rep core.DeltaReport, what string) {
+	t.Helper()
+	twinModels, err := twin.ModelsContext(ctx, v)
+	if err != nil {
+		t.Fatalf("%s: twin at 4 workers: %v", what, err)
+	}
+	for k, m := range twinModels {
+		if math.Float64bits(m.Range) != math.Float64bits(models[k].Range) {
+			t.Fatalf("%s: twin at 4 workers: schema %d range %v, want %v", what, k, m.Range, models[k].Range)
+		}
+	}
+	twinKeep, twinRep, err := twin.AssessDelta(ctx, v)
+	if err != nil {
+		t.Fatalf("%s: twin at 4 workers: AssessDelta: %v", what, err)
+	}
+	sameVerdicts(t, twinKeep, keep, what+": twin AssessDelta at 4 workers")
+	if twinRep != rep {
+		t.Fatalf("%s: twin at 4 workers: AssessDelta report %+v, want %+v", what, twinRep, rep)
 	}
 }
 

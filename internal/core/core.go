@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"collabscope/internal/embed"
@@ -76,7 +77,7 @@ func Train(set *embed.SignatureSet, v float64) (*Model, error) {
 	if v <= 0 || v > 1 {
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
 	}
-	pca, err := fitRows(set, v)
+	pca, err := fitRows(1, set, v)
 	if err != nil {
 		return nil, err
 	}
@@ -84,9 +85,9 @@ func Train(set *embed.SignatureSet, v float64) (*Model, error) {
 }
 
 // fitRows is Algorithm 1's decomposition of one schema's signature rows at
-// explained variance v, from scratch.
-func fitRows(set *embed.SignatureSet, v float64) (*linalg.PCA, error) {
-	pca, err := linalg.FitPCAChecked(set.Matrix, v)
+// explained variance v, from scratch, on up to workers goroutines.
+func fitRows(workers int, set *embed.SignatureSet, v float64) (*linalg.PCA, error) {
+	pca, err := linalg.FitPCAChecked(workers, set.Matrix, v)
 	if err != nil {
 		return nil, trainError(set.IDs[0].Schema, set, err)
 	}
@@ -115,6 +116,26 @@ func trainError(name string, set *embed.SignatureSet, err error) error {
 		}
 	}
 	return fmt.Errorf("core: train schema %q: %w", name, err)
+}
+
+// checkSquares refuses the rows of set that a fit could not square, before
+// the caller changes any state. The fit and the linkability range square
+// rows centred on the schema's mean, so mean is that centre; sufficient
+// statistics square the raw rows, checked with a nil mean. A NaN or ±Inf
+// entry fails, and so does a finite row whose squares overflow: it would
+// leave a model with a +Inf range, which fails every Scope of the corpus,
+// or statistics that ModelState.Save cannot write. The error wraps
+// linalg.ErrNonFinite and names the element.
+func checkSquares(set *embed.SignatureSet, mean []float64) error {
+	name := set.IDs[0].Schema
+	if err := linalg.CheckFinite(set.Matrix); err != nil {
+		return trainError(name, set, err)
+	}
+	if r := linalg.WorstOverflow(set.Matrix, mean); r >= 0 {
+		return fmt.Errorf("core: train schema %q: signature of %s overflows when squared: %w",
+			name, set.IDs[r], linalg.ErrNonFinite)
+	}
+	return nil
 }
 
 // checkModel enforces the ErrDegenerateModel taxonomy on a freshly trained
@@ -158,7 +179,7 @@ func TrainFixedComponents(set *embed.SignatureSet, n int) (*Model, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: need at least 1 component, got %d", n)
 	}
-	full, err := linalg.FitPCAChecked(set.Matrix, 1.0)
+	full, err := linalg.FitPCAChecked(1, set.Matrix, 1.0)
 	if err != nil {
 		return nil, trainError(name, set, err)
 	}
@@ -412,9 +433,11 @@ type Scoper struct {
 	// by every successful incremental mutation (DESIGN.md §15). Delta
 	// assessment keys cached scores on these.
 	version []int64
-	// stats holds each schema's sufficient statistics, accumulated lazily on
-	// the first incremental mutation; nil under ApproxMaxRank, whose
-	// randomized fit has no stats path.
+	// stats holds a schema's sufficient statistics exactly while it has at
+	// least as many rows as dimensions, the only regime whose refits read
+	// them; the first mutation that needs them builds them (see
+	// holdsStats). Always nil under ApproxMaxRank, whose randomized fit
+	// has no stats path.
 	stats []*linalg.PCAStats
 	// delta is the AssessDelta score cache; nil until the first delta round.
 	delta *deltaCache
@@ -433,8 +456,10 @@ func NewScoperWith(sets []*embed.SignatureSet, cfg AssessConfig) (*Scoper, error
 
 // NewScoperContext is NewScoperWith with cancellation and an explicit
 // worker count (≤ 0 means GOMAXPROCS). The per-schema decompositions fan
-// out over the pool, and the worker count is remembered for every
-// subsequent training and assessment round of this Scoper.
+// out over the pool, one worker each, and the worker count is remembered
+// for every subsequent training, refit and assessment round of this
+// Scoper. A schema holding a row whose squares overflow is refused (see
+// checkSquares).
 func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureSet, cfg AssessConfig) (*Scoper, error) {
 	if len(sets) < 2 {
 		return nil, fmt.Errorf("core: collaborative scoping needs ≥ 2 schemas, got %d", len(sets))
@@ -442,7 +467,9 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 	ctx, sp := obs.Start(ctx, "core.fit")
 	sp.Annotate("schemas", int64(len(sets)))
 	defer sp.End()
-	s := &Scoper{sets: sets, cfg: cfg, workers: workers, version: make([]int64, len(sets)), stats: make([]*linalg.PCAStats, len(sets))}
+	// The Scoper's mutators replace entries of its own copy of the slice,
+	// never of the caller's.
+	s := &Scoper{sets: slices.Clone(sets), cfg: cfg, workers: workers, version: make([]int64, len(sets)), stats: make([]*linalg.PCAStats, len(sets))}
 	for i := range s.version {
 		s.version[i] = 1
 	}
@@ -460,7 +487,10 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 	}
 	s.full = make([]*linalg.PCA, len(sets))
 	err := parallel.ForEach(ctx, workers, len(sets), func(i int) error {
-		pca, ferr := s.fit(sets[i])
+		if err := checkSquares(sets[i], sets[i].Matrix.ColMean()); err != nil {
+			return err
+		}
+		pca, ferr := s.fit(1, sets[i])
 		if ferr != nil {
 			return ferr
 		}
@@ -473,17 +503,15 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 	return s, nil
 }
 
-// fit decomposes one signature set, exactly or via the randomized path.
-// Numeric failures — non-finite signatures, a non-converging SVD — surface
-// as taxonomy errors naming the schema instead of poisoning the model.
-func (s *Scoper) fit(set *embed.SignatureSet) (*linalg.PCA, error) {
+// fit decomposes one signature set, exactly on up to workers goroutines or
+// via the randomized path. Callers have checked the rows (checkSquares);
+// a non-converging SVD surfaces as a taxonomy error naming the schema
+// instead of poisoning the model.
+func (s *Scoper) fit(workers int, set *embed.SignatureSet) (*linalg.PCA, error) {
 	if s.cfg.ApproxMaxRank > 0 {
-		if err := linalg.CheckFinite(set.Matrix); err != nil {
-			return nil, trainError(set.IDs[0].Schema, set, err)
-		}
 		return linalg.FitPCAApprox(set.Matrix, 1.0, s.cfg.ApproxMaxRank, s.cfg.Seed), nil
 	}
-	return fitRows(set, 1.0)
+	return fitRows(workers, set, 1.0)
 }
 
 // Models returns the local models of all schemas at explained variance v.

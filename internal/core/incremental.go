@@ -22,6 +22,8 @@
 // independent of history length), which matches from-scratch training
 // within linalg.StatsFitTolerance. Delta assessment is exact in both cases:
 // reused scores are the identical float64s a full pass would recompute.
+// Refits and delta assessment run on the Scoper's worker pool, and neither
+// depends on its size.
 package core
 
 import (
@@ -33,6 +35,7 @@ import (
 	"collabscope/internal/embed"
 	"collabscope/internal/linalg"
 	"collabscope/internal/obs"
+	"collabscope/internal/parallel"
 	"collabscope/internal/schema"
 )
 
@@ -50,9 +53,10 @@ func (s *Scoper) Sets() []*embed.SignatureSet {
 }
 
 // checkDeltaSet validates an element batch destined for schema i: same
-// schema name, same signature dimensionality, non-empty, finite. It runs
-// before anything is mutated: a non-finite row folded into the sufficient
-// statistics could not be taken out again (NaN−NaN is NaN).
+// schema name, same signature dimensionality, non-empty. AddElements then
+// checks its squares (checkSquares) before anything is mutated: a
+// non-finite row folded into the sufficient statistics could not be taken
+// out again (NaN−NaN is NaN).
 func (s *Scoper) checkDeltaSet(i int, set *embed.SignatureSet) error {
 	if i < 0 || i >= len(s.sets) {
 		return fmt.Errorf("core: schema index %d out of range %d", i, len(s.sets))
@@ -68,21 +72,30 @@ func (s *Scoper) checkDeltaSet(i int, set *embed.SignatureSet) error {
 		return fmt.Errorf("core: elements have dimension %d, schema %q uses %d",
 			set.Matrix.Cols(), s.sets[i].IDs[0].Schema, s.sets[i].Matrix.Cols())
 	}
-	if err := linalg.CheckFinite(set.Matrix); err != nil {
-		return trainError(name, set, err)
-	}
 	return nil
 }
 
-// ensureStats lazily accumulates schema i's sufficient statistics from its
-// current rows. The randomized (ApproxMaxRank) path never maintains stats —
-// its fit is approximate by construction, so incremental refits reuse the
-// same randomized path instead.
-func (s *Scoper) ensureStats(i int) {
-	if s.cfg.ApproxMaxRank > 0 || s.stats[i] != nil {
-		return
+// holdsStats reports whether a schema with the rows of set holds
+// sufficient statistics: exactly while it has at least as many rows as
+// dimensions, since fitMaintained reads them only then, and never under
+// ApproxMaxRank, whose randomized fit is approximate by construction and
+// refits through the same randomized path.
+func (s *Scoper) holdsStats(set *embed.SignatureSet) bool {
+	return s.cfg.ApproxMaxRank == 0 && set.Len() >= set.Matrix.Cols()
+}
+
+// statsFor returns the statistics schema i holds for a mutation that
+// leaves it with the rows of next, before the mutation's rows are applied:
+// nil when next does not hold any, the held ones, or, when schema i holds
+// none yet, ones accumulated from its current rows in row order.
+func (s *Scoper) statsFor(i int, next *embed.SignatureSet) *linalg.PCAStats {
+	if !s.holdsStats(next) {
+		return nil
 	}
-	s.stats[i] = linalg.AccumulateStats(s.sets[i].Matrix)
+	if s.stats[i] != nil {
+		return s.stats[i]
+	}
+	return linalg.AccumulateStats(s.sets[i].Matrix)
 }
 
 // fitMaintained is incremental maintenance's one choice between its two
@@ -91,13 +104,15 @@ func (s *Scoper) ensureStats(i int) {
 // from-scratch code path, so the fit is bit-identical to retraining. With
 // rows ≥ dimensions it fits at v from the maintained sufficient statistics,
 // whose cost does not grow with the rows' churn history, within
-// linalg.StatsFitTolerance of from-scratch. A nil stats (the randomized
-// path maintains none) always fits the rows.
+// linalg.StatsFitTolerance of from-scratch. A nil stats (a Scoper holds
+// none below d or under ApproxMaxRank) always fits the rows.
 //
-// A finite but huge row overflows the statistics (its square is +Inf), and
-// downdating it later leaves Inf−Inf = NaN. So statistics that are not
-// finite are rebuilt from the rows, and the rows are fitted if the rebuilt
-// ones are still not finite. It returns the statistics to keep.
+// Rows are checked on the way in (checkSquares), but the rows a Scoper
+// holds when it first builds statistics were checked only centred, and
+// sums over many large rows can overflow too; downdating an overflowed
+// cell then leaves Inf−Inf = NaN. So statistics that are not finite are
+// rebuilt from the rows, and the rows are fitted if the rebuilt ones are
+// still not finite. It returns the statistics to keep.
 func fitMaintained(set *embed.SignatureSet, stats *linalg.PCAStats, v float64,
 	rowsFit func() (*linalg.PCA, error)) (*linalg.PCA, *linalg.PCAStats, error) {
 	if stats == nil || set.Len() < set.Matrix.Cols() {
@@ -119,18 +134,19 @@ func fitMaintained(set *embed.SignatureSet, stats *linalg.PCAStats, v float64,
 }
 
 // refitIncremental refits schema i's full-spectrum decomposition after a
-// membership change through fitMaintained: bit-identical to a fresh Scoper
-// over the same state while rows are fewer than dimensions, and a
-// deterministic function of the maintained state either way.
+// membership change through fitMaintained, on the Scoper's whole worker
+// pool: bit-identical to a fresh Scoper over the same state while rows are
+// fewer than dimensions, and a deterministic function of the maintained
+// state either way. On failure it changes nothing; the caller restores the
+// rows and statistics it replaced.
 func (s *Scoper) refitIncremental(i int) error {
 	pca, stats, err := fitMaintained(s.sets[i], s.stats[i], 1.0, func() (*linalg.PCA, error) {
-		return s.fit(s.sets[i])
+		return s.fit(parallel.Workers(s.workers), s.sets[i])
 	})
-	s.stats[i] = stats
 	if err != nil {
 		return err
 	}
-	s.full[i] = pca
+	s.stats[i], s.full[i] = stats, pca
 	s.version[i]++
 	return nil
 }
@@ -139,7 +155,8 @@ func (s *Scoper) refitIncremental(i int) error {
 // (say, a CREATE TABLE) and refits only that schema: the other schemas'
 // decompositions, and every cached element×model score not involving
 // schema i, are untouched. Duplicate element IDs are rejected — membership
-// bookkeeping is by ID.
+// bookkeeping is by ID — and so are rows whose squares overflow (see
+// checkSquares), before anything changes.
 func (s *Scoper) AddElements(i int, add *embed.SignatureSet) error {
 	if err := s.checkDeltaSet(i, add); err != nil {
 		return err
@@ -154,20 +171,28 @@ func (s *Scoper) AddElements(i int, add *embed.SignatureSet) error {
 		}
 		have[id] = true
 	}
-	s.ensureStats(i)
-	old := s.sets[i]
+	old, held := s.sets[i], s.stats[i]
 	next := appendSet(old, add)
-	if s.stats[i] != nil {
-		s.stats[i].UpdateRows(add.Matrix)
+	if err := checkSquares(next, next.Matrix.ColMean()); err != nil {
+		return err
 	}
-	s.sets[i] = next
+	if s.holdsStats(next) {
+		if err := checkSquares(add, nil); err != nil {
+			return err
+		}
+	}
+	stats := s.statsFor(i, next)
+	if stats != nil {
+		stats.UpdateRows(add.Matrix)
+	}
+	s.sets[i], s.stats[i] = next, stats
 	if err := s.refitIncremental(i); err != nil {
 		// Roll back so a failed refit leaves the scoper assessing the
 		// pre-update state.
-		s.sets[i] = old
-		if s.stats[i] != nil {
-			_ = s.stats[i].DowndateRows(add.Matrix)
+		if held != nil {
+			_ = held.DowndateRows(add.Matrix)
 		}
+		s.sets[i], s.stats[i] = old, held
 		return err
 	}
 	s.deltaAppendRows(i, add.Len())
@@ -203,7 +228,6 @@ func (s *Scoper) RemoveElements(i int, ids ...schema.ElementID) error {
 		return fmt.Errorf("core: removing %d of %d elements would leave schema %q empty",
 			len(drop), old.Len(), old.IDs[0].Schema)
 	}
-	s.ensureStats(i)
 	var removedRows []int
 	keepIDs := make([]schema.ElementID, 0, old.Len()-len(drop))
 	for k, id := range old.IDs {
@@ -217,21 +241,23 @@ func (s *Scoper) RemoveElements(i int, ids ...schema.ElementID) error {
 	for k, id := range keepIDs {
 		copy(next.Matrix.RowView(k), old.Matrix.RowView(pos[id]))
 	}
-	if s.stats[i] != nil {
+	held := s.stats[i]
+	stats := s.statsFor(i, next)
+	if stats != nil {
 		for _, r := range removedRows {
-			if err := s.stats[i].Downdate(old.Matrix.RowView(r)); err != nil {
+			if err := stats.Downdate(old.Matrix.RowView(r)); err != nil {
 				return fmt.Errorf("core: downdate schema %q: %w", old.IDs[0].Schema, err)
 			}
 		}
 	}
-	s.sets[i] = next
+	s.sets[i], s.stats[i] = next, stats
 	if err := s.refitIncremental(i); err != nil {
-		s.sets[i] = old
-		if s.stats[i] != nil {
+		if held != nil && stats == held {
 			for _, r := range removedRows {
-				s.stats[i].Update(old.Matrix.RowView(r))
+				held.Update(old.Matrix.RowView(r))
 			}
 		}
+		s.sets[i], s.stats[i] = old, held
 		return err
 	}
 	s.deltaRemoveRows(i, removedRows)
@@ -342,7 +368,10 @@ func (s *Scoper) deltaRemoveRows(i int, removed []int) {
 // report only proves it was reached with strictly less work.
 //
 // The first call at a given v warms the cache (everything is re-scored);
-// changing v drops the cache, since every model truncation changes.
+// changing v drops the cache, since every model truncation changes. The
+// local schemas fan out over the Scoper's worker pool; the keep-set and
+// the report fold in schema order, so both are identical for any worker
+// count.
 func (s *Scoper) AssessDelta(ctx context.Context, v float64) (map[schema.ElementID]bool, DeltaReport, error) {
 	var rep DeltaReport
 	if v <= 0 || v > 1 {
@@ -378,13 +407,14 @@ func (s *Scoper) AssessDelta(ctx context.Context, v float64) (map[schema.Element
 		rep.Refits++
 	}
 
-	keep := make(map[schema.ElementID]bool, s.PassOperations())
-	foreign := make([]*Model, 0, k)
-	errs := make([][]float64, 0, k)
-	for i := range s.sets {
+	// Local schema i writes only c.errs[i], linkable[i] and reps[i].
+	linkable := make([][]bool, k)
+	reps := make([]DeltaReport, k)
+	err := parallel.ForEach(ctx, s.workers, k, func(i int) error {
 		local := s.sets[i]
 		n := local.Len()
-		foreign, errs = foreign[:0], errs[:0]
+		foreign := make([]*Model, 0, k-1)
+		errs := make([][]float64, 0, k-1)
 		for j := 0; j < k; j++ {
 			if j == i {
 				continue
@@ -394,18 +424,25 @@ func (s *Scoper) AssessDelta(ctx context.Context, v float64) (map[schema.Element
 				e = &deltaErrs{vals: make([]float64, n), valid: make([]bool, n)}
 				c.errs[i][j] = e
 			}
-			if err := deltaScore(ctx, local, c.models[j], c.modelVer[j], e, &rep); err != nil {
-				return nil, rep, err
+			if err := deltaScore(ctx, local, c.models[j], c.modelVer[j], e, &reps[i]); err != nil {
+				return err
 			}
 			foreign = append(foreign, c.models[j])
 			errs = append(errs, e.vals)
 		}
-		for r, linkable := range s.cfg.Linkable(foreign, errs, n) {
-			keep[local.IDs[r]] = linkable
+		linkable[i] = s.cfg.Linkable(foreign, errs, n)
+		return nil
+	})
+	if err != nil {
+		return nil, rep, err
+	}
+	keep := make(map[schema.ElementID]bool, s.PassOperations())
+	for i, verdicts := range linkable {
+		for r, ok := range verdicts {
+			keep[s.sets[i].IDs[r]] = ok
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, rep, err
-		}
+		rep.Rescored += reps[i].Rescored
+		rep.Reused += reps[i].Reused
 	}
 	reg.Counter("core.delta.rescored").Add(int64(rep.Rescored))
 	reg.Counter("core.delta.reused").Add(int64(rep.Reused))
@@ -490,10 +527,15 @@ func (d StateDelta) String() string {
 }
 
 // NewModelState initialises incremental state from a schema's full
-// signature set (the first, full fit of an evolving schema).
+// signature set (the first, full fit of an evolving schema). A row whose
+// squares overflow the fit or the statistics is refused (see
+// checkSquares).
 func NewModelState(set *embed.SignatureSet) (*ModelState, error) {
 	name, err := singleSchemaName(set)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkStateRows(set); err != nil {
 		return nil, err
 	}
 	seen := make(map[schema.ElementID]bool, set.Len())
@@ -541,7 +583,8 @@ func (st *ModelState) IDs() []schema.ElementID {
 // are replaced (downdate + update). Removals apply in maintained-row order,
 // then additions in set order — a fixed order, so two processes applying
 // the same diff produce bit-identical accumulators. The final element order
-// is the incoming set's order.
+// is the incoming set's order. A set holding a row whose squares overflow
+// is refused before the state changes (see checkSquares).
 func (st *ModelState) Apply(set *embed.SignatureSet) (StateDelta, error) {
 	var delta StateDelta
 	name, err := singleSchemaName(set)
@@ -554,6 +597,9 @@ func (st *ModelState) Apply(set *embed.SignatureSet) (StateDelta, error) {
 	if set.Matrix.Cols() != st.Dim() {
 		return delta, fmt.Errorf("core: state is %d-dimensional, set is %d-dimensional — the global encoder must not change mid-state",
 			st.Dim(), set.Matrix.Cols())
+	}
+	if err := checkStateRows(set); err != nil {
+		return delta, err
 	}
 	newPos := make(map[schema.ElementID]int, set.Len())
 	for k, id := range set.IDs {
@@ -610,6 +656,16 @@ func (st *ModelState) Apply(set *embed.SignatureSet) (StateDelta, error) {
 	return delta, nil
 }
 
+// checkStateRows refuses a ModelState's rows that its fit or its
+// statistics, which it always keeps as its persisted format, could not
+// square.
+func checkStateRows(set *embed.SignatureSet) error {
+	if err := checkSquares(set, set.Matrix.ColMean()); err != nil {
+		return err
+	}
+	return checkSquares(set, nil)
+}
+
 // Model trains the current state's model at explained variance v through
 // fitMaintained: bit-identical to Train over the maintained rows while they
 // are fewer than dimensions, and from the maintained sufficient statistics
@@ -619,7 +675,7 @@ func (st *ModelState) Model(v float64) (*Model, error) {
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
 	}
 	set := &embed.SignatureSet{IDs: st.ids, Matrix: st.rows}
-	pca, _, err := fitMaintained(set, st.stats, v, func() (*linalg.PCA, error) { return fitRows(set, v) })
+	pca, _, err := fitMaintained(set, st.stats, v, func() (*linalg.PCA, error) { return fitRows(1, set, v) })
 	if err != nil {
 		return nil, err
 	}

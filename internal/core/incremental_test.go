@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -366,73 +367,6 @@ func TestScoperMutationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameVerdicts(t, got, want, "scope after a valid add following rejected ones")
-
-	// A finite but huge row passes every finiteness check, yet its square
-	// overflows the sufficient statistics to +Inf, and downdating it again
-	// leaves Inf−Inf = NaN. Neither may wedge the scoper: after every step
-	// it scopes like a fresh Scoper over the same sets, with the same
-	// verdicts or the same error (at n < d the huge row's own
-	// reconstruction error overflows, so both refuse the degenerate model).
-	seeded := func() *Scoper {
-		rng := rand.New(rand.NewSource(31))
-		s, err := NewScoper([]*embed.SignatureSet{
-			incRandSet(rng, "S0", 6, d, 0.4),
-			incRandSet(rng, "S1", 5, d, 0.1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	scopesLikeFresh := func(s *Scoper, what string) {
-		t.Helper()
-		fresh, err := NewScoper(s.Sets())
-		if err != nil {
-			t.Fatalf("%s: fresh scoper: %v", what, err)
-		}
-		got, err := s.Scope(0.9)
-		want, werr := fresh.Scope(0.9)
-		if werr != nil {
-			if err == nil || err.Error() != werr.Error() {
-				t.Fatalf("%s: scope error %v, a fresh scoper's %v", what, err, werr)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		sameVerdicts(t, got, want, what)
-	}
-	huge := hugeRow("S0", d)
-	mutate := func(what string, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-	}
-
-	// Add the huge row (n < d: rows path), remove it, then add valid rows
-	// until n ≥ d takes the statistics path.
-	s = seeded()
-	mutate("add huge row", s.AddElements(0, huge))
-	scopesLikeFresh(s, "huge row added")
-	mutate("remove huge row", s.RemoveElements(0, huge.IDs...))
-	scopesLikeFresh(s, "huge row removed")
-	mutate("add after the huge row left", s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.4), "_a")))
-	scopesLikeFresh(s, "valid rows added after the huge row left")
-	mutate("second add after the huge row left", s.AddElements(0, renameElements(incRandSet(rng, "S0", 2, d, 0.4), "_b")))
-	scopesLikeFresh(s, "more valid rows added after the huge row left")
-
-	// Keep the huge row while valid rows take the schema to n ≥ d, then
-	// remove it.
-	s = seeded()
-	mutate("add huge row", s.AddElements(0, huge))
-	mutate("add beside the huge row", s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.4), "_c")))
-	scopesLikeFresh(s, "valid rows added beside the huge row")
-	mutate("remove huge row at n ≥ d", s.RemoveElements(0, huge.IDs...))
-	scopesLikeFresh(s, "huge row removed at n ≥ d")
-	mutate("add after the huge row left", s.AddElements(0, renameElements(incRandSet(rng, "S0", 2, d, 0.4), "_d")))
-	scopesLikeFresh(s, "valid rows added after the huge row left at n ≥ d")
 }
 
 // hugeRow is a one-element set whose signature, 1e200·(j+1), is finite but
@@ -445,56 +379,244 @@ func hugeRow(name string, d int) *embed.SignatureSet {
 	return &embed.SignatureSet{IDs: []schema.ElementID{schema.AttributeID(name, "T", "huge")}, Matrix: m}
 }
 
-// TestModelStateHugeRow pins ModelState against a finite but huge row at
-// n ≥ d: Model must succeed wherever Train over the same rows does, and
-// once Apply has dropped the row the state must train and save again.
+// scopesLikeFresh requires s to scope like a fresh Scoper over the same
+// sets: the same verdicts, or the same error.
+func scopesLikeFresh(t *testing.T, s *Scoper, what string) {
+	t.Helper()
+	fresh, err := NewScoper(s.Sets())
+	if err != nil {
+		t.Fatalf("%s: fresh scoper: %v", what, err)
+	}
+	got, err := s.Scope(0.9)
+	want, werr := fresh.Scope(0.9)
+	if werr != nil {
+		if err == nil || err.Error() != werr.Error() {
+			t.Fatalf("%s: scope error %v, a fresh scoper's %v", what, err, werr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	sameVerdicts(t, got, want, what)
+}
+
+// refusesRow requires err to wrap linalg.ErrNonFinite and name element id.
+func refusesRow(t *testing.T, err error, id schema.ElementID, what string) {
+	t.Helper()
+	if !errors.Is(err, linalg.ErrNonFinite) || !strings.Contains(err.Error(), id.String()) {
+		t.Fatalf("%s: err = %v, want ErrNonFinite naming %s", what, err, id)
+	}
+}
+
+// TestScoperRefusesOverflowingRows pins the Scoper against a finite but
+// huge row, 1e200·(j+1): it passes every finiteness check, yet its squares
+// overflow. Below d the fit would then publish a +Inf linkability range,
+// which fails every Scope of the corpus; at n ≥ d the statistics would
+// overflow too. NewScoper and AddElements refuse it by name before
+// anything changes, below d and at n ≥ d. Rows that pass the checks but
+// whose sums over many rows still overflow the statistics refit through
+// the rows.
+func TestScoperRefusesOverflowingRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	d := 8
+	s0, s1 := incRandSet(rng, "S0", 6, d, 0.4), incRandSet(rng, "S1", 5, d, 0.1)
+	huge := hugeRow("S0", d)
+	hugeID := huge.IDs[0]
+
+	_, err := NewScoper([]*embed.SignatureSet{appendSet(s0, huge), s1})
+	refusesRow(t, err, hugeID, "NewScoper")
+
+	s, err := NewScoper([]*embed.SignatureSet{s0, s1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusesRow(t, s.AddElements(0, huge), hugeID, "AddElements below d")
+	if s.version[0] != 1 || s.sets[0].Len() != 6 || s.stats[0] != nil {
+		t.Fatalf("refused add changed the scoper: version %d, %d rows, stats %v", s.version[0], s.sets[0].Len(), s.stats[0] != nil)
+	}
+	scopesLikeFresh(t, s, "after the refused add below d")
+	if err := s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.4), "_a")); err != nil {
+		t.Fatal(err)
+	}
+	held := s.stats[0]
+	refusesRow(t, s.AddElements(0, huge), hugeID, "AddElements at n ≥ d")
+	if s.version[0] != 2 || s.sets[0].Len() != 9 || s.stats[0] != held || held.N != 9 {
+		t.Fatalf("refused add changed the scoper: version %d, %d rows", s.version[0], s.sets[0].Len())
+	}
+	scopesLikeFresh(t, s, "after the refused add at n ≥ d")
+
+	// d = 2: every value near 9e153 squares within range and so does each
+	// row, but three rows sum past it in the statistics' diagonal.
+	near := func(name string, n int) *embed.SignatureSet {
+		set := renameElements(incRandSet(rng, name, n, 2, 0), "_near")
+		for i := 0; i < n; i++ {
+			for j, row := 0, set.Matrix.RowView(i); j < 2; j++ {
+				row[j] = 9e153 + 1e150*row[j]
+			}
+		}
+		return set
+	}
+	s, err = NewScoper([]*embed.SignatureSet{near("S0", 3), incRandSet(rng, "S1", 4, 2, 0.1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := near("S0", 1)
+	add.IDs[0] = schema.AttributeID("S0", "T", "late")
+	if err := s.AddElements(0, add); err != nil {
+		t.Fatalf("add whose statistics overflow: %v", err)
+	}
+	scopesLikeFresh(t, s, "statistics overflowed across rows")
+	if err := s.RemoveElements(0, add.IDs...); err != nil {
+		t.Fatalf("remove from overflowed statistics: %v", err)
+	}
+	scopesLikeFresh(t, s, "row removed from overflowed statistics")
+}
+
+// TestModelStateHugeRow pins ModelState against rows whose squares
+// overflow, and against non-finite ones: NewModelState and Apply refuse
+// both by name before the state changes, so the state still trains and
+// saves, where a huge row used to make Save fail on a +Inf scatter.
 func TestModelStateHugeRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	d := 8
 	valid := incRandSet(rng, "S", 9, d, 0.2)
-	withHuge := appendSet(valid, hugeRow("S", d))
-	st, err := NewModelState(withHuge)
+	huge := hugeRow("S", d)
+	withHuge := appendSet(valid, huge)
+	withNaN := appendSet(valid, renameElements(incRandSet(rng, "S", 1, d, 0.2), "_nan"))
+	withNaN.Matrix.Set(9, 4, math.NaN())
+
+	_, err := NewModelState(withHuge)
+	refusesRow(t, err, huge.IDs[0], "NewModelState, huge row")
+	_, err = NewModelState(withNaN)
+	refusesRow(t, err, withNaN.IDs[9], "NewModelState, NaN row")
+
+	st, err := NewModelState(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainedLike := func(set *embed.SignatureSet, what string) *Model {
-		t.Helper()
-		want, err := Train(set, 0.9)
-		if err != nil {
-			t.Fatalf("%s: Train: %v", what, err)
-		}
-		m, err := st.Model(0.9)
-		if err != nil {
-			t.Fatalf("%s: Model fails where Train succeeds: %v", what, err)
-		}
-		if diff := math.Abs(m.Range - want.Range); diff > linalg.StatsFitTolerance*math.Max(m.Range, want.Range)+linalg.StatsFitTolerance {
-			t.Fatalf("%s: range %v, Train's %v", what, m.Range, want.Range)
-		}
-		return m
-	}
-	trainedLike(withHuge, "huge row present")
-
-	if _, err := st.Apply(valid); err != nil {
+	want, err := st.Model(0.9)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := trainedLike(valid, "huge row dropped")
+	for _, bad := range []*embed.SignatureSet{withHuge, withNaN} {
+		_, err := st.Apply(bad)
+		refusesRow(t, err, bad.IDs[9], "Apply")
+	}
+	if st.Version() != 1 || st.Len() != 9 || st.stats.N != 9 {
+		t.Fatalf("refused applies changed the state: version %d, %d rows, stats over %d", st.Version(), st.Len(), st.stats.N)
+	}
+	m, err := st.Model(0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Range != want.Range {
+		t.Fatalf("range after refused applies %v, want %v", m.Range, want.Range)
+	}
 	store, err := checkpoint.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Save(store); err != nil {
-		t.Fatalf("save after the huge row left: %v", err)
+		t.Fatalf("save after refused applies: %v", err)
 	}
-	re, ok, err := LoadModelState(store, "S")
-	if err != nil || !ok {
-		t.Fatalf("reload: ok=%v err=%v", ok, err)
+}
+
+// sameStats reports whether two accumulators hold the same bits.
+func sameStats(a, b *linalg.PCAStats) bool {
+	if a.N != b.N || !reflect.DeepEqual(a.Sum, b.Sum) {
+		return false
 	}
-	rm, err := re.Model(0.9)
+	for j := 0; j < a.Dim(); j++ {
+		if !reflect.DeepEqual(a.Scatter.RowView(j), b.Scatter.RowView(j)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestScoperHoldsStatsExactlyAtOrAboveDim pins when a Scoper keeps a
+// schema's sufficient statistics: never below d; from the add that takes
+// the schema to n ≥ d, bit-equal to accumulating its rows in order; gone
+// after a removal takes it below d again; and, when a refit fails, back to
+// what they were beside the restored rows.
+//
+// The failing refits use values near 1e-80, where the product of two
+// squared row norms underflows to zero, so the Jacobi convergence test
+// (|γ| ≤ tol·√(αβ)) never passes and the decomposition exhausts its
+// sweeps.
+func TestScoperHoldsStatsExactlyAtOrAboveDim(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	d := 8
+	s, err := NewScoper([]*embed.SignatureSet{incRandSet(rng, "S0", 5, d, 0.3), incRandSet(rng, "S1", 6, d, 0.1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rm.Range != m.Range {
-		t.Fatalf("reloaded model range %v, want %v", rm.Range, m.Range)
+	step := func(what string, err error, wantStats bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !wantStats {
+			if s.stats[0] != nil {
+				t.Fatalf("%s: %d rows < d, yet statistics held", what, s.sets[0].Len())
+			}
+			return
+		}
+		if s.stats[0] == nil || !sameStats(s.stats[0], linalg.AccumulateStats(s.sets[0].Matrix)) {
+			t.Fatalf("%s: statistics are not the accumulation of the %d rows", what, s.sets[0].Len())
+		}
+	}
+	step("add below d", s.AddElements(0, renameElements(incRandSet(rng, "S0", 2, d, 0.3), "_a")), false)
+	step("add to n ≥ d", s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.3), "_b")), true)
+	step("add at n ≥ d", s.AddElements(0, renameElements(incRandSet(rng, "S0", 2, d, 0.3), "_c")), true)
+	if err := s.RemoveElements(0, s.sets[0].IDs[1]); err != nil || s.stats[0] == nil || s.stats[0].N != 11 {
+		t.Fatalf("remove at n ≥ d: err %v, statistics held %v", err, s.stats[0] != nil)
+	}
+	step("remove below d", s.RemoveElements(0, s.sets[0].IDs[:4]...), false)
+	scopesLikeFresh(t, s, "after the statistics were dropped")
+
+	tiny := func(rng *rand.Rand, suffix string, n int, scale float64) *embed.SignatureSet {
+		set := renameElements(incRandSet(rng, "S0", n, 4, 0), suffix)
+		for i := range n {
+			for j, row := 0, set.Matrix.RowView(i); j < 4; j++ {
+				row[j] *= scale
+			}
+		}
+		return set
+	}
+	// A failed add that would have taken the schema to n ≥ d leaves it
+	// below d, holding no statistics.
+	rng = rand.New(rand.NewSource(1))
+	s, err = NewScoper([]*embed.SignatureSet{tiny(rng, "", 1, 1e-80), incRandSet(rng, "S1", 3, 4, 0.1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddElements(0, tiny(rng, "_a", 4, 1e-80)); !errors.Is(err, linalg.ErrSVDNoConvergence) {
+		t.Fatalf("add to n ≥ d: err = %v, want ErrSVDNoConvergence", err)
+	}
+	if s.sets[0].Len() != 1 || s.stats[0] != nil || s.version[0] != 1 {
+		t.Fatalf("failed add left %d rows, statistics held %v, version %d", s.sets[0].Len(), s.stats[0] != nil, s.version[0])
+	}
+	// A failed removal that would have taken the schema below d restores
+	// its rows and the statistics it held.
+	rng = rand.New(rand.NewSource(1))
+	s, err = NewScoper([]*embed.SignatureSet{tiny(rng, "", 1, 1e-82), incRandSet(rng, "S1", 3, 4, 0.1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddElements(0, tiny(rng, "_a", 3, 1e-82)); err != nil {
+		t.Fatal(err)
+	}
+	held, rows := s.stats[0], s.sets[0]
+	if held == nil || !sameStats(held, linalg.AccumulateStats(rows.Matrix)) {
+		t.Fatal("statistics at n = d are not the accumulation of the rows")
+	}
+	if err := s.RemoveElements(0, rows.IDs[1]); !errors.Is(err, linalg.ErrSVDNoConvergence) {
+		t.Fatalf("remove below d: err = %v, want ErrSVDNoConvergence", err)
+	}
+	if s.sets[0] != rows || s.stats[0] != held || !sameStats(held, linalg.AccumulateStats(rows.Matrix)) {
+		t.Fatal("failed removal did not restore the rows and the statistics")
 	}
 }
 

@@ -1,6 +1,7 @@
 package linalg_test
 
 import (
+	"fmt"
 	"testing"
 
 	"collabscope/internal/linalg"
@@ -101,20 +102,26 @@ func BenchmarkComputeSVD(b *testing.B) {
 }
 
 // BenchmarkFitPCAChecked times the full per-schema fit of Algorithm 1
-// (centre, decompose, truncate) at a typical schema shape.
+// (centre, decompose, truncate) at typical schema shapes, on one Jacobi
+// worker and on the two a Scoper's refit uses on a 2-worker pool. Run it
+// with -cpu 2 or more for the second to have a processor of its own.
 func BenchmarkFitPCAChecked(b *testing.B) {
-	b.Run("63x768", func(b *testing.B) {
-		x := randDense(b, 63, 768, 10)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p, err := linalg.FitPCAChecked(x, 0.8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pcaSink = p
+	for _, rows := range []int{63, 127} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%dx768/workers=%d", rows, workers), func(b *testing.B) {
+				x := randDense(b, rows, 768, 10)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p, err := linalg.FitPCAChecked(workers, x, 0.8)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pcaSink = p
+				}
+			})
 		}
-	})
+	}
 }
 
 func BenchmarkKernelTopK(b *testing.B) {

@@ -57,69 +57,3 @@ func ParallelPairwiseDistancesInto(ctx context.Context, workers int, dst, a, b *
 		return nil
 	})
 }
-
-// ParallelCosineSimilaritiesInto fills dst as in CosineSimilaritiesInto,
-// splitting by row of a, with norms precomputed by the caller.
-func ParallelCosineSimilaritiesInto(ctx context.Context, workers int, dst, a, b *Dense, aNorms, bNorms []float64) error {
-	if a.cols != b.cols {
-		panic("linalg: cosine column mismatch")
-	}
-	if len(aNorms) != a.rows || len(bNorms) != b.rows {
-		panic("linalg: cosine norm length mismatch")
-	}
-	checkDst("ParallelCosineSimilaritiesInto", dst, a.rows, b.rows)
-	checkNoAlias("ParallelCosineSimilaritiesInto", dst, a, b)
-	rows := obs.FromContext(ctx).Counter("linalg.kernel.cosine.rows")
-	d := a.cols
-	err := parallel.ForEach(ctx, workers, a.rows, func(i int) error {
-		ai := a.data[i*d : (i+1)*d]
-		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
-		na := aNorms[i]
-		for j := 0; j < b.rows; j++ {
-			nb := bNorms[j]
-			if na == 0 || nb == 0 {
-				oi[j] = 0
-				continue
-			}
-			bj := b.data[j*d : (j+1)*d]
-			var s float64
-			for k, aik := range ai {
-				s += aik * bj[k]
-			}
-			oi[j] = s / (na * nb)
-		}
-		return nil
-	})
-	rows.Add(int64(a.rows))
-	return err
-}
-
-// ParallelMulInto computes dst = a·b splitting by row of a; per-cell
-// accumulation stays k-ascending, identical to MulInto.
-func ParallelMulInto(ctx context.Context, workers int, dst, a, b *Dense) error {
-	if a.cols != b.rows {
-		panic("linalg: ParallelMulInto dimension mismatch")
-	}
-	checkDst("ParallelMulInto", dst, a.rows, b.cols)
-	checkNoAlias("ParallelMulInto", dst, a, b)
-	rows := obs.FromContext(ctx).Counter("linalg.kernel.gemm.rows")
-	err := parallel.ForEach(ctx, workers, a.rows, func(i int) error {
-		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for j := range oi {
-			oi[j] = 0
-		}
-		ai := a.data[i*a.cols : (i+1)*a.cols]
-		for k, aik := range ai {
-			if aik == 0 {
-				continue
-			}
-			bk := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bkj := range bk {
-				oi[j] += aik * bkj
-			}
-		}
-		return nil
-	})
-	rows.Add(int64(a.rows))
-	return err
-}

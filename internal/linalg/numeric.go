@@ -28,6 +28,31 @@ func FirstNonFinite(v []float64) int {
 	return -1
 }
 
+// WorstOverflow returns the index of the row of x whose squared distance
+// from c, Σ_j (x_ij − c_j)², is not finite, or -1 if every row's is. A nil
+// c measures the rows themselves. A NaN or ±Inf entry makes the sum not
+// finite, and so do finite entries too large to square. When several rows
+// overflow it returns the one with the largest |x_ij − c_j|, the lowest
+// index on ties: one huge row drags a mean far enough that every row's
+// centred squares overflow, and the huge row is the one to name.
+func WorstOverflow(x *Dense, c []float64) int {
+	worst, worstFar := -1, 0.0
+	for i := 0; i < x.rows; i++ {
+		var sq, far float64
+		for j, v := range x.data[i*x.cols : (i+1)*x.cols] {
+			if c != nil {
+				v -= c[j]
+			}
+			sq += v * v
+			far = max(far, math.Abs(v))
+		}
+		if (math.IsNaN(sq) || math.IsInf(sq, 0)) && (worst < 0 || far > worstFar) {
+			worst, worstFar = i, far
+		}
+	}
+	return worst
+}
+
 // CheckFinite returns a wrapped ErrNonFinite naming the first offending
 // cell of x, or nil if the whole matrix is finite.
 func CheckFinite(x *Dense) error {
@@ -37,18 +62,6 @@ func CheckFinite(x *Dense) error {
 		}
 	}
 	return nil
-}
-
-// ComputeSVDChecked is ComputeSVD with the numeric-failure taxonomy
-// enforced: non-finite input fails with ErrNonFinite before any work, and
-// a decomposition that exhausts the Jacobi sweep budget fails with
-// ErrSVDNoConvergence instead of silently returning a half-converged
-// result.
-func ComputeSVDChecked(x *Dense) (*SVD, error) {
-	if err := CheckFinite(x); err != nil {
-		return nil, err
-	}
-	return checkConverged(ComputeSVD(x))
 }
 
 // checkConverged turns a decomposition of an r×c matrix (U is r×n, V is
@@ -61,10 +74,14 @@ func checkConverged(d *SVD) (*SVD, error) {
 	return d, nil
 }
 
-// FitPCAChecked is FitPCA with the numeric-failure taxonomy enforced (see
-// ComputeSVDChecked). The centred copy is private to the fit, so it is
-// handed to the decomposition as its working set rather than cloned again.
-func FitPCAChecked(x *Dense, variance float64) (*PCA, error) {
+// FitPCAChecked is FitPCA with the numeric-failure taxonomy enforced:
+// non-finite input fails with ErrNonFinite before any work, and a
+// decomposition that exhausts the Jacobi sweep budget fails with
+// ErrSVDNoConvergence instead of silently returning a half-converged
+// result. The centred copy is private to the fit, so it is handed to the
+// decomposition as its working set rather than cloned again. The sweeps
+// run on up to workers goroutines; the fit is the same bits at any count.
+func FitPCAChecked(workers int, x *Dense, variance float64) (*PCA, error) {
 	if err := CheckFinite(x); err != nil {
 		return nil, err
 	}
@@ -74,7 +91,7 @@ func FitPCAChecked(x *Dense, variance float64) (*PCA, error) {
 	if err := CheckFinite(centred); err != nil {
 		return nil, err
 	}
-	dec, err := checkConverged(decompose(centred))
+	dec, err := checkConverged(decompose(workers, centred))
 	if err != nil {
 		return nil, err
 	}

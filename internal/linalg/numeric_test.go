@@ -25,6 +25,36 @@ func TestFirstNonFinite(t *testing.T) {
 	}
 }
 
+func TestWorstOverflow(t *testing.T) {
+	x := NewDense(4, 3)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 3; j++ {
+			x.Set(i, j, float64(i+j))
+		}
+	}
+	if got := WorstOverflow(x, nil); got != -1 {
+		t.Fatalf("finite rows: got %d, want -1", got)
+	}
+	x.Set(1, 2, math.NaN())
+	if got := WorstOverflow(x, nil); got != 1 {
+		t.Fatalf("NaN row: got %d, want 1", got)
+	}
+	x.Set(1, 2, 0)
+	// Rows 2 and 3 both square past the float64 range; row 3 lies farther
+	// from zero.
+	x.Set(2, 0, 1e199)
+	x.Set(3, 1, 1e200)
+	if got := WorstOverflow(x, nil); got != 3 {
+		t.Fatalf("huge rows: got %d, want 3", got)
+	}
+	// Centred on 9e199 in column 1 every row overflows: rows 0–2 lie about
+	// 9e199 from the centre and row 3 only 1e199, so the lowest of the
+	// farthest is named.
+	if got := WorstOverflow(x, []float64{0, 9e199, 0}); got != 0 {
+		t.Fatalf("centred on 9e199: got %d, want 0", got)
+	}
+}
+
 func TestCheckFiniteNamesTheCell(t *testing.T) {
 	x := NewDense(3, 2)
 	if err := CheckFinite(x); err != nil {
@@ -40,14 +70,6 @@ func TestCheckFiniteNamesTheCell(t *testing.T) {
 	}
 }
 
-func TestComputeSVDCheckedRejectsNonFinite(t *testing.T) {
-	x := NewDense(2, 2)
-	x.Set(0, 0, math.Inf(1))
-	if _, err := ComputeSVDChecked(x); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("err = %v, want ErrNonFinite", err)
-	}
-}
-
 func TestComputeSVDReportsConvergence(t *testing.T) {
 	x := NewDense(4, 3)
 	vals := []float64{1, 2, 0, 0.5, 1, 3, 2, 0.25, 1, 4, 1, 0}
@@ -56,12 +78,9 @@ func TestComputeSVDReportsConvergence(t *testing.T) {
 			x.Set(i, j, vals[i*3+j])
 		}
 	}
-	d, err := ComputeSVDChecked(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := ComputeSVD(x)
 	if !d.Converged {
-		t.Fatal("checked SVD returned without convergence flag")
+		t.Fatal("tall matrix not marked converged")
 	}
 	// Degenerate shapes converge trivially.
 	if d := ComputeSVD(NewDense(0, 3)); !d.Converged {
@@ -109,7 +128,7 @@ func TestFitPCACheckedMatchesFitPCA(t *testing.T) {
 	}
 	for _, v := range []float64{0.3, 0.7, 1} {
 		want := FitPCA(x, v)
-		got, err := FitPCAChecked(x, v)
+		got, err := FitPCAChecked(1, x, v)
 		if err != nil {
 			t.Fatalf("v=%v: %v", v, err)
 		}
@@ -123,7 +142,7 @@ func TestFitPCACheckedMatchesFitPCA(t *testing.T) {
 		}
 	}
 	x.Set(4, 2, math.NaN())
-	if _, err := FitPCAChecked(x, 0.5); !errors.Is(err, ErrNonFinite) {
+	if _, err := FitPCAChecked(1, x, 0.5); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
 }
@@ -197,7 +216,7 @@ func TestFitPCAOnConstantRows(t *testing.T) {
 			x.Set(i, j, 2.5)
 		}
 	}
-	fit, err := FitPCAChecked(x, 0.5)
+	fit, err := FitPCAChecked(1, x, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ type PCA struct {
 // variance ∈ (0, 1]. It implements lines 3-10 of Algorithm 1.
 func FitPCA(x *Dense, variance float64) *PCA {
 	mean := x.ColMean()
-	return pcaFromSVD(mean, decompose(x.SubRow(mean)), variance)
+	return pcaFromSVD(mean, decompose(1, x.SubRow(mean)), variance)
 }
 
 // pcaFromSVD truncates a computed decomposition of mean-centred rows to the
@@ -77,11 +77,6 @@ func (p *PCA) Decode(z *Dense) *Dense {
 	MulInto(out, z, p.Components)
 	addRowInPlace(out, p.Mean)
 	return out
-}
-
-// Reconstruct encodes and decodes the rows of x.
-func (p *PCA) Reconstruct(x *Dense) *Dense {
-	return p.Decode(p.Encode(x))
 }
 
 // ReconstructionErrors returns the per-row MSE between x and its

@@ -6,11 +6,16 @@ import (
 	"testing/quick"
 )
 
+// reconstruct encodes and decodes the rows of x.
+func reconstruct(p *PCA, x *Dense) *Dense {
+	return p.Decode(p.Encode(x))
+}
+
 func TestPCAFullVarianceReconstructsExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	x := randomMatrix(r, 8, 5)
 	p := FitPCA(x, 1.0)
-	rec := p.Reconstruct(x)
+	rec := reconstruct(p, x)
 	if got := MaxAbsDiff(rec, x); got > 1e-8 {
 		t.Fatalf("full-variance PCA should be lossless, err=%v", got)
 	}
@@ -65,7 +70,7 @@ func TestPCATruncate(t *testing.T) {
 		if direct.NComp != trunc.NComp {
 			t.Fatalf("v=%v: direct NComp=%d truncated NComp=%d", v, direct.NComp, trunc.NComp)
 		}
-		if MaxAbsDiff(direct.Reconstruct(x), trunc.Reconstruct(x)) > 1e-8 {
+		if MaxAbsDiff(reconstruct(direct, x), reconstruct(trunc, x)) > 1e-8 {
 			t.Fatalf("v=%v: truncated reconstruction differs from direct fit", v)
 		}
 	}
@@ -104,7 +109,7 @@ func TestPCAContractionProperty(t *testing.T) {
 		rows, cols := 3+r.Intn(8), 2+r.Intn(6)
 		x := randomMatrix(r, rows, cols)
 		p := FitPCA(x, 0.5)
-		rec := p.Reconstruct(x)
+		rec := reconstruct(p, x)
 		varOf := func(m *Dense) float64 {
 			mean := m.ColMean()
 			c := m.SubRow(mean)

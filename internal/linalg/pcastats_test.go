@@ -34,7 +34,7 @@ func relClose(a, b, tol float64) bool {
 // within StatsFitTolerance.
 func assertStatsFitMatches(t *testing.T, x *Dense, got *PCA, v float64) {
 	t.Helper()
-	want, err := FitPCAChecked(x, v)
+	want, err := FitPCAChecked(1, x, v)
 	if err != nil {
 		t.Fatalf("from-scratch fit: %v", err)
 	}

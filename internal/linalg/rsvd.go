@@ -56,7 +56,7 @@ func RandomizedSVD(x *Dense, rank, oversample, powerIters int, seed int64) *SVD 
 
 	// B = Qᵀ·X is sketch×c; its exact SVD lifts back through Q.
 	b := q.T().Mul(x)
-	small := decompose(b) // b is a private copy: no clone needed
+	small := decompose(1, b) // b is a private copy: no clone needed
 
 	n := rank
 	if n > len(small.S) {

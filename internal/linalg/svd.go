@@ -2,7 +2,11 @@ package linalg
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // SVD holds a thin singular value decomposition X = U·diag(S)·Vᵀ where X is
@@ -19,7 +23,7 @@ type SVD struct {
 	V *Dense    // c×n right singular vectors (columns)
 	// Converged reports whether the Jacobi iteration drove the
 	// off-diagonal mass below tolerance within its sweep budget. ComputeSVD
-	// still returns the best-effort factors when false; ComputeSVDChecked
+	// still returns the best-effort factors when false; FitPCAChecked
 	// turns false into ErrSVDNoConvergence.
 	Converged bool
 }
@@ -48,25 +52,27 @@ func ComputeSVD(x *Dense) *SVD {
 	if x.Rows() < x.Cols() {
 		x = x.Clone()
 	}
-	return decompose(x)
+	return decompose(1, x)
 }
 
 // decompose is ComputeSVD for a matrix the caller hands over: a wide x
-// becomes the Jacobi working set and is overwritten.
-func decompose(x *Dense) *SVD {
+// becomes the Jacobi working set and is overwritten. The sweeps run on up
+// to workers goroutines, and the result is the same bits at any count
+// (see jacobiSVD).
+func decompose(workers int, x *Dense) *SVD {
 	r, c := x.Rows(), x.Cols()
 	if r == 0 || c == 0 {
 		return &SVD{U: NewDense(r, 0), S: nil, V: NewDense(c, 0), Converged: true}
 	}
 	if r >= c {
 		// The working rows are the columns of x: transpose once.
-		s, left, right, ok := jacobiSVD(x.T())
+		s, left, right, ok := jacobiSVD(workers, x.T())
 		return &SVD{U: left.T(), S: s, V: right.T(), Converged: ok}
 	}
 	// For wide matrices decompose the transpose: Xᵀ = U'·S·V'ᵀ implies
 	// X = V'·S·U'ᵀ, so U = V' and V = U'. The columns of Xᵀ are the rows of
 	// x, so x itself is the working set.
-	s, left, right, ok := jacobiSVD(x)
+	s, left, right, ok := jacobiSVD(workers, x)
 	return &SVD{U: right.T(), S: s, V: left.T(), Converged: ok}
 }
 
@@ -81,49 +87,20 @@ const maxJacobiSweeps = 60
 // working column and every column of V is one contiguous slice. It returns
 // the singular values in descending order, the matching left (n×m) and
 // right (n×n) singular vectors of A as rows, and whether a full sweep
-// finished without rotations inside the budget. The cyclic pair order, the
-// ascending accumulation of each inner product and the rotation formulas
-// fix the result bit for bit (TestComputeSVDGoldenBits).
-func jacobiSVD(w *Dense) (s []float64, left, right *Dense, converged bool) {
+// finished without rotations inside the budget. The cyclic-by-rows pair
+// order, the ascending accumulation of each inner product and the rotation
+// formulas fix the result bit for bit (TestComputeSVDGoldenBits); each
+// sweep applies that order as a wavefront on up to workers goroutines
+// (jacobiTeam), which keeps every bit.
+func jacobiSVD(workers int, w *Dense) (s []float64, left, right *Dense, converged bool) {
 	n, m := w.Rows(), w.Cols()
 	vt := NewDense(n, n) // row j accumulates column j of V
 	for j := 0; j < n; j++ {
 		vt.data[j*n+j] = 1
 	}
-
-	const tol = 1e-12
+	team := newJacobiTeam(workers, w, vt)
 	for sweep := 0; sweep < maxJacobiSweeps && !converged; sweep++ {
-		converged = true // until a rotation proves otherwise
-		for p := 0; p < n-1; p++ {
-			ap := w.data[p*m : (p+1)*m]
-			for q := p + 1; q < n; q++ {
-				aq := w.data[q*m : (q+1)*m]
-				aq = aq[:len(ap)]
-				var alpha, beta, gamma float64
-				for i, x := range ap {
-					y := aq[i]
-					alpha += x * x
-					beta += y * y
-					gamma += x * y
-				}
-				if alpha == 0 || beta == 0 || math.Abs(gamma) <= tol*math.Sqrt(alpha*beta) {
-					continue
-				}
-				converged = false
-				// Jacobi rotation zeroing the (p,q) inner product.
-				zeta := (beta - alpha) / (2 * gamma)
-				var t float64
-				if zeta > 0 {
-					t = 1 / (zeta + math.Sqrt(1+zeta*zeta))
-				} else {
-					t = -1 / (-zeta + math.Sqrt(1+zeta*zeta))
-				}
-				cs := 1 / math.Sqrt(1+t*t)
-				sn := cs * t
-				rotate(ap, aq, cs, sn)
-				rotate(vt.data[p*n:(p+1)*n], vt.data[q*n:(q+1)*n], cs, sn)
-			}
-		}
+		converged = !team.sweep()
 	}
 
 	// Singular values are the norms of the rotated columns; normalising the
@@ -151,6 +128,168 @@ func jacobiSVD(w *Dense) (s []float64, left, right *Dense, converged bool) {
 		}
 	}
 	return s, left, right, converged
+}
+
+// jacobiTeam applies the rotations of one Jacobi sweep to the rows of the
+// working set w and of vt (Vᵀ) on a team of goroutines.
+//
+// Rotation (p, q) reads and writes rows p and q only. The cyclic-by-rows
+// order visits row r's pairs as (0,r), (1,r), …, (r−1,r), (r,r+1), …,
+// (r,n−1), whose levels p+q rise strictly along that list. So the pairs of
+// one level share no row, and a sweep that walks the levels 1 … 2n−3 in
+// order applies the same rotations to every row in the same order as the
+// cyclic-by-rows loop: the wavefront form of that ordering (Luk and Park,
+// "On parallel Jacobi orderings", SIAM J. Sci. Stat. Comput. 10(1), 1989).
+// The bits are the same at any member count.
+//
+// Member k takes the k-th contiguous block of every level's pairs. Instead
+// of a barrier per level, pair (p, q) waits until row p has finished q−1
+// pair operations in this sweep and row q has finished p: each row's
+// previous operation, (p, q−1) or (p−1, p) on row p and (p−1, q) on row q,
+// has then been applied. Joining the members is the sweep's one barrier,
+// where the convergence decision is taken.
+type jacobiTeam struct {
+	w, vt   *Dense
+	workers int
+	// done[r] counts the pair operations row r has finished in the
+	// current sweep; nil for a team of one, which needs no ordering.
+	done []rowCount
+	// abort tells waiting members to give up: another member panicked.
+	abort atomic.Bool
+}
+
+// rowCount is a row's progress counter, padded to a cache line of its
+// own so that members advancing neighbouring rows do not share one.
+type rowCount struct {
+	atomic.Int32
+	_ [60]byte
+}
+
+// awaitSpins is how many times a member polls a row counter before it
+// starts yielding the processor, so that members sharing one processor
+// (GOMAXPROCS 1) still make progress.
+const awaitSpins = 64
+
+// newJacobiTeam sizes the team for n working rows: no level holds more
+// than n/2 pairs, so no more members than that can all be busy.
+func newJacobiTeam(workers int, w, vt *Dense) *jacobiTeam {
+	t := &jacobiTeam{w: w, vt: vt, workers: max(1, min(workers, w.rows/2))}
+	if t.workers > 1 {
+		t.done = make([]rowCount, w.rows)
+	}
+	return t
+}
+
+// sweep applies one sweep and reports whether any pair rotated. Members
+// 1 … workers−1 run on goroutines of their own and member 0 on the
+// caller's; a team of one starts no goroutine. A member that panics
+// releases the members waiting on its rows, and the panic is raised
+// again on the caller's goroutine once every member has returned.
+func (t *jacobiTeam) sweep() bool {
+	if t.workers == 1 {
+		return t.member(0)
+	}
+	rotated := make([]bool, t.workers)
+	fault := make([]any, t.workers)
+	run := func(k int) {
+		defer func() {
+			if fault[k] = recover(); fault[k] != nil {
+				t.abort.Store(true)
+			}
+		}()
+		rotated[k] = t.member(k)
+	}
+	var wg sync.WaitGroup
+	wg.Add(t.workers - 1)
+	for k := 1; k < t.workers; k++ {
+		go func(k int) {
+			defer wg.Done()
+			run(k)
+		}(k)
+	}
+	run(0)
+	wg.Wait()
+	for _, v := range fault {
+		if v != nil {
+			panic(v)
+		}
+	}
+	for r := range t.done {
+		t.done[r].Store(0)
+	}
+	return slices.Contains(rotated, true)
+}
+
+// member applies member k's pairs of one sweep, level by level, and
+// reports whether any of them rotated. Level L holds the pairs (p, L−p)
+// with p < L−p < n.
+func (t *jacobiTeam) member(k int) (rotated bool) {
+	n := t.w.rows
+	for level := 1; level <= 2*n-3; level++ {
+		lo, hi := max(0, level-n+1), (level+1)/2
+		span := hi - lo
+		for p := lo + k*span/t.workers; p < lo+(k+1)*span/t.workers; p++ {
+			q := level - p
+			if t.done != nil && !(t.await(p, q-1) && t.await(q, p)) {
+				return rotated
+			}
+			if t.rotatePair(p, q) {
+				rotated = true
+			}
+			if t.done != nil {
+				t.done[p].Add(1)
+				t.done[q].Add(1)
+			}
+		}
+	}
+	return rotated
+}
+
+// await waits until row has finished want pair operations in this sweep.
+// It reports false when the team is aborting.
+func (t *jacobiTeam) await(row, want int) bool {
+	for spin := 0; int(t.done[row].Load()) < want; spin++ {
+		if t.abort.Load() {
+			return false
+		}
+		if spin >= awaitSpins {
+			runtime.Gosched()
+		}
+	}
+	return true
+}
+
+// rotatePair applies the Jacobi rotation that zeroes the inner product of
+// working rows p and q, unless it is already negligible, and reports
+// whether it rotated.
+func (t *jacobiTeam) rotatePair(p, q int) bool {
+	const tol = 1e-12
+	n, m := t.vt.cols, t.w.cols
+	ap := t.w.data[p*m : (p+1)*m]
+	aq := t.w.data[q*m : (q+1)*m]
+	aq = aq[:len(ap)]
+	var alpha, beta, gamma float64
+	for i, x := range ap {
+		y := aq[i]
+		alpha += x * x
+		beta += y * y
+		gamma += x * y
+	}
+	if alpha == 0 || beta == 0 || math.Abs(gamma) <= tol*math.Sqrt(alpha*beta) {
+		return false
+	}
+	zeta := (beta - alpha) / (2 * gamma)
+	var tn float64
+	if zeta > 0 {
+		tn = 1 / (zeta + math.Sqrt(1+zeta*zeta))
+	} else {
+		tn = -1 / (-zeta + math.Sqrt(1+zeta*zeta))
+	}
+	cs := 1 / math.Sqrt(1+tn*tn)
+	sn := cs * tn
+	rotate(ap, aq, cs, sn)
+	rotate(t.vt.data[p*n:(p+1)*n], t.vt.data[q*n:(q+1)*n], cs, sn)
+	return true
 }
 
 // rotate applies the plane rotation (cs, sn) to the column pair (x, y).

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -167,7 +168,7 @@ func TestFitPCAGoldenBits(t *testing.T) {
 		{"fit_tall_200x40_v0.9", goldenMatrix(8, 200, 40), 0.9},
 	}
 	for _, f := range fits {
-		p, err := FitPCAChecked(f.x, f.v)
+		p, err := FitPCAChecked(1, f.x, f.v)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
@@ -179,4 +180,69 @@ func TestFitPCAGoldenBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("stats_200x40_v0.9", p)
+}
+
+// TestJacobiWorkerCountsBitIdentical pins the wavefront sweep's claim: a
+// decomposition on 2–8 workers is the 1-worker decomposition bit for bit
+// (S, U, V and Converged). It covers the golden fixtures (the wide 768-dim
+// signature shapes, the tall path, rank-deficient and zero-column inputs),
+// n ∈ {1, 2, 3} working rows, where the members outnumber the pairs of every
+// level, and a seeded sweep of narrow shapes. Under the race detector one
+// 127×768 decomposition takes seconds, so the 768-dim shapes run at 2
+// workers only, against their golden digests.
+func TestJacobiWorkerCountsBitIdentical(t *testing.T) {
+	type input struct {
+		name string
+		x    *Dense
+	}
+	var inputs []input
+	for _, f := range svdGoldenFixtures() {
+		inputs = append(inputs, input{f.name, f.x})
+	}
+	for n := 1; n <= 3; n++ {
+		inputs = append(inputs,
+			input{fmt.Sprintf("wide_%dx9", n), goldenMatrix(int64(10+n), n, 9)},
+			input{fmt.Sprintf("tall_9x%d", n), goldenMatrix(int64(20+n), 9, n)})
+	}
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 16; i++ {
+		r, c := 1+rng.Intn(40), 1+rng.Intn(96)
+		x := centred(randomMatrix(rng, r, c))
+		if i%4 == 1 { // duplicated rows: rank-deficient
+			for k := r / 2; k < r; k++ {
+				copy(x.RowView(k), x.RowView(k-r/2))
+			}
+		}
+		inputs = append(inputs, input{fmt.Sprintf("sweep_%d_%dx%d", i, r, c), x})
+	}
+	for _, in := range inputs {
+		want, golden := svdGoldenDigests[in.name]
+		if !golden || runtime.GOARCH != "amd64" {
+			want = svdDigest(decompose(1, in.x.Clone()))
+		}
+		workers := []int{2, 3, 4, 5, 6, 7, 8}
+		if in.x.Rows()*in.x.Cols() > 20000 {
+			workers = workers[:1]
+		}
+		for _, w := range workers {
+			if got := svdDigest(decompose(w, in.x.Clone())); got != want {
+				t.Errorf("%s: %d workers: digest %s, 1 worker %s", in.name, w, got, want)
+			}
+		}
+	}
+}
+
+// TestJacobiTeamPanicReleasesMembers checks that a member that panics
+// mid-sweep releases the members waiting on its rows and that the panic
+// reaches the caller: with Vᵀ one row short, every rotation of a pair
+// (p, n−1) panics. A team that left a member waiting would hang here.
+func TestJacobiTeamPanicReleasesMembers(t *testing.T) {
+	w := goldenMatrix(9, 12, 40)
+	team := newJacobiTeam(4, w, NewDense(11, 12))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the sweep returned without raising the member's panic")
+		}
+	}()
+	team.sweep()
 }

@@ -242,7 +242,7 @@ func (p PCA) ScoresContext(ctx context.Context, workers int, x *linalg.Dense) ([
 	if x.Rows() == 0 {
 		return nil, nil
 	}
-	fit, err := linalg.FitPCAChecked(x, p.variance())
+	fit, err := linalg.FitPCAChecked(1, x, p.variance())
 	if err != nil {
 		return nil, fmt.Errorf("outlier: %s: %w", p.Name(), err)
 	}
