@@ -44,8 +44,14 @@ fuzz-smoke:
 # the same bits on 1–8 workers and twin Scopers at 1 and 4 workers must
 # agree after every churn step; those lines run at -cpu 1,2,4, where
 # GOMAXPROCS 1 under a multi-member Jacobi team proves that waits yield.
+# A /v1/assess request decodes on the server's pool and every path scores
+# through the fused reconstruction pass, so the decoder must agree with
+# encoding/json at 1, 2, 3 and 4 workers, on plain rows and on every body
+# that leaves the row walk, and the fused pass must equal the composed
+# kernels bit for bit; those run at -cpu 1,2,4 too.
 incremental-exactness:
-	$(GO) test -count=1 -cpu 1,2,4 -run 'IncrementalExactness|Stats|Jacobi' ./internal/linalg
+	$(GO) test -count=1 -cpu 1,2,4 -run 'IncrementalExactness|Stats|Jacobi|ReconstructionPass|PCAReconstructionErrorsInto' ./internal/linalg
+	$(GO) test -count=1 -cpu 1,2,4 -run 'RowWalkFallback|FuzzAssessRequestJSON' ./internal/exchange
 	$(GO) test -count=1 -run 'ScoperIncremental|ScoperHoldsStats|AssessDelta|ModelState' ./internal/core
 	$(GO) test -count=1 -cpu 1,2,4 -run 'UpdateModelIncremental|AssessDeltaState|AssessmentPathsAgree|Definition4Metamorphic' .
 

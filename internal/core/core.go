@@ -218,9 +218,9 @@ func (m *Model) Errors(x *linalg.Dense) []float64 {
 	return m.pca.ReconstructionErrors(x)
 }
 
-// ErrorsInto is Errors with caller-owned result and encode–decode scratch
-// storage (see linalg.PCAScratch); with a warm scratch a batch assessment
-// pass allocates nothing beyond the verdicts.
+// ErrorsInto is Errors with a caller-owned result and reconstruction
+// scratch (see linalg.PCAScratch, one row's buffers); with a warm scratch
+// a batch assessment pass allocates nothing beyond the verdicts.
 func (m *Model) ErrorsInto(x *linalg.Dense, dst []float64, sc *linalg.PCAScratch) []float64 {
 	return m.pca.ReconstructionErrorsInto(x, dst, sc)
 }
@@ -303,8 +303,8 @@ type ColumnCache interface {
 	Keep(m *Model, errs []float64) error
 }
 
-// scratchPool recycles the encode–decode scratch of reconstruction passes,
-// so a warm pass allocates only its error column.
+// scratchPool recycles the one-row buffers of reconstruction passes, so a
+// warm pass allocates only its error column.
 var scratchPool = sync.Pool{New: func() any { return new(linalg.PCAScratch) }}
 
 // Columns runs the reconstruction passes of Algorithm 2, the |S|·|M| term

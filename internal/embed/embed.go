@@ -207,13 +207,23 @@ func (e *HashEncoder) accumulate(sig []float64, feature string, weight float64) 
 }
 
 // feature returns the cached deterministic Gaussian vector for a feature.
+// A missing vector is built outside the lock, so concurrent encodes of new
+// features do not queue behind each other's Box–Muller draws; the vector is
+// a pure function of the feature, so when two goroutines race to build the
+// same one, keeping the first stored changes no result.
 func (e *HashEncoder) feature(feature string) []float64 {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v, ok := e.cache[feature]; ok {
+	v, ok := e.cache[feature]
+	e.mu.Unlock()
+	if ok {
 		return v
 	}
-	v := gaussianVector(feature, e.dim)
+	v = gaussianVector(feature, e.dim)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if cached, ok := e.cache[feature]; ok {
+		return cached
+	}
 	e.cache[feature] = v
 	return v
 }

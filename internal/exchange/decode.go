@@ -26,15 +26,27 @@ package exchange
 //
 // Signature rows land in one flat buffer, reserved once the first row
 // shows how many bytes a row takes. req.Signatures holds capped row views
-// of it, and the running float count stops the scan at maxAssessFloats.
+// of it, and the running count, one per float and one per empty or null
+// row, stops the scan at maxAssessFloats.
+//
+// The rows after the first that holds a value are walked rather than
+// scanned: their extents are found by their brackets alone and they are
+// parsed in blocks on the server's worker pool, by the same row code,
+// straight into their slots of the flat buffer. The walk stops before the
+// first row that is not plain numbers of that first row's length, or that
+// would pass the cap, and the scanner reads that row and the rest of the
+// array as before.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"collabscope/internal/parallel"
 )
 
 // maxNestingDepth is encoding/json's nesting limit. The request object
@@ -42,6 +54,10 @@ import (
 const maxNestingDepth = 10000
 
 var errFloatCap = fmt.Errorf("signature rows hold more than %d floats", maxAssessFloats)
+
+// walkBlocksPerWorker is how many blocks of walked rows each pool worker
+// gets on average, so a worker slowed by other work hands rows to the rest.
+const walkBlocksPerWorker = 4
 
 var (
 	nullLit       = []byte("null")
@@ -54,20 +70,26 @@ var (
 
 // assessDecoder is the state of one decodeAssess call.
 type assessDecoder struct {
-	data []byte
-	pos  int
-	req  AssessRequest
+	ctx     context.Context
+	workers int
+	data    []byte
+	pos     int
+	req     AssessRequest
 	// flat backs req.Signatures when the last signatures value was decoded
 	// into new storage; nil when it was decoded over an earlier value.
-	flat   []float64
-	floats int // signature floats read so far, over every signatures value
+	flat []float64
+	// floats counts against maxAssessFloats over every signatures value:
+	// each float read so far, and each empty or null row as one.
+	floats int
 }
 
-// decodeAssess decodes an assess request body. flat holds the rows of
-// req.Signatures back to back, so the matrix of a request that passes
-// validate is linalg.WrapDense(len(req.Signatures), dim, flat).
-func decodeAssess(body []byte) (AssessRequest, []float64, error) {
-	d := assessDecoder{data: body}
+// decodeAssess decodes an assess request body, walking plain signature
+// rows on up to workers goroutines (≤ 0 means GOMAXPROCS). flat holds the
+// rows of req.Signatures back to back, so the matrix of a request that
+// passes validate is linalg.WrapDense(len(req.Signatures), dim, flat). The
+// result is the same at any worker count.
+func decodeAssess(ctx context.Context, body []byte, workers int) (AssessRequest, []float64, error) {
+	d := assessDecoder{ctx: ctx, workers: workers, data: body}
 	if err := d.top(); err != nil {
 		return AssessRequest{}, nil, err
 	}
@@ -235,6 +257,9 @@ func (d *assessDecoder) flatRows() error {
 			if err := d.null(); err != nil {
 				return err
 			}
+			if err := d.count(); err != nil {
+				return err
+			}
 			ends = append(ends, -1)
 		case '[':
 			start := d.pos
@@ -246,6 +271,9 @@ func (d *assessDecoder) flatRows() error {
 			if !reserved && len(flat) > 0 {
 				reserved = true
 				flat = d.reserve(flat, d.pos-start)
+				if flat, ends, err = d.walkRows(flat, ends); err != nil {
+					return err
+				}
 			}
 		default:
 			return d.unexpected("a signature row")
@@ -278,7 +306,7 @@ func (d *assessDecoder) flatRow(flat []float64) ([]float64, error) {
 	d.skipSpace()
 	if d.peek() == ']' {
 		d.pos++
-		return flat, nil
+		return flat, d.count()
 	}
 	for {
 		var v float64
@@ -312,16 +340,98 @@ func (d *assessDecoder) reserve(flat []float64, rowBytes int) []float64 {
 	return append(make([]float64, 0, want), flat...)
 }
 
+// walkRows decodes the plain rows after the one that sized flat: rows of
+// exactly that row's length, each found from its '[' to the first ']'
+// after it. Their extents are found first, stopping before a row that is
+// not an array or would take the count past maxAssessFloats; blocks of
+// them are then parsed by flatRow on the worker pool, each row into its
+// own slot of flat. The walk keeps the rows before the first one that
+// flatRow rejects or finds ragged, and leaves d.pos, d.floats, flat and
+// ends as if the scanner had read those rows, so the scanner reads the
+// rest of the array as it would have.
+func (d *assessDecoder) walkRows(flat []float64, ends []int) ([]float64, []int, error) {
+	data, dim := d.data, len(flat)
+	starts := make([]int, 0, cap(flat)/dim) // offset of each walked row's '['; reserve's estimate
+	for i := d.pos; ; {
+		i = skipSpace(data, i)
+		if i == len(data) || data[i] != ',' {
+			break
+		}
+		i = skipSpace(data, i+1)
+		if i == len(data) || data[i] != '[' || d.floats+(len(starts)+1)*dim > maxAssessFloats {
+			break
+		}
+		end := bytes.IndexByte(data[i:], ']')
+		if end < 0 {
+			break
+		}
+		starts = append(starts, i)
+		i += end + 1
+	}
+	n := len(starts)
+	if n == 0 {
+		return flat, ends, nil
+	}
+	base := len(flat)
+	if cap(flat) < base+n*dim {
+		flat = append(make([]float64, 0, base+n*dim), flat...)
+	}
+	flat = flat[:base+n*dim]
+	blocks := min(n, walkBlocksPerWorker*parallel.Workers(d.workers))
+	kept := make([]int, blocks) // rows of each block before its first non-plain one
+	err := parallel.ForEach(d.ctx, d.workers, blocks, func(b int) error {
+		lo, hi := b*n/blocks, (b+1)*n/blocks
+		for r := lo; r < hi; r++ {
+			slot := base + r*dim
+			row := assessDecoder{data: data, pos: starts[r]}
+			got, err := row.flatRow(flat[slot : slot : slot+dim])
+			if err != nil || len(got) != dim {
+				break
+			}
+			kept[b]++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	walked := 0
+	for b, k := range kept {
+		walked += k
+		if k < (b+1)*n/blocks-b*n/blocks {
+			break
+		}
+	}
+	if walked == 0 {
+		return flat[:base], ends, nil
+	}
+	ends = slices.Grow(ends, walked)
+	for r := 1; r <= walked; r++ {
+		ends = append(ends, base+r*dim)
+	}
+	last := starts[walked-1]
+	d.pos = last + bytes.IndexByte(data[last:], ']') + 1
+	d.floats += walked * dim
+	return flat[:base+walked*dim], ends, nil
+}
+
 // sigRow decodes one row of a repeated signatures key over the row the
-// earlier value left at its index.
+// earlier value left at its index. An empty or null row counts as one
+// against maxAssessFloats.
 func (d *assessDecoder) sigRow(row *[]float64) error {
 	switch d.peek() {
 	case 'n':
 		*row = nil
-		return d.null()
+		if err := d.null(); err != nil {
+			return err
+		}
+		return d.count()
 	case '[':
 		r, err := decodeArray(d, *row, d.sigFloat)
 		*row = r
+		if err == nil && len(r) == 0 {
+			err = d.count()
+		}
 		return err
 	default:
 		return d.unexpected("a signature row")
@@ -331,10 +441,20 @@ func (d *assessDecoder) sigRow(row *[]float64) error {
 // sigFloat decodes one signature value, counting it against
 // maxAssessFloats before anything else.
 func (d *assessDecoder) sigFloat(v *float64) error {
+	if err := d.count(); err != nil {
+		return err
+	}
+	return d.floatValue(v)
+}
+
+// count counts one float, or one empty or null row, against
+// maxAssessFloats, so no body can make the decoder build more than that
+// many row entries before it stops.
+func (d *assessDecoder) count() error {
 	if d.floats++; d.floats > maxAssessFloats {
 		return errFloatCap
 	}
-	return d.floatValue(v)
+	return nil
 }
 
 // decodeArray decodes a JSON array into s the way encoding/json decodes
@@ -521,15 +641,20 @@ func (d *assessDecoder) peek() byte {
 	return 0
 }
 
-func (d *assessDecoder) skipSpace() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
+func (d *assessDecoder) skipSpace() { d.pos = skipSpace(d.data, d.pos) }
+
+// skipSpace returns the offset of the first non-whitespace byte of data at
+// or after i, or len(data).
+func skipSpace(data []byte, i int) int {
+	for i < len(data) {
+		switch data[i] {
 		case ' ', '\t', '\n', '\r':
-			d.pos++
+			i++
 		default:
-			return
+			return i
 		}
 	}
+	return i
 }
 
 func (d *assessDecoder) unexpected(want string) error {

@@ -2,12 +2,14 @@ package exchange
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,16 +19,67 @@ import (
 	"collabscope/internal/linalg"
 )
 
-// decodeBoth decodes body with encoding/json and with decodeAssess, each
-// followed by validate.
-func decodeBoth(body []byte) (want, got AssessRequest, flat []float64, wantErr, gotErr error) {
+// decodeBoth decodes body with encoding/json and with decodeAssess on
+// workers goroutines, each followed by validate.
+func decodeBoth(body []byte, workers int) (want, got AssessRequest, flat []float64, wantErr, gotErr error) {
 	if wantErr = json.Unmarshal(body, &want); wantErr == nil {
 		wantErr = want.validate()
 	}
-	if got, flat, gotErr = decodeAssess(body); gotErr == nil {
+	if got, flat, gotErr = decodeAssess(context.Background(), body, workers); gotErr == nil {
 		gotErr = got.validate()
 	}
 	return want, got, flat, wantErr, gotErr
+}
+
+// requireSameDecode fails t unless decodeAssess on workers goroutines
+// plus validate accepts body exactly when encoding/json plus validate
+// does, and an accepted body decodes to the same fields, every float bit
+// for bit, with flat holding the matrix row by row.
+func requireSameDecode(t *testing.T, body []byte, workers int) {
+	t.Helper()
+	want, got, flat, wantErr, gotErr := decodeBoth(body, workers)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("workers=%d: encoding/json + validate: %v\ndecodeAssess + validate: %v", workers, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if err := sameRequest(&want, &got); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	// Accepted requests must uphold the compute path's invariants: a
+	// named schema, a rectangular finite matrix, aligned ids, a known
+	// mode, and flat holding that matrix row by row.
+	if got.Schema == "" || len(got.Signatures) == 0 || len(got.Signatures[0]) == 0 {
+		t.Fatalf("accepted request without a schema or signatures: %+v", got)
+	}
+	if len(got.IDs) != 0 && len(got.IDs) != len(got.Signatures) {
+		t.Fatal("accepted request with misaligned ids")
+	}
+	if got.Mode != "" && got.Mode != "any" && got.Mode != "all" {
+		t.Fatalf("accepted request with mode %q", got.Mode)
+	}
+	n, dim := len(got.Signatures), len(got.Signatures[0])
+	if len(flat) != n*dim {
+		t.Fatalf("flat holds %d floats for a %dx%d matrix", len(flat), n, dim)
+	}
+	x := linalg.WrapDense(n, dim, flat)
+	for i, row := range got.Signatures {
+		if len(row) != dim {
+			t.Fatal("accepted request with a ragged signature matrix")
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatal("accepted request with non-finite signatures")
+			}
+			if math.Float64bits(x.At(i, j)) != math.Float64bits(v) {
+				t.Fatalf("flat[%d][%d] = %v, row view holds %v", i, j, x.At(i, j), v)
+			}
+		}
+	}
+	if core.SignatureDigest("t", got.Schema, x) != core.SignatureDigest("t", want.Schema, linalg.FromRows(want.Signatures)) {
+		t.Fatal("delta-cache keys differ for equal requests")
+	}
 }
 
 // sameRequest reports the first field where got differs from want, floats
@@ -65,9 +118,10 @@ func sameRequest(want, got *AssessRequest) error {
 
 // FuzzAssessRequestJSON is the differential gate on the /v1/assess request
 // decoder, the untrusted wire surface besides model bodies: decodeAssess
-// plus validate must accept exactly the bodies json.Unmarshal plus
-// validate accepts, and an accepted body must decode to the same fields,
-// every float bit for bit, with the flat buffer holding the same matrix.
+// plus validate, at 1 and at 3 workers, must accept exactly the bodies
+// json.Unmarshal plus validate accepts, and an accepted body must decode
+// to the same fields, every float bit for bit, with the flat buffer
+// holding the same matrix.
 func FuzzAssessRequestJSON(f *testing.F) {
 	valid, err := json.Marshal(&AssessRequest{
 		Schema:     "S",
@@ -94,48 +148,8 @@ func FuzzAssessRequestJSON(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		want, got, flat, wantErr, gotErr := decodeBoth(body)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("encoding/json + validate: %v\ndecodeAssess + validate: %v", wantErr, gotErr)
-		}
-		if wantErr != nil {
-			return
-		}
-		if err := sameRequest(&want, &got); err != nil {
-			t.Fatal(err)
-		}
-		// Accepted requests must uphold the compute path's invariants: a
-		// named schema, a rectangular finite matrix, aligned ids, a known
-		// mode, and flat holding that matrix row by row.
-		if got.Schema == "" || len(got.Signatures) == 0 || len(got.Signatures[0]) == 0 {
-			t.Fatalf("accepted request without a schema or signatures: %+v", got)
-		}
-		if len(got.IDs) != 0 && len(got.IDs) != len(got.Signatures) {
-			t.Fatal("accepted request with misaligned ids")
-		}
-		if got.Mode != "" && got.Mode != "any" && got.Mode != "all" {
-			t.Fatalf("accepted request with mode %q", got.Mode)
-		}
-		n, dim := len(got.Signatures), len(got.Signatures[0])
-		if len(flat) != n*dim {
-			t.Fatalf("flat holds %d floats for a %dx%d matrix", len(flat), n, dim)
-		}
-		x := linalg.WrapDense(n, dim, flat)
-		for i, row := range got.Signatures {
-			if len(row) != dim {
-				t.Fatal("accepted request with a ragged signature matrix")
-			}
-			for j, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatal("accepted request with non-finite signatures")
-				}
-				if math.Float64bits(x.At(i, j)) != math.Float64bits(v) {
-					t.Fatalf("flat[%d][%d] = %v, row view holds %v", i, j, x.At(i, j), v)
-				}
-			}
-		}
-		if core.SignatureDigest("t", got.Schema, x) != core.SignatureDigest("t", want.Schema, linalg.FromRows(want.Signatures)) {
-			t.Fatal("delta-cache keys differ for equal requests")
+		for _, workers := range []int{1, 3} {
+			requireSameDecode(t, body, workers)
 		}
 	})
 }
@@ -244,7 +258,7 @@ func decodeSeeds(f *testing.F) [][]byte {
 func TestDecodeAssessNestingLimit(t *testing.T) {
 	for _, depth := range []int{maxNestingDepth - 1, maxNestingDepth} {
 		body := []byte(`{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `,"schema":"S","signatures":[[1]]}`)
-		_, _, _, wantErr, gotErr := decodeBoth(body)
+		_, _, _, wantErr, gotErr := decodeBoth(body, 1)
 		if accept := depth < maxNestingDepth; (wantErr == nil) != accept || (gotErr == nil) != accept {
 			t.Errorf("depth %d: encoding/json %v, decodeAssess %v; want accepted=%t", depth, wantErr, gotErr, accept)
 		}
@@ -315,7 +329,7 @@ func TestDecodeAssessFloatBits(t *testing.T) {
 				body.WriteString(form.format(v))
 			}
 			body.WriteString("]]}")
-			want, got, _, wantErr, gotErr := decodeBoth(body.Bytes())
+			want, got, _, wantErr, gotErr := decodeBoth(body.Bytes(), 2)
 			if wantErr != nil || gotErr != nil {
 				t.Fatalf("encoding/json: %v, decodeAssess: %v", wantErr, gotErr)
 			}
@@ -326,22 +340,93 @@ func TestDecodeAssessFloatBits(t *testing.T) {
 	}
 }
 
-// TestDecodeAssessStopsAtFloatCap: maxAssessFloats+1 zeros followed by one
-// invalid byte must fail with the cap error, not the syntax error, which
-// shows the scan stopped at the cap instead of building every row first.
+// TestDecodeAssessStopsAtFloatCap: maxAssessFloats counted values, then a
+// row that passes the cap, then one invalid byte must fail with the cap
+// error, not the syntax error, which shows the scan stopped at the cap
+// instead of building every row first. Floats count one each and an empty
+// or null row one, so a body of such rows stops at the cap too. The rows
+// of floats are walked in blocks up to the cap, at 1, 2 and 4 workers,
+// and the walk must leave the whole row past the cap to the scanner.
 func TestDecodeAssessStopsAtFloatCap(t *testing.T) {
-	defer debug.FreeOSMemory() // return the 128 MiB matrix before the next test
+	defer debug.FreeOSMemory() // return the large row buffers before the next test
 	const dim = 1024
-	row := "[" + strings.Repeat("0,", dim-1) + "0],"
-	var body bytes.Buffer
-	body.Grow(len(row)*maxAssessFloats/dim + 64)
-	body.WriteString(`{"schema":"S","signatures":[`)
-	for i := 0; i < maxAssessFloats/dim; i++ {
-		body.WriteString(row)
+	full := "[" + strings.Repeat("0,", dim-1) + "0]"
+	for _, tc := range []struct {
+		name, row, past string
+		rows            int
+		workers         []int
+	}{
+		{"floats", full + ",", full, maxAssessFloats / dim, []int{1, 2, 4}},
+		{"empty rows", "[],", "[0", maxAssessFloats, []int{2}},
+		{"null rows", "null,", "[0", maxAssessFloats, []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var body bytes.Buffer
+			body.Grow(len(tc.row)*tc.rows + len(tc.past) + 64)
+			body.WriteString(`{"schema":"S","signatures":[`)
+			for i := 0; i < tc.rows; i++ {
+				body.WriteString(tc.row)
+			}
+			body.WriteString(tc.past + "!")
+			for _, workers := range tc.workers {
+				if _, _, err := decodeAssess(context.Background(), body.Bytes(), workers); !errors.Is(err, errFloatCap) {
+					t.Fatalf("workers=%d: decode past the cap: %v, want %v", workers, err, errFloatCap)
+				}
+			}
+		})
 	}
-	body.WriteString("[0!")
-	if _, _, err := decodeAssess(body.Bytes()); !errors.Is(err, errFloatCap) {
-		t.Fatalf("decode of %d floats: %v, want %v", maxAssessFloats+1, err, errFloatCap)
+}
+
+// TestDecodeAssessRowWalkFallback runs every kind of body that must leave
+// the row walk for the scanner at 1, 2 and 4 workers, with the odd row
+// placed in a later block of the walk, and requires each to decode as
+// encoding/json does. TestDecodeAssessStopsAtFloatCap passes the float cap
+// after many blocks of walked rows at the same worker counts.
+func TestDecodeAssessRowWalkFallback(t *testing.T) {
+	const rows, dim, odd = 40, 16, 29
+	rng := rand.New(rand.NewPCG(25, 1))
+	plain := make([]string, rows)
+	for i := range plain {
+		vals := make([]string, dim)
+		for j := range vals {
+			vals[j] = strconv.FormatFloat(rng.NormFloat64(), 'g', -1, 64)
+		}
+		plain[i] = "[" + strings.Join(vals, ",") + "]"
+	}
+	// body writes the rows with row odd replaced by oddRow (kept when empty)
+	// and tail after the signatures array.
+	body := func(oddRow, tail string) []byte {
+		r := slices.Clone(plain)
+		if oddRow != "" {
+			r[odd] = oddRow
+		}
+		return []byte(`{"schema":"S","signatures":[` + strings.Join(r, ",") + `]` + tail + `}`)
+	}
+	short := plain[odd][:strings.LastIndexByte(plain[odd], ',')] + "]"
+	cases := map[string][]byte{
+		"plain":                   body("", ""),
+		"whitespace between rows": []byte(`{"schema":"S","signatures":[` + strings.Join(plain, " ,\n\t") + " ]}"),
+		"repeated signatures key": body("", `,"signatures":[`+plain[1]+`,null]`),
+		"null row":                body("null", ""),
+		"empty row":               body("[]", ""),
+		"short row":               body(short, ""),
+		"long row":                body(strings.TrimSuffix(plain[odd], "]")+",1]", ""),
+		"null float":              body("["+strings.Repeat("null,", dim-1)+"1]", ""),
+		"string in row":           body(`["1"`+strings.Repeat(",1", dim-1)+"]", ""),
+		"bracket string in row":   body(`["]"`+strings.Repeat(",1", dim-1)+"]", ""),
+		"nested row":              body("[[1]"+strings.Repeat(",1", dim-1)+"]", ""),
+		"leading zero":            body("[01"+strings.Repeat(",1", dim-1)+"]", ""),
+		"bare point":              body("[1."+strings.Repeat(",1", dim-1)+"]", ""),
+		"out of range":            body("[1e309"+strings.Repeat(",1", dim-1)+"]", ""),
+		"missing comma":           []byte(`{"schema":"S","signatures":[` + strings.Join(plain[:odd], ",") + " " + strings.Join(plain[odd:], ",") + "]}"),
+		"unclosed row":            []byte(`{"schema":"S","signatures":[` + strings.Join(plain[:odd], ",") + ",[1,2"),
+	}
+	for name, b := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, workers := range []int{1, 2, 4} {
+				requireSameDecode(t, b, workers)
+			}
+		})
 	}
 }
 
@@ -349,9 +434,10 @@ var decodedSink AssessRequest
 
 // BenchmarkDecodeAssessRequest times the two ways to decode one
 // benchmark-sized assess body (57×768 hash-encoder signatures, written by
-// json.Marshal): encoding/json into an AssessRequest, and decodeAssess.
+// json.Marshal): encoding/json into an AssessRequest, and decodeAssess on
+// one worker and on two. Give the second a processor of its own:
 //
-//	go test -run '^$' -bench DecodeAssessRequest -benchmem -cpu 1 ./internal/exchange
+//	go test -run '^$' -bench DecodeAssessRequest -benchmem -cpu 2 ./internal/exchange
 func BenchmarkDecodeAssessRequest(b *testing.B) {
 	enc := embed.NewHashEncoder()
 	req := AssessRequest{Schema: "Orders", IDs: make([]string, 57), Signatures: make([][]float64, 57)}
@@ -374,15 +460,17 @@ func BenchmarkDecodeAssessRequest(b *testing.B) {
 			decodedSink = r
 		}
 	})
-	b.Run("scanner", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			r, _, err := decodeAssess(body)
-			if err != nil {
-				b.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("decodeAssess/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				r, _, err := decodeAssess(context.Background(), body, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				decodedSink = r
 			}
-			decodedSink = r
-		}
-	})
+		})
+	}
 }

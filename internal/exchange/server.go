@@ -119,8 +119,8 @@ type Server struct {
 	// default: profiling endpoints leak timing and heap internals, so a hub
 	// must opt in (e.g. `collabscope serve -pprof`).
 	pprofEnabled bool
-	// workers bounds the parallel.Map fan-out of one assess computation
-	// (0 = GOMAXPROCS).
+	// workers bounds the worker-pool fan-out of one assess request, its
+	// decode and its scoring (0 = GOMAXPROCS).
 	workers int
 
 	admission AdmissionConfig
@@ -210,8 +210,9 @@ func WithAdmission(cfg AdmissionConfig) ServerOption {
 	return func(c *serverConfig) { c.admission = cfg }
 }
 
-// WithServerWorkers bounds the worker-pool fan-out of one assess
-// computation (0 = GOMAXPROCS).
+// WithServerWorkers bounds the worker-pool fan-out of one assess request
+// (0 = GOMAXPROCS): the row walk that decodes its signatures and the
+// reconstruction passes that score them.
 func WithServerWorkers(n int) ServerOption {
 	return func(c *serverConfig) { c.workers = n }
 }

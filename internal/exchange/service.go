@@ -193,7 +193,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, flat, err := decodeAssess(body)
+	req, flat, err := decodeAssess(r.Context(), body, s.workers)
 	if err != nil {
 		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, "decode request: %v", err)
 		return

@@ -124,6 +124,51 @@ func BenchmarkFitPCAChecked(b *testing.B) {
 	}
 }
 
+// BenchmarkReconstructionErrors times one Algorithm 2 scoring pass at the
+// shape of a serve_unique request, 69 signature rows of 768 dims against a
+// 10-component model: the fused row-at-a-time pass, and the reference
+// composition of the kernels it replaced (centre, MulTransInto, MulInto,
+// add the mean, RowMSEInto), both on warm scratch.
+func BenchmarkReconstructionErrors(b *testing.B) {
+	const rows, dim, comps = 69, 768, 10
+	x := randDense(b, rows, dim, 11)
+	p := &linalg.PCA{Mean: randDense(b, 1, dim, 12).RowView(0), Components: randDense(b, comps, dim, 13), NComp: comps}
+	dst := make([]float64, rows)
+	b.Run("fused", func(b *testing.B) {
+		var sc linalg.PCAScratch
+		p.ReconstructionErrorsInto(x, dst, &sc)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.ReconstructionErrorsInto(x, dst, &sc)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		centred := linalg.NewDense(rows, dim)
+		z := linalg.NewDense(rows, comps)
+		rec := linalg.NewDense(rows, dim)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < rows; r++ {
+				c, xr := centred.RowView(r), x.RowView(r)
+				for j := range c {
+					c[j] = xr[j] - p.Mean[j]
+				}
+			}
+			linalg.MulTransInto(z, centred, p.Components)
+			linalg.MulInto(rec, z, p.Components)
+			for r := 0; r < rows; r++ {
+				rr := rec.RowView(r)
+				for j := range rr {
+					rr[j] += p.Mean[j]
+				}
+			}
+			linalg.RowMSEInto(dst, x, rec)
+		}
+	})
+}
+
 func BenchmarkKernelTopK(b *testing.B) {
 	vals := randDense(b, 1, benchRows, 8).RowView(0)
 	for i := range vals {

@@ -387,27 +387,76 @@ func TestParallelKernelCounters(t *testing.T) {
 	}
 }
 
+// composedErrors is the reconstruction pass composed from the kernels the
+// fused PCA.ReconstructionErrorsInto replaces: centre, MulTransInto,
+// MulInto, add the mean, RowMSEInto.
+func composedErrors(p *linalg.PCA, x *linalg.Dense) []float64 {
+	z := linalg.NewDense(x.Rows(), p.Components.Rows())
+	linalg.MulTransInto(z, x.SubRow(p.Mean), p.Components)
+	rec := linalg.MulInto(linalg.NewDense(x.Rows(), x.Cols()), z, p.Components)
+	for i := 0; i < rec.Rows(); i++ {
+		row := rec.RowView(i)
+		for j := range row {
+			row[j] += p.Mean[j]
+		}
+	}
+	return linalg.RowMSEInto(make([]float64, x.Rows()), x, rec)
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: errors[%d] = %v, composed kernels give %v; want bit-identical", what, i, got[i], want[i])
+		}
+	}
+}
+
 func TestPCAReconstructionErrorsInto(t *testing.T) {
 	x := randDense(t, 35, 20, 26)
 	p := linalg.FitPCA(x, 0.9)
-	want := p.ReconstructionErrors(x)
+	want := composedErrors(p, x)
+	requireSameBits(t, "ReconstructionErrors", p.ReconstructionErrors(x), want)
 	var sc linalg.PCAScratch
 	got := make([]float64, 35)
 	for pass := 0; pass < 2; pass++ {
-		p.ReconstructionErrorsInto(x, got, &sc)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("pass %d: errors[%d] = %v, want %v (bit-identical)", pass, i, got[i], want[i])
-			}
-		}
+		requireSameBits(t, fmt.Sprintf("pass %d", pass), p.ReconstructionErrorsInto(x, got, &sc), want)
 	}
 	// Shrinking input reuses the scratch storage.
 	xs := x.LeadingRows(10)
-	wantShort := p.ReconstructionErrors(xs)
-	gotShort := p.ReconstructionErrorsInto(xs, make([]float64, 10), &sc)
-	for i := range gotShort {
-		if gotShort[i] != wantShort[i] {
-			t.Fatalf("short batch errors[%d] = %v, want %v", i, gotShort[i], wantShort[i])
+	requireSameBits(t, "short batch", p.ReconstructionErrorsInto(xs, make([]float64, 10), &sc), composedErrors(p, xs))
+}
+
+// TestReconstructionPassMatchesComposedKernels pins the fused pass to the
+// composed kernels bit for bit on seeded models of 0 to 9 components,
+// which covers every remainder of the four-wide encode and decode blocks,
+// at odd and even widths and for one row alone. Component 1 of every
+// model with more than two is all zeros, so its code is exactly 0 and the
+// decode takes its zero-skip inside a four-wide block; the last row of
+// each input equals the model mean, so all its codes are zero. One
+// scratch serves every shape, growing as it goes.
+func TestReconstructionPassMatchesComposedKernels(t *testing.T) {
+	var sc linalg.PCAScratch
+	seed := int64(40)
+	for _, d := range []int{1, 7, 16, 33} {
+		for c := 0; c <= 9; c++ {
+			for _, n := range []int{1, 13} {
+				seed++
+				comp := randDense(t, c, d, seed)
+				if c > 2 {
+					clear(comp.RowView(1))
+				}
+				p := &linalg.PCA{Mean: randDense(t, 1, d, -seed).RowView(0), Components: comp, NComp: c}
+				x := randDense(t, n, d, 1000+seed)
+				copy(x.RowView(n-1), p.Mean)
+				what := fmt.Sprintf("d=%d c=%d n=%d", d, c, n)
+				want := composedErrors(p, x)
+				requireSameBits(t, what, p.ReconstructionErrorsInto(x, make([]float64, n), &sc), want)
+				requireSameBits(t, what+" nil scratch", p.ReconstructionErrorsInto(x, make([]float64, n), nil), want)
+				if want[n-1] != 0 {
+					t.Fatalf("%s: the row at the mean has error %v, want 0", what, want[n-1])
+				}
+			}
 		}
 	}
 }

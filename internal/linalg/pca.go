@@ -1,5 +1,7 @@
 package linalg
 
+import "fmt"
+
 // PCA is a fitted principal-component-analysis encoder-decoder: the mean of
 // the training rows and the top-n principal components selected so that the
 // cumulative explained variance reaches a target (Algorithm 1 of the paper).
@@ -71,14 +73,6 @@ func (p *PCA) Encode(x *Dense) *Dense {
 	return MulTransInto(out, x.SubRow(p.Mean), p.Components)
 }
 
-// Decode maps latent codes back to the original space: z·PC + μ.
-func (p *PCA) Decode(z *Dense) *Dense {
-	out := NewDense(z.Rows(), p.Components.Cols())
-	MulInto(out, z, p.Components)
-	addRowInPlace(out, p.Mean)
-	return out
-}
-
 // ReconstructionErrors returns the per-row MSE between x and its
 // reconstruction — the outlier scores of Algorithm 1 line 14 and
 // Definition 4.
@@ -88,22 +82,12 @@ func (p *PCA) ReconstructionErrors(x *Dense) []float64 {
 	return out
 }
 
-// PCAScratch holds the intermediate matrices of an encode–decode round
-// trip so repeated scoring passes allocate nothing. The zero value is
-// ready; matrices are (re)sized on first use and whenever shapes change.
-// A scratch must not be shared between concurrent calls.
+// PCAScratch holds the one-row buffers of the fused reconstruction pass,
+// so repeated scoring passes allocate nothing. The zero value is ready;
+// the buffer grows on first use and whenever a model needs more room. A
+// scratch must not be shared between concurrent calls.
 type PCAScratch struct {
-	centered *Dense // x − μ
-	z        *Dense // latent codes
-	rec      *Dense // decoded reconstruction
-}
-
-// ensure resizes the scratch matrices for n input rows of d columns
-// encoded into c components.
-func (s *PCAScratch) ensure(n, d, c int) {
-	s.centered = EnsureDense(s.centered, n, d)
-	s.z = EnsureDense(s.z, n, c)
-	s.rec = EnsureDense(s.rec, n, d)
+	buf []float64 // centred row (d), reconstruction row (d), codes (c)
 }
 
 // EnsureDense returns m if it already has the requested shape, reslices
@@ -123,41 +107,125 @@ func EnsureDense(m *Dense, r, c int) *Dense {
 
 // ReconstructionErrorsInto writes the per-row reconstruction MSE of x into
 // dst (length x.Rows()) and returns it. With a non-nil warm scratch the
-// call allocates nothing; results are bit-identical to
-// ReconstructionErrors.
+// call allocates nothing.
+//
+// It scores one row at a time while the row sits in L1: centre it, encode
+// four components per sweep over the centred row, decode four components
+// per sweep into the reconstruction row, then add the mean and sum the
+// squared error. Each output cell runs the IEEE operations of the
+// composed kernels in the same order — a code sums its products in
+// ascending column order as MulTransInto does, a reconstruction cell adds
+// the terms of its non-zero codes in ascending component order as MulInto
+// does, and the error is RowMSEInto's after adding the mean — so the
+// errors are bit-identical to that composition (DESIGN.md §11,
+// "Reconstruction pass").
 func (p *PCA) ReconstructionErrorsInto(x *Dense, dst []float64, sc *PCAScratch) []float64 {
+	mean, comp := p.Mean, p.Components.data
+	d, c := len(mean), p.Components.rows
+	if x.cols != d {
+		panic(fmt.Sprintf("linalg: reconstruction input has %d columns, model has %d", x.cols, d))
+	}
+	if len(dst) != x.rows {
+		panic(fmt.Sprintf("linalg: ReconstructionErrorsInto dst length %d, want %d", len(dst), x.rows))
+	}
+	if d == 0 {
+		clear(dst)
+		return dst
+	}
 	if sc == nil {
 		sc = &PCAScratch{}
 	}
-	sc.ensure(x.Rows(), x.Cols(), p.Components.Rows())
-	copy(sc.centered.data, x.data)
-	subRowInPlace(sc.centered, p.Mean)
-	MulTransInto(sc.z, sc.centered, p.Components)
-	MulInto(sc.rec, sc.z, p.Components)
-	addRowInPlace(sc.rec, p.Mean)
-	return RowMSEInto(dst, x, sc.rec)
+	if cap(sc.buf) < 2*d+c {
+		sc.buf = make([]float64, 2*d+c)
+	}
+	centred, rec, z := sc.buf[:d], sc.buf[d:2*d], sc.buf[2*d:2*d+c]
+	for i := range dst {
+		xi := x.data[i*d : (i+1)*d]
+		for j, m := range mean {
+			centred[j] = xi[j] - m
+		}
+		encodeRow(z, centred, comp)
+		decodeRow(rec, z, comp)
+		var s float64
+		for j, m := range mean {
+			e := xi[j] - (rec[j] + m)
+			s += e * e
+		}
+		dst[i] = s / float64(d)
+	}
+	return dst
 }
 
-func addRowInPlace(m *Dense, v []float64) {
-	if len(v) != m.cols {
-		panic("linalg: row vector length mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j := range row {
-			row[j] += v[j]
+// encodeRow sets z[k] to the dot product of row and component k (row k of
+// the len(z)×len(row) matrix comp). Four components share each sweep over
+// row, one accumulator each, starting at 0 and adding in ascending j.
+func encodeRow(z, row, comp []float64) {
+	d := len(row)
+	k := 0
+	for ; k+4 <= len(z); k += 4 {
+		c0 := comp[k*d : (k+1)*d]
+		c1 := comp[(k+1)*d : (k+2)*d]
+		c2 := comp[(k+2)*d : (k+3)*d]
+		c3 := comp[(k+3)*d : (k+4)*d]
+		var s0, s1, s2, s3 float64
+		for j, v := range row {
+			s0 += v * c0[j]
+			s1 += v * c1[j]
+			s2 += v * c2[j]
+			s3 += v * c3[j]
 		}
+		z[k], z[k+1], z[k+2], z[k+3] = s0, s1, s2, s3
+	}
+	for ; k < len(z); k++ {
+		ck := comp[k*d : (k+1)*d]
+		var s float64
+		for j, v := range row {
+			s += v * ck[j]
+		}
+		z[k] = s
 	}
 }
 
-func subRowInPlace(m *Dense, v []float64) {
-	if len(v) != m.cols {
-		panic("linalg: row vector length mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j := range row {
-			row[j] -= v[j]
+// decodeRow sets rec to z·comp. Each cell starts at 0 and adds the terms
+// of the non-zero codes in ascending k, four components per sweep; a
+// block with an exactly-zero code adds its other terms one sweep each.
+func decodeRow(rec, z, comp []float64) {
+	d := len(rec)
+	clear(rec)
+	k := 0
+	for ; k+4 <= len(z); k += 4 {
+		z0, z1, z2, z3 := z[k], z[k+1], z[k+2], z[k+3]
+		if z0 == 0 || z1 == 0 || z2 == 0 || z3 == 0 {
+			for t := k; t < k+4; t++ {
+				axpyRow(rec, z[t], comp[t*d:(t+1)*d])
+			}
+			continue
 		}
+		c0 := comp[k*d : (k+1)*d]
+		c1 := comp[(k+1)*d : (k+2)*d]
+		c2 := comp[(k+2)*d : (k+3)*d]
+		c3 := comp[(k+3)*d : (k+4)*d]
+		for j, r := range rec {
+			r += z0 * c0[j]
+			r += z1 * c1[j]
+			r += z2 * c2[j]
+			r += z3 * c3[j]
+			rec[j] = r
+		}
+	}
+	for ; k < len(z); k++ {
+		axpyRow(rec, z[k], comp[k*d:(k+1)*d])
+	}
+}
+
+// axpyRow adds a·row to dst cell by cell, and nothing when a is exactly
+// zero, as MulAccInto skips a zero left-hand value.
+func axpyRow(dst []float64, a float64, row []float64) {
+	if a == 0 {
+		return
+	}
+	dst = dst[:len(row)]
+	for j, v := range row {
+		dst[j] += a * v
 	}
 }

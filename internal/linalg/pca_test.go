@@ -6,9 +6,16 @@ import (
 	"testing/quick"
 )
 
-// reconstruct encodes and decodes the rows of x.
+// reconstruct encodes and decodes the rows of x: (x − μ)·PCᵀ·PC + μ.
 func reconstruct(p *PCA, x *Dense) *Dense {
-	return p.Decode(p.Encode(x))
+	rec := MulInto(NewDense(x.Rows(), x.Cols()), p.Encode(x), p.Components)
+	for i := 0; i < rec.Rows(); i++ {
+		row := rec.RowView(i)
+		for j := range row {
+			row[j] += p.Mean[j]
+		}
+	}
+	return rec
 }
 
 func TestPCAFullVarianceReconstructsExactly(t *testing.T) {

@@ -148,8 +148,9 @@ func WithServerRegistry(dir string) ServerOption { return exchange.WithRegistryD
 // 1 s).
 func WithServerAdmission(cfg AdmissionConfig) ServerOption { return exchange.WithAdmission(cfg) }
 
-// WithServerWorkers bounds the worker-pool fan-out of one assess
-// computation (0 = GOMAXPROCS).
+// WithServerWorkers bounds the worker-pool fan-out of one assess request
+// (0 = GOMAXPROCS): the row walk that decodes its signatures and the
+// reconstruction passes that score them.
 func WithServerWorkers(n int) ServerOption { return exchange.WithServerWorkers(n) }
 
 // NewScopingServer returns the scoping service configured by the given
