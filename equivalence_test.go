@@ -28,6 +28,10 @@ import (
 //   - per-schema core.Train + AssessContext at 1..4 workers;
 //   - AssessDelta on the churned Scoper;
 //   - AssessDeltaStore over one checkpoint store, cold and then warm;
+//   - one ModelState per schema, made at the first step and applied the
+//     schema after each churn, then saved to and reloaded from that store:
+//     its Model at 1 and at 4 workers equals the Scoper's in range bits and
+//     component count, and its version counts the applies that changed it;
 //   - POST /v1/assess on a server holding the Scoper's models: cold, warm,
 //     and after republishing only the churned schema.
 //
@@ -64,6 +68,7 @@ func TestAssessmentPathsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc := newAssessService(t)
+		states := make([]*core.ModelState, len(sets))
 		churned := -1
 		for step := 0; step <= 3; step++ {
 			if step > 0 {
@@ -99,6 +104,7 @@ func TestAssessmentPathsAgree(t *testing.T) {
 			checkTwin(t, ctx, twin, v, models, keep, rep, what(step))
 
 			checkDeltaStore(t, ctx, store, s.Sets(), trained, cfg, ref, step == 0, what(step))
+			checkModelStates(t, store, states, s.Sets(), churned, v, models, what(step))
 			svc.check(t, ctx, s.Sets(), models, churned, cfg, ref, what(step))
 		}
 	}
@@ -379,6 +385,60 @@ func foreignOf(models []*core.Model, i int) []*core.Model {
 		}
 	}
 	return out
+}
+
+// checkModelStates brings one ModelState per schema up to date with sets:
+// NewModelState while states[i] is nil, Apply otherwise, which must change
+// only the churned schema (none when churned < 0). Each state is then saved
+// to store and loaded back twice, and the loaded state replaces it. Each
+// reload's Model, one at 1 worker and one at 4, must equal the Scoper's
+// model in range bits and component count, as trainAll checks, and its
+// version must be 1 plus the applies that changed the schema so far.
+func checkModelStates(t *testing.T, store core.CellStore, states []*core.ModelState, sets []*embed.SignatureSet, churned int, v float64, scoped []*core.Model, what string) {
+	t.Helper()
+	for i, set := range sets {
+		st, name := states[i], set.IDs[0].Schema
+		want := int64(1)
+		if st == nil {
+			var err error
+			if st, err = core.NewModelState(1, set); err != nil {
+				t.Fatalf("%s: NewModelState(%d): %v", what, i, err)
+			}
+		} else {
+			want = st.Version()
+			delta, err := st.Apply(1, set)
+			if err != nil {
+				t.Fatalf("%s: Apply(%d): %v", what, i, err)
+			}
+			if delta.Empty() == (i == churned) {
+				t.Fatalf("%s: Apply(%d) delta %v, schema %d churned", what, i, delta, churned)
+			}
+			if i == churned {
+				want++
+			}
+		}
+		if err := st.Save(store); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for _, workers := range []int{1, 4} {
+			re, ok, err := core.LoadModelState(store, name)
+			if err != nil || !ok {
+				t.Fatalf("%s: LoadModelState(%q): ok=%v err=%v", what, name, ok, err)
+			}
+			if re.Version() != want {
+				t.Fatalf("%s: reloaded state of schema %d at version %d, want %d", what, i, re.Version(), want)
+			}
+			m, err := re.Model(workers, v)
+			if err != nil {
+				t.Fatalf("%s: reloaded state of schema %d at %d workers: %v", what, i, workers, err)
+			}
+			if math.Float64bits(m.Range) != math.Float64bits(scoped[i].Range) || m.Components() != scoped[i].Components() {
+				t.Fatalf("%s: reloaded state of schema %d at %d workers: range %v with %d components, Scoper model %v with %d",
+					what, i, workers, m.Range, m.Components(), scoped[i].Range, scoped[i].Components())
+			}
+			states[i] = re
+		}
+	}
 }
 
 // checkDeltaStore assesses every schema through AssessDeltaStore twice over

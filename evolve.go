@@ -2,11 +2,13 @@ package collabscope
 
 // Evolving-schema support (DESIGN.md §15): incremental model maintenance
 // across CLI invocations. UpdateModel keeps one schema's training state —
-// signature rows plus mergeable PCA sufficient statistics — in a state
-// directory, applies each schema revision as a diff, and retrains only
-// from the maintained state. AssessDeltaState keeps per-foreign-model
-// score columns in the same directory, so re-assessing after one peer
-// republishes re-scores only against the model that actually changed.
+// its signature rows, plus PCA sufficient statistics while the schema has
+// at least as many elements as signature dimensions — in a state
+// directory, applies each schema revision as a diff, and refits only from
+// the maintained state, on the pipeline's workers. AssessDeltaState keeps
+// per-foreign-model score columns in the same directory, so re-assessing
+// after one peer republishes re-scores only against the model that
+// actually changed.
 
 import (
 	"context"
@@ -39,10 +41,12 @@ type DeltaReport = core.DeltaReport
 // UpdateModel incrementally retrains the schema's model at explained
 // variance v, persisting the training state in stateDir. The first call
 // performs a full fit; later calls diff the schema against the maintained
-// state and update only the changed elements' statistics. The result
-// matches a from-scratch TrainModel bit-for-bit while the schema has fewer
-// elements than signature dimensions, and within the documented
-// linalg.StatsFitTolerance beyond that.
+// state and refit only when it changed. The result matches a from-scratch
+// TrainModel bit-for-bit while the schema has fewer elements than
+// signature dimensions, and within the documented
+// linalg.StatsFitTolerance beyond that, where the fit reads the
+// maintained statistics. Fits run on the pipeline's workers with the same
+// bits at any count.
 func (p *Pipeline) UpdateModel(s *Schema, v float64, stateDir string) (*ModelUpdate, error) {
 	return p.UpdateModelContext(context.Background(), s, v, stateDir)
 }
@@ -65,18 +69,18 @@ func (p *Pipeline) UpdateModelContext(ctx context.Context, s *Schema, v float64,
 	}
 	up := &ModelUpdate{Resumed: resumed}
 	if st == nil {
-		if st, err = core.NewModelState(set); err != nil {
+		if st, err = core.NewModelState(p.workers, set); err != nil {
 			return nil, err
 		}
 		up.Added = st.Len()
 	} else {
-		delta, err := st.Apply(set)
+		delta, err := st.Apply(p.workers, set)
 		if err != nil {
 			return nil, err
 		}
 		up.Added, up.Removed, up.Changed = delta.Added, delta.Removed, delta.Changed
 	}
-	if up.Model, err = st.Model(v); err != nil {
+	if up.Model, err = st.Model(p.workers, v); err != nil {
 		return nil, err
 	}
 	if err := st.Save(store); err != nil {

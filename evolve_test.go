@@ -2,6 +2,8 @@ package collabscope
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -18,11 +20,27 @@ func modelBytes(t *testing.T, m *Model) []byte {
 // through a schema's evolution: first run is a full fit, later runs apply
 // diffs against the persisted state — and every round's model is
 // byte-identical on the wire to a from-scratch TrainModel of the same
-// schema revision (rows path: elements ≪ signature dimensions).
+// schema revision (rows path: elements ≪ signature dimensions). Below d the
+// state keeps no sufficient statistics, so its cell on disk holds no
+// scatter.
 func TestUpdateModelIncrementalLifecycle(t *testing.T) {
 	pipe := New(WithDimension(64))
 	dir := t.TempDir()
 	const v = 0.8
+	noScatter := func(what string) {
+		t.Helper()
+		cells, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil || len(cells) != 1 {
+			t.Fatalf("%s: want one state cell, got %v (%v)", what, cells, err)
+		}
+		b, err := os.ReadFile(cells[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(b, []byte(`"scatter"`)) {
+			t.Fatalf("%s: the state cell holds a scatter below d", what)
+		}
+	}
 
 	rev1, err := ParseDDL("inv", `
 		CREATE TABLE orders (id INT PRIMARY KEY, total DECIMAL(8,2), placed_at DATE);
@@ -44,6 +62,7 @@ func TestUpdateModelIncrementalLifecycle(t *testing.T) {
 	if !bytes.Equal(modelBytes(t, up.Model), modelBytes(t, want)) {
 		t.Fatal("incremental first fit differs from from-scratch TrainModel")
 	}
+	noScatter("first update")
 
 	// Evolution: a new table arrives, one column is dropped.
 	rev2, err := ParseDDL("inv", `
@@ -70,6 +89,7 @@ func TestUpdateModelIncrementalLifecycle(t *testing.T) {
 	if !bytes.Equal(modelBytes(t, up2.Model), modelBytes(t, want2)) {
 		t.Fatal("incremental update differs from from-scratch TrainModel")
 	}
+	noScatter("second update")
 
 	// Unchanged schema: a no-op diff, same version, same model.
 	up3, err := pipe.UpdateModel(rev2, v, dir)

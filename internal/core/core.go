@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"collabscope/internal/embed"
@@ -424,21 +423,13 @@ func (cfg AssessConfig) Linkable(foreign []*Model, errs [][]float64, n int) []bo
 // fits each schema's full PCA once, so sweeping the explained variance v is
 // cheap (truncation only).
 type Scoper struct {
-	sets    []*embed.SignatureSet
-	full    []*linalg.PCA
+	// states holds each schema's rows, full-spectrum fit, version (1 at
+	// construction, bumped by every successful incremental mutation) and,
+	// at n ≥ d, sufficient statistics (DESIGN.md §15). Delta assessment
+	// keys cached scores on the versions.
+	states  []schemaState
 	cfg     AssessConfig
 	workers int
-
-	// version holds each schema's model version: 1 at construction, bumped
-	// by every successful incremental mutation (DESIGN.md §15). Delta
-	// assessment keys cached scores on these.
-	version []int64
-	// stats holds a schema's sufficient statistics exactly while it has at
-	// least as many rows as dimensions, the only regime whose refits read
-	// them; the first mutation that needs them builds them (see
-	// holdsStats). Always nil under ApproxMaxRank, whose randomized fit
-	// has no stats path.
-	stats []*linalg.PCAStats
 	// delta is the AssessDelta score cache; nil until the first delta round.
 	delta *deltaCache
 }
@@ -467,12 +458,9 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 	ctx, sp := obs.Start(ctx, "core.fit")
 	sp.Annotate("schemas", int64(len(sets)))
 	defer sp.End()
-	// The Scoper's mutators replace entries of its own copy of the slice,
-	// never of the caller's.
-	s := &Scoper{sets: slices.Clone(sets), cfg: cfg, workers: workers, version: make([]int64, len(sets)), stats: make([]*linalg.PCAStats, len(sets))}
-	for i := range s.version {
-		s.version[i] = 1
-	}
+	// The Scoper's mutators replace its own states' sets, never the
+	// caller's slice or sets.
+	s := &Scoper{states: make([]schemaState, len(sets)), cfg: cfg, workers: workers}
 	dim := -1
 	for i, set := range sets {
 		if set.Len() == 0 {
@@ -485,16 +473,15 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 				i, set.Matrix.Cols(), dim)
 		}
 	}
-	s.full = make([]*linalg.PCA, len(sets))
 	err := parallel.ForEach(ctx, workers, len(sets), func(i int) error {
 		if err := checkSquares(sets[i], sets[i].Matrix.ColMean()); err != nil {
 			return err
 		}
-		pca, ferr := s.fit(1, sets[i])
+		pca, ferr := cfg.fit(1, sets[i])
 		if ferr != nil {
 			return ferr
 		}
-		s.full[i] = pca
+		s.states[i] = schemaState{set: sets[i], full: pca, version: 1}
 		return nil
 	})
 	if err != nil {
@@ -503,15 +490,16 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 	return s, nil
 }
 
-// fit decomposes one signature set, exactly on up to workers goroutines or
-// via the randomized path. Callers have checked the rows (checkSquares);
-// a non-converging SVD surfaces as a taxonomy error naming the schema
+// fit decomposes the full spectrum of one signature set, exactly on up to
+// workers goroutines (≤ 0 means GOMAXPROCS) or, under ApproxMaxRank, via
+// the randomized path. Callers have checked the rows (checkSquares); a
+// non-converging SVD surfaces as a taxonomy error naming the schema
 // instead of poisoning the model.
-func (s *Scoper) fit(workers int, set *embed.SignatureSet) (*linalg.PCA, error) {
-	if s.cfg.ApproxMaxRank > 0 {
-		return linalg.FitPCAApprox(set.Matrix, 1.0, s.cfg.ApproxMaxRank, s.cfg.Seed), nil
+func (cfg AssessConfig) fit(workers int, set *embed.SignatureSet) (*linalg.PCA, error) {
+	if cfg.ApproxMaxRank > 0 {
+		return linalg.FitPCAApprox(set.Matrix, 1.0, cfg.ApproxMaxRank, cfg.Seed), nil
 	}
-	return fitRows(workers, set, 1.0)
+	return fitRows(parallel.Workers(workers), set, 1.0)
 }
 
 // Models returns the local models of all schemas at explained variance v.
@@ -529,26 +517,17 @@ func (s *Scoper) ModelsContext(ctx context.Context, v float64) ([]*Model, error)
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
 	}
 	ctx, sp := obs.Start(ctx, "core.train")
-	sp.Annotate("schemas", int64(len(s.sets)))
+	sp.Annotate("schemas", int64(len(s.states)))
 	defer sp.End()
-	models := make([]*Model, len(s.sets))
-	err := parallel.ForEach(ctx, s.workers, len(s.sets), func(i int) (err error) {
-		models[i], err = s.model(i, v)
+	models := make([]*Model, len(s.states))
+	err := parallel.ForEach(ctx, s.workers, len(s.states), func(i int) (err error) {
+		models[i], err = s.states[i].model(v)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return models, nil
-}
-
-// model builds schema i's model at explained variance v by truncating the
-// schema's full-spectrum decomposition. ModelsContext and AssessDelta both
-// build through it, so a model AssessDelta caches is the one a full round
-// would build.
-func (s *Scoper) model(i int, v float64) (*Model, error) {
-	set := s.sets[i]
-	return newModel(set.IDs[0].Schema, v, s.full[i].Truncate(v), set.Matrix)
 }
 
 // Scope runs the full collaborative assessment at explained variance v and
@@ -564,21 +543,21 @@ func (s *Scoper) Scope(v float64) (map[schema.ElementID]bool, error) {
 // so the result is identical for any worker count.
 func (s *Scoper) ScopeContext(ctx context.Context, v float64) (map[schema.ElementID]bool, error) {
 	ctx, sp := obs.Start(ctx, "core.scope")
-	sp.Annotate("schemas", int64(len(s.sets)))
+	sp.Annotate("schemas", int64(len(s.states)))
 	defer sp.End()
 	models, err := s.ModelsContext(ctx, v)
 	if err != nil {
 		return nil, err
 	}
-	verdicts := make([]map[schema.ElementID]bool, len(s.sets))
-	err = parallel.ForEach(ctx, s.workers, len(s.sets), func(i int) error {
+	verdicts := make([]map[schema.ElementID]bool, len(s.states))
+	err = parallel.ForEach(ctx, s.workers, len(s.states), func(i int) error {
 		foreign := make([]*Model, 0, len(models)-1)
 		for j, m := range models {
 			if j != i {
 				foreign = append(foreign, m)
 			}
 		}
-		verdict, aerr := AssessContext(ctx, 1, s.sets[i], foreign, s.cfg)
+		verdict, aerr := AssessContext(ctx, 1, s.states[i].set, foreign, s.cfg)
 		if aerr != nil {
 			return aerr
 		}
@@ -626,8 +605,8 @@ func (s *Scoper) Evaluate(labels map[schema.ElementID]bool, grid []float64, rocL
 // k−1 other schemas (the |S|·|M| term of the complexity analysis).
 func (s *Scoper) PassOperations() int {
 	total := 0
-	for _, set := range s.sets {
-		total += set.Len() * (len(s.sets) - 1)
+	for _, st := range s.states {
+		total += st.set.Len() * (len(s.states) - 1)
 	}
 	return total
 }

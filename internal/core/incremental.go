@@ -3,13 +3,17 @@
 // full reassessment per change defeats the point of scoping. This file adds
 // the layers that survive schema evolution:
 //
+//   - schemaState: one maintained schema (rows, their fit, a version, and
+//     sufficient statistics only while rows ≥ dimensions) with one
+//     mutation, move, that checks, moves the statistics, refits and
+//     commits or changes nothing.
 //   - Scoper.AddElements / RemoveElements plus AssessDelta: in-process
 //     incremental maintenance that refits only the changed schema and
 //     re-scores only element×model pairs whose verdict can change, with obs
 //     counters proving the reuse.
-//   - ModelState: a persistent single-schema incremental trainer (rows +
-//     sufficient statistics + a model version), with CellStore persistence
-//     that resumes bit-identically after a restart.
+//   - ModelState: a schemaState persisted in a CellStore between
+//     invocations (`collabscope update`), resuming bit-identically after a
+//     restart.
 //   - AssessDeltaStore: assessment whose error columns persist in a
 //     CellStore across invocations (`collabscope assess -delta`).
 //
@@ -17,12 +21,12 @@
 //
 // Exactness: an incremental refit over fewer rows than dimensions runs the
 // exact from-scratch code path on the maintained rows, so the refitted
-// state is bit-identical to retraining from zero. When rows outnumber
-// dimensions the refit switches to the sufficient-statistics path (cost
+// state is bit-identical to retraining from zero. When rows reach the
+// dimension the refit switches to the sufficient-statistics path (cost
 // independent of history length), which matches from-scratch training
 // within linalg.StatsFitTolerance. Delta assessment is exact in both cases:
 // reused scores are the identical float64s a full pass would recompute.
-// Refits and delta assessment run on the Scoper's worker pool, and neither
+// Refits and delta assessment run on the caller's worker pool, and neither
 // depends on its size.
 package core
 
@@ -30,7 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 
 	"collabscope/internal/embed"
 	"collabscope/internal/linalg"
@@ -40,90 +44,140 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Scoper incremental maintenance
+// Maintained schema state
 
-// Sets returns the scoper's current signature sets (a copy of the slice;
-// the sets themselves are shared and must be treated as read-only). The
-// benchmark's evolve_churn workload uses it to hand the incrementally
-// maintained state to a from-scratch Scoper for comparison.
-func (s *Scoper) Sets() []*embed.SignatureSet {
-	out := make([]*embed.SignatureSet, len(s.sets))
-	copy(out, s.sets)
-	return out
+// schemaState is one maintained schema, the state behind each schema of a
+// Scoper and behind a ModelState: its element IDs and signature rows,
+// their full-spectrum decomposition, a version that bumps on every
+// membership change, and its sufficient statistics. It holds the
+// statistics exactly while it has at least as many rows as dimensions
+// under exact fits, the only regime whose refits read them
+// (fitMaintained): below d they would be a d×d scatter kept up to date for
+// nothing, and ApproxMaxRank's randomized fit has no statistics path.
+type schemaState struct {
+	set *embed.SignatureSet
+	// full is the fit of set's rows at explained variance 1; nil only in a
+	// ModelState loaded from its cell, until its first Model.
+	full    *linalg.PCA
+	version int64
+	stats   *linalg.PCAStats
 }
 
-// checkDeltaSet validates an element batch destined for schema i: same
-// schema name, same signature dimensionality, non-empty. AddElements then
-// checks its squares (checkSquares) before anything is mutated: a
-// non-finite row folded into the sufficient statistics could not be taken
-// out again (NaN−NaN is NaN).
-func (s *Scoper) checkDeltaSet(i int, set *embed.SignatureSet) error {
-	if i < 0 || i >= len(s.sets) {
-		return fmt.Errorf("core: schema index %d out of range %d", i, len(s.sets))
-	}
-	name, err := singleSchemaName(set)
-	if err != nil {
-		return err
-	}
-	if own := s.sets[i].IDs[0].Schema; name != own {
-		return fmt.Errorf("core: elements belong to schema %q, index %d holds %q", name, i, own)
-	}
-	if set.Matrix.Cols() != s.sets[i].Matrix.Cols() {
-		return fmt.Errorf("core: elements have dimension %d, schema %q uses %d",
-			set.Matrix.Cols(), s.sets[i].IDs[0].Schema, s.sets[i].Matrix.Cols())
-	}
-	return nil
-}
-
-// holdsStats reports whether a schema with the rows of set holds
-// sufficient statistics: exactly while it has at least as many rows as
-// dimensions, since fitMaintained reads them only then, and never under
-// ApproxMaxRank, whose randomized fit is approximate by construction and
-// refits through the same randomized path.
-func (s *Scoper) holdsStats(set *embed.SignatureSet) bool {
-	return s.cfg.ApproxMaxRank == 0 && set.Len() >= set.Matrix.Cols()
-}
-
-// statsFor returns the statistics schema i holds for a mutation that
-// leaves it with the rows of next, before the mutation's rows are applied:
-// nil when next does not hold any, the held ones, or, when schema i holds
-// none yet, ones accumulated from its current rows in row order.
-func (s *Scoper) statsFor(i int, next *embed.SignatureSet) *linalg.PCAStats {
-	if !s.holdsStats(next) {
-		return nil
-	}
-	if s.stats[i] != nil {
-		return s.stats[i]
-	}
-	return linalg.AccumulateStats(s.sets[i].Matrix)
-}
-
-// fitMaintained is incremental maintenance's one choice between its two
-// exact refit paths, shared by the Scoper and ModelState. With fewer rows
-// than dimensions (the schema-scoping regime) it runs rowsFit, the
-// from-scratch code path, so the fit is bit-identical to retraining. With
-// rows ≥ dimensions it fits at v from the maintained sufficient statistics,
-// whose cost does not grow with the rows' churn history, within
-// linalg.StatsFitTolerance of from-scratch. A nil stats (a Scoper holds
-// none below d or under ApproxMaxRank) always fits the rows.
+// move is the one mutation of a maintained schema (DESIGN.md §15): it
+// replaces the state's rows with next, a set of distinct elements. It
+// diffs next against the current rows by element ID: a current row is gone
+// when its element is missing from next or its signature changed, and a
+// row of next enters when its element is new or changed. It then checks
+// next's squares, moves the statistics, refits and commits; a failure at
+// any step changes nothing.
 //
-// Rows are checked on the way in (checkSquares), but the rows a Scoper
+//   - Every row of next is checked centred on next's mean, which the fit
+//     and the range square; a row that enters held statistics is checked
+//     raw too, since they square it raw (see checkSquares).
+//   - A move that leaves the schema below d, or under ApproxMaxRank, drops
+//     the statistics. The first move that leaves it at n ≥ d accumulates
+//     next's rows in row order; a later one downdates the gone rows in
+//     maintained order and then updates the entering rows in next's order,
+//     on a copy of the held statistics.
+//   - The refit runs through fitMaintained on up to workers goroutines,
+//     with the same bits at any count.
+//
+// It returns the diff and the gone rows' indices, ascending. An empty diff
+// changes nothing, not even the version.
+func (st *schemaState) move(workers int, cfg AssessConfig, next *embed.SignatureSet) (StateDelta, []int, error) {
+	var delta StateDelta
+	pos := make(map[schema.ElementID]int, next.Len())
+	for k, id := range next.IDs {
+		if _, dup := pos[id]; dup {
+			return delta, nil, fmt.Errorf("core: duplicate element %s: already part of schema %q", id, id.Schema)
+		}
+		pos[id] = k
+	}
+	old := st.set
+	kept := make([]bool, next.Len())
+	var gone []int
+	for k, id := range old.IDs {
+		nk, ok := pos[id]
+		switch {
+		case !ok:
+			delta.Removed++
+		case slices.Equal(old.Matrix.RowView(k), next.Matrix.RowView(nk)):
+			kept[nk] = true
+			continue
+		default:
+			delta.Changed++
+		}
+		gone = append(gone, k)
+	}
+	var enter []int
+	for k, ok := range kept {
+		if !ok {
+			enter = append(enter, k)
+		}
+	}
+	delta.Added = len(enter) - delta.Changed
+	if delta.Empty() {
+		return delta, nil, nil
+	}
+
+	if err := checkSquares(next, next.Matrix.ColMean()); err != nil {
+		return delta, nil, err
+	}
+	var stats *linalg.PCAStats
+	if d := next.Matrix.Cols(); cfg.ApproxMaxRank == 0 && next.Len() >= d {
+		for _, k := range enter {
+			row := &embed.SignatureSet{IDs: next.IDs[k : k+1], Matrix: linalg.WrapDense(1, d, next.Matrix.RowView(k))}
+			if err := checkSquares(row, nil); err != nil {
+				return delta, nil, err
+			}
+		}
+		if st.stats == nil {
+			stats = linalg.AccumulateStats(next.Matrix)
+		} else {
+			stats = &linalg.PCAStats{N: st.stats.N, Sum: slices.Clone(st.stats.Sum), Scatter: st.stats.Scatter.Clone()}
+			for _, k := range gone {
+				if err := stats.Downdate(old.Matrix.RowView(k)); err != nil {
+					return delta, nil, fmt.Errorf("core: downdate schema %q: %w", old.IDs[0].Schema, err)
+				}
+			}
+			for _, k := range enter {
+				stats.Update(next.Matrix.RowView(k))
+			}
+		}
+	}
+	pca, stats, err := fitMaintained(workers, cfg, next, stats)
+	if err != nil {
+		return delta, nil, err
+	}
+	st.set, st.full, st.stats = next, pca, stats
+	st.version++
+	return delta, gone, nil
+}
+
+// fitMaintained is a maintained schema's one choice between its two exact
+// refit paths, at explained variance 1. Without statistics (fewer rows
+// than dimensions, the schema-scoping regime, or ApproxMaxRank) it fits
+// the rows through cfg.fit, the from-scratch code path, so the fit is
+// bit-identical to retraining. With them (rows ≥ dimensions) it fits from
+// the statistics, whose cost does not grow with the rows' churn history,
+// within linalg.StatsFitTolerance of from-scratch.
+//
+// Rows are checked on the way in (checkSquares), but the rows a schema
 // holds when it first builds statistics were checked only centred, and
 // sums over many large rows can overflow too; downdating an overflowed
 // cell then leaves Inf−Inf = NaN. So statistics that are not finite are
 // rebuilt from the rows, and the rows are fitted if the rebuilt ones are
 // still not finite. It returns the statistics to keep.
-func fitMaintained(set *embed.SignatureSet, stats *linalg.PCAStats, v float64,
-	rowsFit func() (*linalg.PCA, error)) (*linalg.PCA, *linalg.PCAStats, error) {
-	if stats == nil || set.Len() < set.Matrix.Cols() {
-		pca, err := rowsFit()
-		return pca, stats, err
+func fitMaintained(workers int, cfg AssessConfig, set *embed.SignatureSet, stats *linalg.PCAStats) (*linalg.PCA, *linalg.PCAStats, error) {
+	if stats == nil {
+		pca, err := cfg.fit(workers, set)
+		return pca, nil, err
 	}
-	pca, err := linalg.FitPCAFromStats(stats, v)
+	pca, err := linalg.FitPCAFromStats(stats, 1.0)
 	if errors.Is(err, linalg.ErrNonFinite) {
 		stats = linalg.AccumulateStats(set.Matrix)
-		if pca, err = linalg.FitPCAFromStats(stats, v); errors.Is(err, linalg.ErrNonFinite) {
-			pca, err = rowsFit()
+		if pca, err = linalg.FitPCAFromStats(stats, 1.0); errors.Is(err, linalg.ErrNonFinite) {
+			pca, err = cfg.fit(workers, set)
 			return pca, stats, err
 		}
 	}
@@ -133,66 +187,63 @@ func fitMaintained(set *embed.SignatureSet, stats *linalg.PCAStats, v float64,
 	return pca, stats, nil
 }
 
-// refitIncremental refits schema i's full-spectrum decomposition after a
-// membership change through fitMaintained, on the Scoper's whole worker
-// pool: bit-identical to a fresh Scoper over the same state while rows are
-// fewer than dimensions, and a deterministic function of the maintained
-// state either way. On failure it changes nothing; the caller restores the
-// rows and statistics it replaced.
-func (s *Scoper) refitIncremental(i int) error {
-	pca, stats, err := fitMaintained(s.sets[i], s.stats[i], 1.0, func() (*linalg.PCA, error) {
-		return s.fit(parallel.Workers(s.workers), s.sets[i])
-	})
+// model builds the schema's model at explained variance v by truncating
+// its full-spectrum fit. ModelsContext, AssessDelta and ModelState.Model
+// all build through it, so a model AssessDelta caches is the one a full
+// round would build, and a truncation is bit-identical to a fit at v.
+func (st *schemaState) model(v float64) (*Model, error) {
+	return newModel(st.set.IDs[0].Schema, v, st.full.Truncate(v), st.set.Matrix)
+}
+
+// ---------------------------------------------------------------------------
+// Scoper incremental maintenance
+
+// Sets returns the scoper's current signature sets (a new slice; the sets
+// themselves are shared and must be treated as read-only). The
+// benchmark's evolve_churn workload uses it to hand the incrementally
+// maintained state to a from-scratch Scoper for comparison.
+func (s *Scoper) Sets() []*embed.SignatureSet {
+	out := make([]*embed.SignatureSet, len(s.states))
+	for i := range s.states {
+		out[i] = s.states[i].set
+	}
+	return out
+}
+
+// checkDeltaSet validates an element batch destined for schema i: same
+// schema name, same signature dimensionality, non-empty.
+func (s *Scoper) checkDeltaSet(i int, set *embed.SignatureSet) error {
+	if i < 0 || i >= len(s.states) {
+		return fmt.Errorf("core: schema index %d out of range %d", i, len(s.states))
+	}
+	name, err := singleSchemaName(set)
 	if err != nil {
 		return err
 	}
-	s.stats[i], s.full[i] = stats, pca
-	s.version[i]++
+	own := s.states[i].set
+	if name != own.IDs[0].Schema {
+		return fmt.Errorf("core: elements belong to schema %q, index %d holds %q", name, i, own.IDs[0].Schema)
+	}
+	if set.Matrix.Cols() != own.Matrix.Cols() {
+		return fmt.Errorf("core: elements have dimension %d, schema %q uses %d",
+			set.Matrix.Cols(), own.IDs[0].Schema, own.Matrix.Cols())
+	}
 	return nil
 }
 
 // AddElements appends new elements to schema i after a schema evolution
-// (say, a CREATE TABLE) and refits only that schema: the other schemas'
-// decompositions, and every cached element×model score not involving
-// schema i, are untouched. Duplicate element IDs are rejected — membership
-// bookkeeping is by ID — and so are rows whose squares overflow (see
-// checkSquares), before anything changes.
+// (say, a CREATE TABLE) and refits only that schema, on the Scoper's whole
+// worker pool: the other schemas' decompositions, and every cached
+// element×model score not involving schema i, are untouched. Duplicate
+// element IDs are rejected — membership bookkeeping is by ID — and so are
+// rows whose squares overflow (see schemaState.move), before anything
+// changes; a failed refit leaves the scoper assessing the pre-update
+// state.
 func (s *Scoper) AddElements(i int, add *embed.SignatureSet) error {
 	if err := s.checkDeltaSet(i, add); err != nil {
 		return err
 	}
-	have := make(map[schema.ElementID]bool, s.sets[i].Len())
-	for _, id := range s.sets[i].IDs {
-		have[id] = true
-	}
-	for _, id := range add.IDs {
-		if have[id] {
-			return fmt.Errorf("core: element %s is already part of schema %q", id, id.Schema)
-		}
-		have[id] = true
-	}
-	old, held := s.sets[i], s.stats[i]
-	next := appendSet(old, add)
-	if err := checkSquares(next, next.Matrix.ColMean()); err != nil {
-		return err
-	}
-	if s.holdsStats(next) {
-		if err := checkSquares(add, nil); err != nil {
-			return err
-		}
-	}
-	stats := s.statsFor(i, next)
-	if stats != nil {
-		stats.UpdateRows(add.Matrix)
-	}
-	s.sets[i], s.stats[i] = next, stats
-	if err := s.refitIncremental(i); err != nil {
-		// Roll back so a failed refit leaves the scoper assessing the
-		// pre-update state.
-		if held != nil {
-			_ = held.DowndateRows(add.Matrix)
-		}
-		s.sets[i], s.stats[i] = old, held
+	if _, _, err := s.states[i].move(s.workers, s.cfg, appendSet(s.states[i].set, add)); err != nil {
 		return err
 	}
 	s.deltaAppendRows(i, add.Len())
@@ -200,67 +251,37 @@ func (s *Scoper) AddElements(i int, add *embed.SignatureSet) error {
 }
 
 // RemoveElements drops elements from schema i (a DROP COLUMN / DROP TABLE)
-// and refits only that schema. Every id must currently belong to schema i,
-// and at least one element must survive — an empty signature set cannot
-// train a model.
+// and refits only that schema, like AddElements. Every id must currently
+// belong to schema i, and at least one element must survive — an empty
+// signature set cannot train a model.
 func (s *Scoper) RemoveElements(i int, ids ...schema.ElementID) error {
-	if i < 0 || i >= len(s.sets) {
-		return fmt.Errorf("core: schema index %d out of range %d", i, len(s.sets))
+	if i < 0 || i >= len(s.states) {
+		return fmt.Errorf("core: schema index %d out of range %d", i, len(s.states))
 	}
 	if len(ids) == 0 {
 		return fmt.Errorf("core: no elements to remove")
 	}
-	drop := make(map[schema.ElementID]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	old := s.sets[i]
-	pos := make(map[schema.ElementID]int, old.Len())
-	for k, id := range old.IDs {
-		pos[id] = k
+	old := s.states[i].set
+	keep := make(map[schema.ElementID]bool, old.Len())
+	for _, id := range old.IDs {
+		keep[id] = true
 	}
 	for _, id := range ids {
-		if _, ok := pos[id]; !ok {
+		if _, ok := keep[id]; !ok {
 			return fmt.Errorf("core: element %s is not part of schema %q", id, old.IDs[0].Schema)
 		}
+		keep[id] = false
 	}
-	if old.Len()-len(drop) < 1 {
+	next := old.Select(keep)
+	if next.Len() == 0 {
 		return fmt.Errorf("core: removing %d of %d elements would leave schema %q empty",
-			len(drop), old.Len(), old.IDs[0].Schema)
+			old.Len(), old.Len(), old.IDs[0].Schema)
 	}
-	var removedRows []int
-	keepIDs := make([]schema.ElementID, 0, old.Len()-len(drop))
-	for k, id := range old.IDs {
-		if drop[id] {
-			removedRows = append(removedRows, k)
-			continue
-		}
-		keepIDs = append(keepIDs, id)
-	}
-	next := &embed.SignatureSet{IDs: keepIDs, Matrix: linalg.NewDense(len(keepIDs), old.Matrix.Cols())}
-	for k, id := range keepIDs {
-		copy(next.Matrix.RowView(k), old.Matrix.RowView(pos[id]))
-	}
-	held := s.stats[i]
-	stats := s.statsFor(i, next)
-	if stats != nil {
-		for _, r := range removedRows {
-			if err := stats.Downdate(old.Matrix.RowView(r)); err != nil {
-				return fmt.Errorf("core: downdate schema %q: %w", old.IDs[0].Schema, err)
-			}
-		}
-	}
-	s.sets[i], s.stats[i] = next, stats
-	if err := s.refitIncremental(i); err != nil {
-		if held != nil && stats == held {
-			for _, r := range removedRows {
-				held.Update(old.Matrix.RowView(r))
-			}
-		}
-		s.sets[i], s.stats[i] = old, held
+	_, gone, err := s.states[i].move(s.workers, s.cfg, next)
+	if err != nil {
 		return err
 	}
-	s.deltaRemoveRows(i, removedRows)
+	s.deltaRemoveRows(i, gone)
 	return nil
 }
 
@@ -378,11 +399,11 @@ func (s *Scoper) AssessDelta(ctx context.Context, v float64) (map[schema.Element
 		return nil, rep, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
 	}
 	ctx, sp := obs.Start(ctx, "core.assess_delta")
-	sp.Annotate("schemas", int64(len(s.sets)))
+	sp.Annotate("schemas", int64(len(s.states)))
 	defer sp.End()
 	reg := obs.FromContext(ctx)
 
-	k := len(s.sets)
+	k := len(s.states)
 	if s.delta == nil || s.delta.v != v {
 		errs := make([][]*deltaErrs, k)
 		for i := range errs {
@@ -394,16 +415,17 @@ func (s *Scoper) AssessDelta(ctx context.Context, v float64) (map[schema.Element
 
 	// Rebuild stale models through ModelsContext's construction, so a
 	// cached model is bit-identical to what a full round would build.
-	for i := range s.sets {
-		if c.models[i] != nil && c.modelVer[i] == s.version[i] {
+	for i := range s.states {
+		st := &s.states[i]
+		if c.models[i] != nil && c.modelVer[i] == st.version {
 			continue
 		}
-		m, err := s.model(i, v)
+		m, err := st.model(v)
 		if err != nil {
 			return nil, rep, err
 		}
 		c.models[i] = m
-		c.modelVer[i] = s.version[i]
+		c.modelVer[i] = st.version
 		rep.Refits++
 	}
 
@@ -411,7 +433,7 @@ func (s *Scoper) AssessDelta(ctx context.Context, v float64) (map[schema.Element
 	linkable := make([][]bool, k)
 	reps := make([]DeltaReport, k)
 	err := parallel.ForEach(ctx, s.workers, k, func(i int) error {
-		local := s.sets[i]
+		local := s.states[i].set
 		n := local.Len()
 		foreign := make([]*Model, 0, k-1)
 		errs := make([][]float64, 0, k-1)
@@ -439,7 +461,7 @@ func (s *Scoper) AssessDelta(ctx context.Context, v float64) (map[schema.Element
 	keep := make(map[schema.ElementID]bool, s.PassOperations())
 	for i, verdicts := range linkable {
 		for r, ok := range verdicts {
-			keep[s.sets[i].IDs[r]] = ok
+			keep[s.states[i].set.IDs[r]] = ok
 		}
 		rep.Rescored += reps[i].Rescored
 		rep.Reused += reps[i].Reused
@@ -496,21 +518,16 @@ func deltaScore(ctx context.Context, local *embed.SignatureSet, m *Model, mver i
 // ---------------------------------------------------------------------------
 // ModelState: persistent single-schema incremental training state
 
-// ModelState is the incremental training state of one schema: its element
-// IDs and signature rows, their accumulated sufficient statistics, and a
-// version that bumps on every membership change. It backs `collabscope
-// update`: the state persists in a checkpoint store between invocations, a
-// schema evolution applies as a diff (added / removed / changed elements),
-// and only the delta touches the accumulator. Persisted state reloads
-// bit-identically — JSON float64 encoding round-trips exactly — so a
-// restarted process resumes incremental maintenance as if it never stopped.
-type ModelState struct {
-	name    string
-	ids     []schema.ElementID
-	rows    *linalg.Dense
-	stats   *linalg.PCAStats
-	version int64
-}
+// ModelState is the incremental training state of one schema — the state
+// a Scoper keeps per schema — persisted in a checkpoint store between
+// invocations. It backs `collabscope update`: a schema evolution applies
+// as a diff (added / removed / changed elements) through the same mutation
+// as Scoper.AddElements and RemoveElements, so it holds sufficient
+// statistics exactly while the schema has at least as many elements as
+// dimensions. Persisted state reloads bit-identically — JSON float64
+// encoding round-trips exactly — so a restarted process resumes
+// incremental maintenance as if it never stopped.
+type ModelState struct{ schemaState }
 
 // StateDelta summarises one ModelState.Apply: how many elements were added,
 // removed, and changed (same ID, different signature — applied as a
@@ -527,209 +544,101 @@ func (d StateDelta) String() string {
 }
 
 // NewModelState initialises incremental state from a schema's full
-// signature set (the first, full fit of an evolving schema). A row whose
-// squares overflow the fit or the statistics is refused (see
-// checkSquares).
-func NewModelState(set *embed.SignatureSet) (*ModelState, error) {
-	name, err := singleSchemaName(set)
-	if err != nil {
+// signature set, the first, full fit of an evolving schema: Apply on an
+// empty state, so the result is at version 1.
+func NewModelState(workers int, set *embed.SignatureSet) (*ModelState, error) {
+	if _, err := singleSchemaName(set); err != nil {
 		return nil, err
 	}
-	if err := checkStateRows(set); err != nil {
+	st := &ModelState{schemaState{set: &embed.SignatureSet{Matrix: linalg.NewDense(0, set.Matrix.Cols())}}}
+	if _, err := st.Apply(workers, set); err != nil {
 		return nil, err
 	}
-	seen := make(map[schema.ElementID]bool, set.Len())
-	for _, id := range set.IDs {
-		if seen[id] {
-			return nil, fmt.Errorf("core: duplicate element %s in signature set", id)
-		}
-		seen[id] = true
-	}
-	ids := make([]schema.ElementID, set.Len())
-	copy(ids, set.IDs)
-	return &ModelState{
-		name:    name,
-		ids:     ids,
-		rows:    set.Matrix.Clone(),
-		stats:   linalg.AccumulateStats(set.Matrix),
-		version: 1,
-	}, nil
+	return st, nil
 }
 
-// Schema returns the schema name the state belongs to.
-func (st *ModelState) Schema() string { return st.name }
-
-// Dim returns the signature dimensionality.
-func (st *ModelState) Dim() int { return st.rows.Cols() }
-
 // Len returns the number of maintained elements.
-func (st *ModelState) Len() int { return len(st.ids) }
+func (st *ModelState) Len() int { return st.set.Len() }
 
 // Version returns the state version: 1 at initialisation, bumped by every
 // membership change. Republishing a model after a version bump is what
 // triggers delta re-scoring in peers and the scoping service.
 func (st *ModelState) Version() int64 { return st.version }
 
-// IDs returns a copy of the maintained element IDs, in row order.
-func (st *ModelState) IDs() []schema.ElementID {
-	out := make([]schema.ElementID, len(st.ids))
-	copy(out, st.ids)
-	return out
-}
-
 // Apply diffs the state against a schema's current signature set and
-// applies the difference: elements gone from the set are downdated,
-// elements new to it are accumulated, and elements whose signature changed
-// are replaced (downdate + update). Removals apply in maintained-row order,
-// then additions in set order — a fixed order, so two processes applying
-// the same diff produce bit-identical accumulators. The final element order
-// is the incoming set's order. A set holding a row whose squares overflow
-// is refused before the state changes (see checkSquares).
-func (st *ModelState) Apply(set *embed.SignatureSet) (StateDelta, error) {
-	var delta StateDelta
+// applies the difference through the mutation of Scoper.AddElements and
+// RemoveElements (DESIGN.md §15), refitting on up to workers goroutines
+// (≤ 0 means GOMAXPROCS): elements gone from the set are removed, elements
+// new to it added, and elements whose signature changed replaced. The
+// final element order is the incoming set's. A no-op diff changes
+// nothing, and a refused or failed one leaves the state as it was.
+func (st *ModelState) Apply(workers int, set *embed.SignatureSet) (StateDelta, error) {
 	name, err := singleSchemaName(set)
 	if err != nil {
-		return delta, err
+		return StateDelta{}, err
 	}
-	if name != st.name {
-		return delta, fmt.Errorf("core: state holds schema %q, set belongs to %q", st.name, name)
+	if st.Len() > 0 && name != st.set.IDs[0].Schema {
+		return StateDelta{}, fmt.Errorf("core: state holds schema %q, set belongs to %q", st.set.IDs[0].Schema, name)
 	}
-	if set.Matrix.Cols() != st.Dim() {
-		return delta, fmt.Errorf("core: state is %d-dimensional, set is %d-dimensional — the global encoder must not change mid-state",
-			st.Dim(), set.Matrix.Cols())
+	if d := st.set.Matrix.Cols(); set.Matrix.Cols() != d {
+		return StateDelta{}, fmt.Errorf("core: state is %d-dimensional, set is %d-dimensional — the global encoder must not change mid-state",
+			d, set.Matrix.Cols())
 	}
-	if err := checkStateRows(set); err != nil {
-		return delta, err
-	}
-	newPos := make(map[schema.ElementID]int, set.Len())
-	for k, id := range set.IDs {
-		if _, dup := newPos[id]; dup {
-			return delta, fmt.Errorf("core: duplicate element %s in signature set", id)
-		}
-		newPos[id] = k
-	}
-	// Pass 1: removals and changed-element downdates, in maintained order.
-	oldPos := make(map[schema.ElementID]int, len(st.ids))
-	for k, id := range st.ids {
-		oldPos[id] = k
-		nk, ok := newPos[id]
-		if !ok {
-			if err := st.stats.Downdate(st.rows.RowView(k)); err != nil {
-				return delta, err
-			}
-			delta.Removed++
-			continue
-		}
-		if !equalRow(st.rows.RowView(k), set.Matrix.RowView(nk)) {
-			if err := st.stats.Downdate(st.rows.RowView(k)); err != nil {
-				return delta, err
-			}
-			delta.Changed++
-		}
-	}
-	// Pass 2: additions and changed-element updates, in set order.
-	for k, id := range set.IDs {
-		unchanged := false
-		if oldK, ok := oldPos[id]; ok {
-			unchanged = equalRow(st.rows.RowView(oldK), set.Matrix.RowView(k))
-		} else {
-			delta.Added++
-		}
-		if !unchanged {
-			st.stats.Update(set.Matrix.RowView(k))
-		}
-	}
-	if delta.Empty() {
-		return delta, nil
-	}
-	ids := make([]schema.ElementID, set.Len())
-	copy(ids, set.IDs)
-	st.ids = ids
-	st.rows = set.Matrix.Clone()
-	st.version++
-	// Downdating a huge row leaves NaN in the statistics (see
-	// fitMaintained), which Save could not write: rebuild them from the
-	// rows that remain.
-	if linalg.FirstNonFinite(st.stats.Sum) >= 0 || linalg.CheckFinite(st.stats.Scatter) != nil {
-		st.stats = linalg.AccumulateStats(st.rows)
-	}
-	return delta, nil
+	next := &embed.SignatureSet{IDs: slices.Clone(set.IDs), Matrix: set.Matrix.Clone()}
+	delta, _, err := st.move(workers, AssessConfig{}, next)
+	return delta, err
 }
 
-// checkStateRows refuses a ModelState's rows that its fit or its
-// statistics, which it always keeps as its persisted format, could not
-// square.
-func checkStateRows(set *embed.SignatureSet) error {
-	if err := checkSquares(set, set.Matrix.ColMean()); err != nil {
-		return err
-	}
-	return checkSquares(set, nil)
-}
-
-// Model trains the current state's model at explained variance v through
-// fitMaintained: bit-identical to Train over the maintained rows while they
-// are fewer than dimensions, and from the maintained sufficient statistics
-// otherwise.
-func (st *ModelState) Model(v float64) (*Model, error) {
+// Model trains the current state's model at explained variance v by
+// truncating its fit: bit-identical to Train over the maintained rows
+// while they are fewer than dimensions, and fitted from the maintained
+// sufficient statistics otherwise. A state loaded from its cell is fitted
+// here first, on up to workers goroutines (≤ 0 means GOMAXPROCS), with
+// the same bits at any count.
+func (st *ModelState) Model(workers int, v float64) (*Model, error) {
 	if v <= 0 || v > 1 {
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
 	}
-	set := &embed.SignatureSet{IDs: st.ids, Matrix: st.rows}
-	pca, _, err := fitMaintained(set, st.stats, v, func() (*linalg.PCA, error) { return fitRows(1, set, v) })
-	if err != nil {
-		return nil, err
-	}
-	return newModel(st.name, v, pca, st.rows)
-}
-
-func equalRow(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
-			return false
+	if st.full == nil {
+		pca, stats, err := fitMaintained(workers, AssessConfig{}, st.set, st.stats)
+		if err != nil {
+			return nil, err
 		}
+		st.full, st.stats = pca, stats
 	}
-	return true
+	return st.model(v)
 }
 
-// modelStateCell is the checkpoint-cell payload of a ModelState. Float64
-// values survive the JSON round trip exactly (Go emits the shortest
-// representation that parses back to the same bits), so a reloaded state is
-// bit-identical to the saved one — pinned by TestModelStatePersistsBitIdentically.
+// modelStateCell is the checkpoint-cell payload of a ModelState: its
+// element IDs and rows, and its statistics only while it holds them.
+// Float64 values survive the JSON round trip exactly (Go emits the
+// shortest representation that parses back to the same bits), so a
+// reloaded state is bit-identical to the saved one.
 type modelStateCell struct {
 	Schema  string             `json:"schema"`
 	Dim     int                `json:"dim"`
 	Version int64              `json:"version"`
 	IDs     []schema.ElementID `json:"ids"`
 	Rows    [][]float64        `json:"rows"`
-	StatsN  int                `json:"stats_n"`
-	Sum     []float64          `json:"sum"`
-	Scatter [][]float64        `json:"scatter"`
+	StatsN  int                `json:"stats_n,omitempty"`
+	Sum     []float64          `json:"sum,omitempty"`
+	Scatter [][]float64        `json:"scatter,omitempty"`
 }
 
-// ModelStateKey is the checkpoint-cell key of a schema's incremental state.
-func ModelStateKey(schemaName string) string { return "incremental.state." + schemaName }
+// modelStateKey is the checkpoint-cell key of a schema's incremental state.
+func modelStateKey(schemaName string) string { return "incremental.state." + schemaName }
 
 // Save persists the state as one checkpoint cell (atomic write, SHA-256
 // trailer). A crash mid-save leaves the previous cell intact.
 func (st *ModelState) Save(store CellStore) error {
-	cell := modelStateCell{
-		Schema:  st.name,
-		Dim:     st.Dim(),
-		Version: st.version,
-		IDs:     st.ids,
-		Rows:    make([][]float64, st.Len()),
-		StatsN:  st.stats.N,
-		Sum:     st.stats.Sum,
-		Scatter: make([][]float64, st.Dim()),
+	name := st.set.IDs[0].Schema
+	cell := modelStateCell{Schema: name, Dim: st.set.Matrix.Cols(), Version: st.version,
+		IDs: st.set.IDs, Rows: rowViews(st.set.Matrix)}
+	if st.stats != nil {
+		cell.StatsN, cell.Sum, cell.Scatter = st.stats.N, st.stats.Sum, rowViews(st.stats.Scatter)
 	}
-	for k := range cell.Rows {
-		cell.Rows[k] = st.rows.RowView(k)
-	}
-	for j := range cell.Scatter {
-		cell.Scatter[j] = st.stats.Scatter.RowView(j)
-	}
-	if err := store.Save(ModelStateKey(st.name), &cell); err != nil {
-		return fmt.Errorf("core: save incremental state of %q: %w", st.name, err)
+	if err := store.Save(modelStateKey(name), &cell); err != nil {
+		return fmt.Errorf("core: save incremental state of %q: %w", name, err)
 	}
 	return nil
 }
@@ -737,43 +646,57 @@ func (st *ModelState) Save(store CellStore) error {
 // LoadModelState restores a schema's persisted incremental state. A missing
 // cell — or a corrupt one, which the store quarantines — reports
 // (nil, false, nil): the caller re-initialises from a full fit, exactly the
-// crash-safety posture of every other checkpoint consumer.
+// crash-safety posture of every other checkpoint consumer. The statistics
+// are required at n ≥ d and dropped below d, so the cells of older builds,
+// which kept them at every n, load too.
 func LoadModelState(store CellStore, schemaName string) (*ModelState, bool, error) {
 	var cell modelStateCell
-	ok, err := store.Load(ModelStateKey(schemaName), &cell)
+	ok, err := store.Load(modelStateKey(schemaName), &cell)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if cell.Schema != schemaName || cell.Dim <= 0 ||
-		len(cell.IDs) != len(cell.Rows) || cell.StatsN != len(cell.IDs) ||
-		len(cell.Sum) != cell.Dim || len(cell.Scatter) != cell.Dim {
+	n := len(cell.IDs)
+	holds := n >= cell.Dim
+	if cell.Schema != schemaName || cell.Dim <= 0 || n == 0 || len(cell.Rows) != n ||
+		holds && (cell.StatsN != n || len(cell.Sum) != cell.Dim || len(cell.Scatter) != cell.Dim) {
 		return nil, false, fmt.Errorf("core: incremental state cell for %q is inconsistent", schemaName)
 	}
-	rows := linalg.NewDense(len(cell.Rows), cell.Dim)
-	for k, row := range cell.Rows {
-		if len(row) != cell.Dim {
-			return nil, false, fmt.Errorf("core: incremental state cell for %q has a %d-wide row, want %d",
-				schemaName, len(row), cell.Dim)
-		}
-		copy(rows.RowView(k), row)
+	rows, err := cellDense(schemaName, "row", cell.Rows, cell.Dim)
+	if err != nil {
+		return nil, false, err
 	}
-	scatter := linalg.NewDense(cell.Dim, cell.Dim)
-	for j, row := range cell.Scatter {
-		if len(row) != cell.Dim {
-			return nil, false, fmt.Errorf("core: incremental state cell for %q has a %d-wide scatter row, want %d",
-				schemaName, len(row), cell.Dim)
+	st := &ModelState{schemaState{set: &embed.SignatureSet{IDs: cell.IDs, Matrix: rows}, version: cell.Version}}
+	if holds {
+		scatter, err := cellDense(schemaName, "scatter row", cell.Scatter, cell.Dim)
+		if err != nil {
+			return nil, false, err
 		}
-		copy(scatter.RowView(j), row)
+		st.stats = &linalg.PCAStats{N: n, Sum: cell.Sum, Scatter: scatter}
 	}
-	sum := make([]float64, cell.Dim)
-	copy(sum, cell.Sum)
-	return &ModelState{
-		name:    cell.Schema,
-		ids:     cell.IDs,
-		rows:    rows,
-		stats:   &linalg.PCAStats{N: cell.StatsN, Sum: sum, Scatter: scatter},
-		version: cell.Version,
-	}, true, nil
+	return st, true, nil
+}
+
+// rowViews returns the rows of m as views, for a cell to encode.
+func rowViews(m *linalg.Dense) [][]float64 {
+	rows := make([][]float64, m.Rows())
+	for k := range rows {
+		rows[k] = m.RowView(k)
+	}
+	return rows
+}
+
+// cellDense copies the rows of a state cell into a matrix, refusing a row
+// that is not dim wide.
+func cellDense(schemaName, what string, rows [][]float64, dim int) (*linalg.Dense, error) {
+	m := linalg.NewDense(len(rows), dim)
+	for k, row := range rows {
+		if len(row) != dim {
+			return nil, fmt.Errorf("core: incremental state cell for %q has a %d-wide %s, want %d",
+				schemaName, len(row), what, dim)
+		}
+		copy(m.RowView(k), row)
+	}
+	return m, nil
 }
 
 // ---------------------------------------------------------------------------

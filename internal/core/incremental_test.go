@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,7 +83,7 @@ func TestScoperIncrementalMatchesFromScratch(t *testing.T) {
 	if err := s.AddElements(0, add); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.version[0]; got != 2 {
+	if got := s.states[0].version; got != 2 {
 		t.Fatalf("version after AddElements: %d, want 2", got)
 	}
 	// Remove two elements from S1.
@@ -91,11 +94,11 @@ func TestScoperIncrementalMatchesFromScratch(t *testing.T) {
 	if err := s.AddElements(2, renameElements(incRandSet(rng, "S2", 4, d, 0.7), "_shard")); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.version[1]; got != 2 {
+	if got := s.states[1].version; got != 2 {
 		t.Fatalf("version after RemoveElements: %d, want 2", got)
 	}
 
-	fresh, err := NewScoper(s.sets)
+	fresh, err := NewScoper(s.Sets())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestScoperIncrementalStatsPath(t *testing.T) {
 	if err := s.RemoveElements(1, sets[1].IDs[3], sets[1].IDs[7], sets[1].IDs[11]); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewScoper(s.sets)
+	fresh, err := NewScoper(s.Sets())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +249,7 @@ func TestAssessDeltaMatchesScope(t *testing.T) {
 	}
 
 	// Remove from S2, then delta-assess.
-	if err := s.RemoveElements(2, s.sets[2].IDs[1], s.sets[2].IDs[5]); err != nil {
+	if err := s.RemoveElements(2, s.states[2].set.IDs[1], s.states[2].set.IDs[5]); err != nil {
 		t.Fatal(err)
 	}
 	keep, rep, err = s.AssessDelta(ctx, v)
@@ -322,10 +325,10 @@ func TestScoperMutationErrors(t *testing.T) {
 	if err := s.RemoveElements(0, schema.AttributeID("S0", "T", "nope")); err == nil || !strings.Contains(err.Error(), "not part") {
 		t.Fatalf("unknown removal: %v", err)
 	}
-	if err := s.RemoveElements(0, s.sets[0].IDs...); err == nil || !strings.Contains(err.Error(), "empty") {
+	if err := s.RemoveElements(0, s.states[0].set.IDs...); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("emptying removal: %v", err)
 	}
-	if s.version[0] != 1 || s.version[1] != 1 {
+	if s.states[0].version != 1 || s.states[1].version != 1 {
 		t.Fatal("failed mutations must not bump versions")
 	}
 	// A rejected refit (non-finite added rows) rolls the scoper back.
@@ -432,17 +435,17 @@ func TestScoperRefusesOverflowingRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	refusesRow(t, s.AddElements(0, huge), hugeID, "AddElements below d")
-	if s.version[0] != 1 || s.sets[0].Len() != 6 || s.stats[0] != nil {
-		t.Fatalf("refused add changed the scoper: version %d, %d rows, stats %v", s.version[0], s.sets[0].Len(), s.stats[0] != nil)
+	if s.states[0].version != 1 || s.states[0].set.Len() != 6 || s.states[0].stats != nil {
+		t.Fatalf("refused add changed the scoper: version %d, %d rows, stats %v", s.states[0].version, s.states[0].set.Len(), s.states[0].stats != nil)
 	}
 	scopesLikeFresh(t, s, "after the refused add below d")
 	if err := s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.4), "_a")); err != nil {
 		t.Fatal(err)
 	}
-	held := s.stats[0]
+	held := s.states[0].stats
 	refusesRow(t, s.AddElements(0, huge), hugeID, "AddElements at n ≥ d")
-	if s.version[0] != 2 || s.sets[0].Len() != 9 || s.stats[0] != held || held.N != 9 {
-		t.Fatalf("refused add changed the scoper: version %d, %d rows", s.version[0], s.sets[0].Len())
+	if s.states[0].version != 2 || s.states[0].set.Len() != 9 || s.states[0].stats != held || held.N != 9 {
+		t.Fatalf("refused add changed the scoper: version %d, %d rows", s.states[0].version, s.states[0].set.Len())
 	}
 	scopesLikeFresh(t, s, "after the refused add at n ≥ d")
 
@@ -486,27 +489,27 @@ func TestModelStateHugeRow(t *testing.T) {
 	withNaN := appendSet(valid, renameElements(incRandSet(rng, "S", 1, d, 0.2), "_nan"))
 	withNaN.Matrix.Set(9, 4, math.NaN())
 
-	_, err := NewModelState(withHuge)
+	_, err := NewModelState(1, withHuge)
 	refusesRow(t, err, huge.IDs[0], "NewModelState, huge row")
-	_, err = NewModelState(withNaN)
+	_, err = NewModelState(1, withNaN)
 	refusesRow(t, err, withNaN.IDs[9], "NewModelState, NaN row")
 
-	st, err := NewModelState(valid)
+	st, err := NewModelState(1, valid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := st.Model(0.9)
+	want, err := st.Model(1, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []*embed.SignatureSet{withHuge, withNaN} {
-		_, err := st.Apply(bad)
+		_, err := st.Apply(1, bad)
 		refusesRow(t, err, bad.IDs[9], "Apply")
 	}
 	if st.Version() != 1 || st.Len() != 9 || st.stats.N != 9 {
 		t.Fatalf("refused applies changed the state: version %d, %d rows, stats over %d", st.Version(), st.Len(), st.stats.N)
 	}
-	m, err := st.Model(0.9)
+	m, err := st.Model(1, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,22 +561,22 @@ func TestScoperHoldsStatsExactlyAtOrAboveDim(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		if !wantStats {
-			if s.stats[0] != nil {
-				t.Fatalf("%s: %d rows < d, yet statistics held", what, s.sets[0].Len())
+			if s.states[0].stats != nil {
+				t.Fatalf("%s: %d rows < d, yet statistics held", what, s.states[0].set.Len())
 			}
 			return
 		}
-		if s.stats[0] == nil || !sameStats(s.stats[0], linalg.AccumulateStats(s.sets[0].Matrix)) {
-			t.Fatalf("%s: statistics are not the accumulation of the %d rows", what, s.sets[0].Len())
+		if s.states[0].stats == nil || !sameStats(s.states[0].stats, linalg.AccumulateStats(s.states[0].set.Matrix)) {
+			t.Fatalf("%s: statistics are not the accumulation of the %d rows", what, s.states[0].set.Len())
 		}
 	}
 	step("add below d", s.AddElements(0, renameElements(incRandSet(rng, "S0", 2, d, 0.3), "_a")), false)
 	step("add to n ≥ d", s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.3), "_b")), true)
 	step("add at n ≥ d", s.AddElements(0, renameElements(incRandSet(rng, "S0", 2, d, 0.3), "_c")), true)
-	if err := s.RemoveElements(0, s.sets[0].IDs[1]); err != nil || s.stats[0] == nil || s.stats[0].N != 11 {
-		t.Fatalf("remove at n ≥ d: err %v, statistics held %v", err, s.stats[0] != nil)
+	if err := s.RemoveElements(0, s.states[0].set.IDs[1]); err != nil || s.states[0].stats == nil || s.states[0].stats.N != 11 {
+		t.Fatalf("remove at n ≥ d: err %v, statistics held %v", err, s.states[0].stats != nil)
 	}
-	step("remove below d", s.RemoveElements(0, s.sets[0].IDs[:4]...), false)
+	step("remove below d", s.RemoveElements(0, s.states[0].set.IDs[:4]...), false)
 	scopesLikeFresh(t, s, "after the statistics were dropped")
 
 	tiny := func(rng *rand.Rand, suffix string, n int, scale float64) *embed.SignatureSet {
@@ -595,8 +598,8 @@ func TestScoperHoldsStatsExactlyAtOrAboveDim(t *testing.T) {
 	if err := s.AddElements(0, tiny(rng, "_a", 4, 1e-80)); !errors.Is(err, linalg.ErrSVDNoConvergence) {
 		t.Fatalf("add to n ≥ d: err = %v, want ErrSVDNoConvergence", err)
 	}
-	if s.sets[0].Len() != 1 || s.stats[0] != nil || s.version[0] != 1 {
-		t.Fatalf("failed add left %d rows, statistics held %v, version %d", s.sets[0].Len(), s.stats[0] != nil, s.version[0])
+	if s.states[0].set.Len() != 1 || s.states[0].stats != nil || s.states[0].version != 1 {
+		t.Fatalf("failed add left %d rows, statistics held %v, version %d", s.states[0].set.Len(), s.states[0].stats != nil, s.states[0].version)
 	}
 	// A failed removal that would have taken the schema below d restores
 	// its rows and the statistics it held.
@@ -608,36 +611,192 @@ func TestScoperHoldsStatsExactlyAtOrAboveDim(t *testing.T) {
 	if err := s.AddElements(0, tiny(rng, "_a", 3, 1e-82)); err != nil {
 		t.Fatal(err)
 	}
-	held, rows := s.stats[0], s.sets[0]
+	held, rows := s.states[0].stats, s.states[0].set
 	if held == nil || !sameStats(held, linalg.AccumulateStats(rows.Matrix)) {
 		t.Fatal("statistics at n = d are not the accumulation of the rows")
 	}
 	if err := s.RemoveElements(0, rows.IDs[1]); !errors.Is(err, linalg.ErrSVDNoConvergence) {
 		t.Fatalf("remove below d: err = %v, want ErrSVDNoConvergence", err)
 	}
-	if s.sets[0] != rows || s.stats[0] != held || !sameStats(held, linalg.AccumulateStats(rows.Matrix)) {
+	if s.states[0].set != rows || s.states[0].stats != held || !sameStats(held, linalg.AccumulateStats(rows.Matrix)) {
 		t.Fatal("failed removal did not restore the rows and the statistics")
 	}
 }
 
+// TestModelStateHoldsStatsExactlyAtOrAboveDim is the ModelState twin of
+// TestScoperHoldsStatsExactlyAtOrAboveDim: Apply keeps the statistics by
+// the Scoper's rule, and the state cell carries them only while they are
+// held. A cell saved below d holds no statistics and is at most 1.2 times
+// the JSON of its IDs and rows. A cell in the older format, which kept the
+// statistics at every n, loads at its version, keeps them only at n ≥ d,
+// and builds the models of a fresh state over the same rows before and
+// after a further Apply.
+func TestModelStateHoldsStatsExactlyAtOrAboveDim(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	d := 8
+	set := incRandSet(rng, "S0", 5, d, 0.3)
+	st, err := NewModelState(1, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without := func(ids ...schema.ElementID) *embed.SignatureSet {
+		keep := make(map[schema.ElementID]bool, set.Len())
+		for _, id := range set.IDs {
+			keep[id] = !slices.Contains(ids, id)
+		}
+		return set.Select(keep)
+	}
+	grown := func(suffix string, n int) *embed.SignatureSet {
+		return appendSet(set, renameElements(incRandSet(rng, "S0", n, d, 0.3), suffix))
+	}
+	step := func(what string, next *embed.SignatureSet, wantStats bool) {
+		t.Helper()
+		if _, err := st.Apply(1, next); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		set = next
+		if !wantStats {
+			if st.stats != nil {
+				t.Fatalf("%s: %d rows < d, yet statistics held", what, st.Len())
+			}
+			return
+		}
+		if st.stats == nil || !sameStats(st.stats, linalg.AccumulateStats(st.set.Matrix)) {
+			t.Fatalf("%s: statistics are not the accumulation of the %d rows", what, st.Len())
+		}
+	}
+	if st.stats != nil {
+		t.Fatal("a new state below d holds statistics")
+	}
+	step("add below d", grown("_a", 2), false)
+	step("add to n ≥ d", grown("_b", 3), true)
+	step("add at n ≥ d", grown("_c", 2), true)
+	atDim := without(set.IDs[1])
+	if _, err := st.Apply(1, atDim); err != nil || st.stats == nil || st.stats.N != 11 {
+		t.Fatalf("remove at n ≥ d: err %v, statistics held %v", err, st.stats != nil)
+	}
+	set = atDim
+	step("remove below d", without(set.IDs[:4]...), false)
+
+	dir := t.TempDir()
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(store); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("want exactly one cell file, got %v (%v)", cells, err)
+	}
+	b, err := os.ReadFile(cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct{ Payload map[string]json.RawMessage }
+	if err := json.Unmarshal(b, &env); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"stats_n", "sum", "scatter"} {
+		if _, ok := env.Payload[key]; ok {
+			t.Fatalf("cell saved below d holds %q", key)
+		}
+	}
+	plain, err := json.Marshal(struct {
+		IDs  []schema.ElementID `json:"ids"`
+		Rows [][]float64        `json:"rows"`
+	}{st.set.IDs, rowViews(st.set.Matrix)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(len(b)) > 1.2*float64(len(plain)) {
+		t.Fatalf("cell saved below d is %d bytes, more than 1.2 times the %d of its IDs and rows", len(b), len(plain))
+	}
+
+	// The older cell format, written by its own struct.
+	type olderCell struct {
+		Schema  string             `json:"schema"`
+		Dim     int                `json:"dim"`
+		Version int64              `json:"version"`
+		IDs     []schema.ElementID `json:"ids"`
+		Rows    [][]float64        `json:"rows"`
+		StatsN  int                `json:"stats_n"`
+		Sum     []float64          `json:"sum"`
+		Scatter [][]float64        `json:"scatter"`
+	}
+	sameModel := func(a, b *ModelState, what string) {
+		t.Helper()
+		ma, err := a.Model(1, 0.9)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		mb, err := b.Model(1, 0.9)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		fa, err := ma.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := mb.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fa != fb {
+			t.Fatalf("%s: model %s, a fresh state's %s", what, fa, fb)
+		}
+	}
+	for _, old := range []*embed.SignatureSet{set, atDim} {
+		what := fmt.Sprintf("older cell of %d rows", old.Len())
+		stats := linalg.AccumulateStats(old.Matrix)
+		if err := store.Save(modelStateKey("S0"), &olderCell{Schema: "S0", Dim: d, Version: 7, IDs: old.IDs,
+			Rows: rowViews(old.Matrix), StatsN: stats.N, Sum: stats.Sum, Scatter: rowViews(stats.Scatter)}); err != nil {
+			t.Fatal(err)
+		}
+		re, ok, err := LoadModelState(store, "S0")
+		if err != nil || !ok || re.Version() != 7 {
+			t.Fatalf("%s: ok=%v err=%v version %d, want 7", what, ok, err, re.Version())
+		}
+		if held := old.Len() >= d; (re.stats != nil) != held || held && !sameStats(re.stats, stats) {
+			t.Fatalf("%s: statistics held %v, want %v and the cell's bits", what, re.stats != nil, held)
+		}
+		fresh, err := NewModelState(1, old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameModel(re, fresh, what)
+		next := appendSet(old, renameElements(incRandSet(rng, "S0", 1, d, 0.3), "_r"))
+		for _, s := range []*ModelState{re, fresh} {
+			if _, err := s.Apply(1, next); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		if re.Version() != 8 {
+			t.Fatalf("%s: resumed at version %d, want 8", what, re.Version())
+		}
+		sameModel(re, fresh, what+", resumed")
+	}
+}
+
 // TestModelStateApplyAndPersist drives a ModelState through a schema
-// evolution and a save/load cycle: the reloaded state must be bit-identical
-// — same rows, same accumulator bits — and its trained model must equal the
-// from-scratch model (rows path, n < d).
+// evolution and save/load cycles: the reloaded state must be bit-identical
+// — same rows, and at n ≥ d the same accumulator bits — and its trained
+// model must equal the from-scratch model (rows path, n < d).
 func TestModelStateApplyAndPersist(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	d := 9
 	base := incRandSet(rng, "S", 7, d, 0.4)
-	st, err := NewModelState(base)
+	st, err := NewModelState(1, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Schema() != "S" || st.Len() != 7 || st.Dim() != d || st.Version() != 1 {
-		t.Fatalf("fresh state: schema=%q len=%d dim=%d version=%d", st.Schema(), st.Len(), st.Dim(), st.Version())
+	if st.set.IDs[0].Schema != "S" || st.Len() != 7 || st.set.Matrix.Cols() != d || st.Version() != 1 {
+		t.Fatalf("fresh state: schema=%q len=%d dim=%d version=%d", st.set.IDs[0].Schema, st.Len(), st.set.Matrix.Cols(), st.Version())
 	}
 
 	// No-op apply: same set, no version bump.
-	delta, err := st.Apply(base)
+	delta, err := st.Apply(1, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +827,7 @@ func TestModelStateApplyAndPersist(t *testing.T) {
 	copy(evolved.Matrix.RowView(row), extra.Matrix.RowView(0))
 	copy(evolved.Matrix.RowView(row+1), extra.Matrix.RowView(1))
 
-	delta, err = st.Apply(evolved)
+	delta, err = st.Apply(1, evolved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +842,7 @@ func TestModelStateApplyAndPersist(t *testing.T) {
 	}
 
 	// Rows path: the trained model is bit-identical to from-scratch Train.
-	m, err := st.Model(0.9)
+	m, err := st.Model(1, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,51 +874,46 @@ func TestModelStateApplyAndPersist(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("reload: ok=%v err=%v", ok, err)
 	}
-	if re.Version() != st.Version() || !reflect.DeepEqual(re.IDs(), st.IDs()) {
-		t.Fatal("reloaded state differs in version or membership")
-	}
-	for k := 0; k < st.Len(); k++ {
-		a, b := st.rows.RowView(k), re.rows.RowView(k)
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("reloaded row %d differs at %d", k, j)
+	sameState := func(re, st *ModelState, what string) {
+		t.Helper()
+		if re.Version() != st.Version() || !reflect.DeepEqual(re.set.IDs, st.set.IDs) {
+			t.Fatalf("%s: reloaded state differs in version or membership", what)
+		}
+		for k := 0; k < st.Len(); k++ {
+			if !reflect.DeepEqual(st.set.Matrix.RowView(k), re.set.Matrix.RowView(k)) {
+				t.Fatalf("%s: reloaded row %d differs", what, k)
 			}
 		}
-	}
-	if re.stats.N != st.stats.N {
-		t.Fatalf("reloaded stats N=%d, want %d", re.stats.N, st.stats.N)
-	}
-	for j := range st.stats.Sum {
-		if re.stats.Sum[j] != st.stats.Sum[j] {
-			t.Fatalf("reloaded stats sum differs at %d", j)
+		if (re.stats == nil) != (st.stats == nil) || st.stats != nil && !sameStats(re.stats, st.stats) {
+			t.Fatalf("%s: reloaded statistics differ (held %v, want %v)", what, re.stats != nil, st.stats != nil)
 		}
 	}
-	for j := 0; j < d; j++ {
-		a, b := st.stats.Scatter.RowView(j), re.stats.Scatter.RowView(j)
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("reloaded scatter differs at (%d,%d)", j, k)
-			}
-		}
+	sameState(re, st, "n < d")
+	if re.stats != nil {
+		t.Fatalf("%d rows < d = %d, yet statistics reloaded", re.Len(), d)
 	}
-	// Both states apply the same further evolution identically.
+	// Both states apply the same further evolution identically; it takes
+	// them to n ≥ d, where the reload must keep the statistics' bits.
 	next := renameElements(incRandSet(rng, "S", 3, d, 0.4), "_v3")
 	joined := appendSet(evolved, next)
 	joined.Matrix.Set(1, 0, 42.5)
-	if _, err := st.Apply(joined); err != nil {
+	if _, err := st.Apply(1, joined); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := re.Apply(joined); err != nil {
+	if _, err := re.Apply(1, joined); err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < d; j++ {
-		a, b := st.stats.Scatter.RowView(j), re.stats.Scatter.RowView(j)
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("post-resume evolution diverged at scatter (%d,%d)", j, k)
-			}
-		}
+	if st.stats == nil {
+		t.Fatalf("%d rows ≥ d = %d, yet no statistics held", st.Len(), d)
 	}
+	sameState(re, st, "post-resume evolution")
+	if err := st.Save(store); err != nil {
+		t.Fatal(err)
+	}
+	if re, ok, err = LoadModelState(store, "S"); err != nil || !ok {
+		t.Fatalf("reload at n ≥ d: ok=%v err=%v", ok, err)
+	}
+	sameState(re, st, "n ≥ d")
 
 	// Missing schema is a clean miss.
 	if _, ok, err := LoadModelState(store, "ABSENT"); ok || err != nil {
@@ -770,28 +924,28 @@ func TestModelStateApplyAndPersist(t *testing.T) {
 // TestModelStateErrors covers Apply validation.
 func TestModelStateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	st, err := NewModelState(incRandSet(rng, "S", 5, 6, 0.2))
+	st, err := NewModelState(1, incRandSet(rng, "S", 5, 6, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Apply(incRandSet(rng, "OTHER", 3, 6, 0)); err == nil || !strings.Contains(err.Error(), "OTHER") {
+	if _, err := st.Apply(1, incRandSet(rng, "OTHER", 3, 6, 0)); err == nil || !strings.Contains(err.Error(), "OTHER") {
 		t.Fatalf("cross-schema apply: %v", err)
 	}
-	if _, err := st.Apply(incRandSet(rng, "S", 3, 7, 0)); err == nil || !strings.Contains(err.Error(), "dimensional") {
+	if _, err := st.Apply(1, incRandSet(rng, "S", 3, 7, 0)); err == nil || !strings.Contains(err.Error(), "dimensional") {
 		t.Fatalf("dimension change: %v", err)
 	}
-	if _, err := st.Apply(&embed.SignatureSet{Matrix: linalg.NewDense(1, 6)}); err == nil {
+	if _, err := st.Apply(1, &embed.SignatureSet{Matrix: linalg.NewDense(1, 6)}); err == nil {
 		t.Fatal("empty apply accepted")
 	}
 	dupIDs := incRandSet(rng, "S", 2, 6, 0)
 	dupIDs.IDs[1] = dupIDs.IDs[0]
-	if _, err := st.Apply(dupIDs); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := st.Apply(1, dupIDs); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate apply: %v", err)
 	}
-	if _, err := NewModelState(dupIDs); err == nil {
+	if _, err := NewModelState(1, dupIDs); err == nil {
 		t.Fatal("duplicate init accepted")
 	}
-	if _, err := st.Model(0); err == nil {
+	if _, err := st.Model(1, 0); err == nil {
 		t.Fatal("v=0 accepted")
 	}
 }
@@ -807,7 +961,7 @@ func TestCorruptStateCellQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewModelState(incRandSet(rng, "S", 6, 5, 0.3))
+	st, err := NewModelState(1, incRandSet(rng, "S", 6, 5, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,8 +89,8 @@ func (s *Scoper) sweepCell(ctx context.Context, v float64, labels map[schema.Ele
 		return metrics.Confusion{}, err
 	}
 	var c metrics.Confusion
-	for _, set := range s.sets {
-		for _, id := range set.IDs {
+	for _, st := range s.states {
+		for _, id := range st.set.IDs {
 			c.Observe(keep[id], labels[id])
 		}
 	}

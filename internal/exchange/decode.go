@@ -59,6 +59,10 @@ var errFloatCap = fmt.Errorf("signature rows hold more than %d floats", maxAsses
 // gets on average, so a worker slowed by other work hands rows to the rest.
 const walkBlocksPerWorker = 4
 
+// endsSizedAt is the row count from which a full row-offset table is sized
+// once from the rest of the body instead of grown by append.
+const endsSizedAt = 1024
+
 var (
 	nullLit       = []byte("null")
 	keySchema     = []byte("schema")
@@ -260,14 +264,14 @@ func (d *assessDecoder) flatRows() error {
 			if err := d.count(); err != nil {
 				return err
 			}
-			ends = append(ends, -1)
+			ends = d.appendEnd(ends, -1)
 		case '[':
 			start := d.pos
 			var err error
 			if flat, err = d.flatRow(flat); err != nil {
 				return err
 			}
-			ends = append(ends, len(flat))
+			ends = d.appendEnd(ends, len(flat))
 			if !reserved && len(flat) > 0 {
 				reserved = true
 				flat = d.reserve(flat, d.pos-start)
@@ -298,6 +302,21 @@ func (d *assessDecoder) flatRows() error {
 			return d.unexpected("',' or ']' after a signature row")
 		}
 	}
+}
+
+// appendEnd appends one row end to ends, for the scanner. When ends is
+// full and holds endsSizedAt rows or more, it first grows it once to room
+// for as many more rows as the rest of the body can hold (a row and its
+// comma take at least three bytes), capped at the rows the float cap still
+// admits, so a body of many empty or null rows builds the table once.
+// Below endsSizedAt it grows as append grows it: a body that only opens
+// with such a row reserves no room for rows it does not have.
+func (d *assessDecoder) appendEnd(ends []int, end int) []int {
+	if len(ends) == cap(ends) && len(ends) >= endsSizedAt {
+		more := min((len(d.data)-d.pos)/3+1, maxAssessFloats-d.floats+1)
+		ends = append(make([]int, 0, len(ends)+more), ends...)
+	}
+	return append(ends, end)
 }
 
 // flatRow appends the floats of one signature row to flat.

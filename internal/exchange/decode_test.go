@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strconv"
@@ -346,7 +347,9 @@ func TestDecodeAssessFloatBits(t *testing.T) {
 // instead of building every row first. Floats count one each and an empty
 // or null row one, so a body of such rows stops at the cap too. The rows
 // of floats are walked in blocks up to the cap, at 1, 2 and 4 workers,
-// and the walk must leave the whole row past the cap to the scanner.
+// and the walk must leave the whole row past the cap to the scanner. A
+// body of empty or null rows must allocate at most twice its row-offset
+// table, one int per row: the table is sized once, not grown step by step.
 func TestDecodeAssessStopsAtFloatCap(t *testing.T) {
 	defer debug.FreeOSMemory() // return the large row buffers before the next test
 	const dim = 1024
@@ -369,8 +372,15 @@ func TestDecodeAssessStopsAtFloatCap(t *testing.T) {
 			}
 			body.WriteString(tc.past + "!")
 			for _, workers := range tc.workers {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				if _, _, err := decodeAssess(context.Background(), body.Bytes(), workers); !errors.Is(err, errFloatCap) {
 					t.Fatalf("workers=%d: decode past the cap: %v, want %v", workers, err, errFloatCap)
+				}
+				runtime.ReadMemStats(&after)
+				if table := uint64(tc.rows) * 8; tc.name != "floats" && after.TotalAlloc-before.TotalAlloc > 2*table {
+					t.Fatalf("workers=%d: decode allocated %d MB, more than twice the %d MB row table",
+						workers, (after.TotalAlloc-before.TotalAlloc)>>20, table>>20)
 				}
 			}
 		})
