@@ -40,7 +40,6 @@ func main() {
 		extended   = flag.Bool("extended", false, "include the repository's extra detectors and matchers")
 		hetero     = flag.Bool("hetero", false, "run the synthetic heterogeneity-knob experiment (extension)")
 		matchers   = flag.Bool("matchers", false, "print the matcher comparison summary (extension)")
-		service    = flag.Bool("service", false, "run the scoping-service saturation sweep (extension)")
 		export     = flag.String("export", "", "export the datasets (DDL + JSON + linkages) into this directory")
 		reportPath = flag.String("report", "", "write a regenerated markdown report to this file")
 		all        = flag.Bool("all", false, "regenerate everything")
@@ -120,10 +119,6 @@ func main() {
 	}
 	if *matchers {
 		r.matchers()
-		ran = true
-	}
-	if *service {
-		r.service()
 		ran = true
 	}
 	if *export != "" {
@@ -333,18 +328,6 @@ func (r *runner) hetero() {
 			p.Label, p.CollabAUCPR, p.ScopingAUCPR, p.Advantage())
 	}
 	fmt.Println()
-}
-
-// service drives the multi-tenant scoping service to saturation: minted
-// tenants upload models through /v1/models, then assess traffic sweeps the
-// configured concurrency levels against the hub's admission queue.
-func (r *runner) service() {
-	cfg := experiments.DefaultServiceBenchConfig()
-	cfg.Dim = r.cfg.Dim
-	cfg.Seed = r.cfg.Seed
-	rep, err := experiments.RunServiceBench(cfg)
-	fatal(err)
-	rep.Fprint(os.Stdout)
 }
 
 // export writes the evaluation datasets as artifact files: one .sql (DDL)

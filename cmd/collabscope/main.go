@@ -545,19 +545,21 @@ func runScope(args []string) {
 	out := fs.String("out", "", "write streamlined schemas as JSON into this directory")
 	pf := pipelineFlags(fs)
 	fs.Parse(args)
+	// Reject malformed flags before any schema is read.
+	det := parseDetector(*detector)
+	if *method != "collaborative" && *method != "global" {
+		fatalf("unknown method %q", *method)
+	}
 
 	schemas := loadSchemas(fs.Args())
 	pipe := pf.build()
 
 	var res *collabscope.ScopeResult
 	var err error
-	switch *method {
-	case "collaborative":
+	if *method == "global" {
+		res, err = pipe.GlobalScope(schemas, det, *p)
+	} else {
 		res, err = pipe.CollaborativeScope(schemas, *v)
-	case "global":
-		res, err = pipe.GlobalScope(schemas, parseDetector(*detector), *p)
-	default:
-		fatalf("unknown method %q", *method)
 	}
 	fatal(err)
 

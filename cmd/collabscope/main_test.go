@@ -3,7 +3,9 @@ package main
 import (
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"collabscope"
@@ -133,5 +135,46 @@ func TestSplitPeers(t *testing.T) {
 	}
 	if splitPeers("") != nil {
 		t.Fatal("empty spec should yield no peers")
+	}
+}
+
+// TestScopeRejectsBadFlagsBeforeLoading runs the scope subcommand in a
+// subprocess: a malformed -detector fails even under the default method,
+// and an unknown -method fails before any schema file is read.
+func TestScopeRejectsBadFlagsBeforeLoading(t *testing.T) {
+	if args := os.Getenv("COLLABSCOPE_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"collabscope"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.sql"), filepath.Join(dir, "b.sql")
+	for path, ddl := range map[string]string{
+		a: "CREATE TABLE customer (id INT PRIMARY KEY, email VARCHAR(20));",
+		b: "CREATE TABLE client (cid INT PRIMARY KEY, email_address VARCHAR(20));",
+	} {
+		if err := os.WriteFile(path, []byte(ddl), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missing := filepath.Join(dir, "missing.sql")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"scope", "-dim", "64", "-detector", "bogus:zz", a, b}, "bogus"},
+		{[]string{"scope", "-dim", "64", "-detector", "bogus:zz", missing}, "bogus"},
+		{[]string{"scope", "-dim", "64", "-method", "nope", missing}, `unknown method "nope"`},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestScopeRejectsBadFlagsBeforeLoading$")
+		cmd.Env = append(os.Environ(), "COLLABSCOPE_TEST_ARGS="+strings.Join(tc.args, "\n"))
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("%v: exit 0, want a failure naming %q\n%s", tc.args, tc.want, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "missing.sql") {
+			t.Errorf("%v: output does not name %q before loading:\n%s", tc.args, tc.want, out)
+		}
 	}
 }

@@ -201,43 +201,169 @@ func f(linalg fake, a, b []float64) float64 {
 	}
 }
 
-// TestRepoIsClean runs both scans over the whole repository — the same
-// gate CI runs — so a time.Now or kernel-bypass regression fails here
-// first.
-func TestRepoIsClean(t *testing.T) {
-	root := "../.."
-	var offenders []string
-	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
+// tree writes files (slash-separated paths relative to a fresh temp dir)
+// and returns the dir.
+func tree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		if info.IsDir() {
-			return nil
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if filepath.Ext(path) != ".go" || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		slash := filepath.ToSlash(path)
-		if !strings.Contains(slash, "internal/obs/") {
-			found, err := scanFile(path)
-			if err != nil {
-				return err
-			}
-			offenders = append(offenders, found...)
-		}
-		if !strings.Contains(slash, "internal/linalg/") {
-			found, err := scanKernelBypass(path)
-			if err != nil {
-				return err
-			}
-			offenders = append(offenders, found...)
-		}
-		return nil
-	})
+	}
+	return dir
+}
+
+func unreached(t *testing.T, files map[string]string) []string {
+	t.Helper()
+	r, err := lint([]string{tree(t, files)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(offenders) != 0 {
-		t.Fatalf("lintobs offenders: %v", offenders)
+	return r.unreached
+}
+
+const helperSrc = `package p
+
+// Helper is only called from a test.
+func Helper() int { return 1 }
+`
+
+const helperTestSrc = `package p
+
+import "testing"
+
+func TestHelper(t *testing.T) { _ = Helper() }
+`
+
+func TestReachFlagsTestOnlyExport(t *testing.T) {
+	got := unreached(t, map[string]string{
+		"internal/p/p.go":      helperSrc,
+		"internal/p/p_test.go": helperTestSrc,
+	})
+	if len(got) != 1 || !strings.HasSuffix(got[0], "p.go:4 Helper") {
+		t.Fatalf("unreached = %v, want internal/p/p.go:4 Helper", got)
+	}
+}
+
+func TestReachCountsUsesOutsideInternal(t *testing.T) {
+	got := unreached(t, map[string]string{
+		"internal/p/p.go": helperSrc,
+		"cmd/c/main.go": `package main
+
+import "example/internal/p"
+
+func main() { _ = p.Helper() }
+`,
+	})
+	if len(got) != 0 {
+		t.Fatalf("a name cmd/ calls was flagged: %v", got)
+	}
+}
+
+func TestReachIgnoresSelfReference(t *testing.T) {
+	// A recursive function, a self-referencing type and a method nothing
+	// calls reach only themselves; a method's receiver names its type.
+	got := unreached(t, map[string]string{
+		"internal/p/p.go": `package p
+
+func Count(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return 1 + Count(n-1)
+}
+
+type Node struct{ Next *Node }
+
+type Pair struct{ a, b int }
+
+func (p Pair) Sum() int { return p.a + p.b }
+`,
+	})
+	want := []string{"Count", "Node", "Sum"}
+	if len(got) != len(want) {
+		t.Fatalf("unreached = %v, want %v", got, want)
+	}
+	for i, name := range want {
+		if !strings.HasSuffix(got[i], " "+name) {
+			t.Fatalf("unreached = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestReachSkipsInterfaceMethods(t *testing.T) {
+	got := unreached(t, map[string]string{
+		"internal/p/p.go": `package p
+
+type Shape interface{ Area() float64 }
+
+type Square struct{ side float64 }
+
+func (s Square) Area() float64 { return s.side * s.side }
+
+func (s Square) String() string { return "square" }
+
+func NewShape() Shape { return Square{2} }
+`,
+		"cmd/c/main.go": `package main
+
+import "example/internal/p"
+
+func main() { _ = p.NewShape() }
+`,
+	})
+	// Shape, Square and NewShape are named outside their declarations;
+	// Area and String are called through interfaces.
+	if len(got) != 0 {
+		t.Fatalf("interface methods flagged: %v", got)
+	}
+}
+
+func TestReachHonoursWaiverWithReason(t *testing.T) {
+	src := strings.Replace(helperSrc, "func Helper() int { return 1 }",
+		"func Helper() int { return 1 } // lintobs:allow reference the kernel tests check against", 1)
+	if got := unreached(t, map[string]string{"internal/p/p.go": src}); len(got) != 0 {
+		t.Fatalf("waived declaration still flagged: %v", got)
+	}
+	// A waiver must say why.
+	bare := strings.Replace(helperSrc, "func Helper() int { return 1 }",
+		"func Helper() int { return 1 } // lintobs:allow", 1)
+	if got := unreached(t, map[string]string{"internal/p/p.go": bare}); len(got) != 1 {
+		t.Fatalf("reasonless waiver accepted: %v", got)
+	}
+}
+
+func TestReachChecksOnlyInternal(t *testing.T) {
+	got := unreached(t, map[string]string{
+		"er/er.go": `package er
+
+// Exported is public API of a package outside internal/.
+func Exported() {}
+`,
+	})
+	if len(got) != 0 {
+		t.Fatalf("a name outside internal/ was flagged: %v", got)
+	}
+}
+
+// TestRepoIsClean runs every check over the whole repository — the same
+// gate CI runs — so a time.Now, kernel-bypass or test-only-export
+// regression fails here first.
+func TestRepoIsClean(t *testing.T) {
+	r, err := lint([]string{"../.."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, offenders := range map[string][]string{
+		"time.Now": r.time, "kernel bypass": r.kernel, "unreached export": r.unreached,
+	} {
+		if len(offenders) != 0 {
+			t.Errorf("lintobs %s offenders: %v", name, offenders)
+		}
 	}
 }

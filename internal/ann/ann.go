@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"collabscope/internal/linalg"
 	"collabscope/internal/obs"
@@ -103,19 +102,6 @@ type Index interface {
 	SearchInto(query []float64, k int, dst []Neighbor, sc *Scratch) []Neighbor
 	// Len returns the number of indexed vectors.
 	Len() int
-}
-
-// FallbackReporter is implemented by indexes that can degrade to a full
-// exact scan when their approximate structure yields too few candidates.
-// The counts make the degradation observable: a high fallback fraction
-// means the index is effectively O(n) per query and its measured recall
-// over-reports the approximate structure's quality (fallback queries score
-// perfect recall by construction).
-type FallbackReporter interface {
-	// FallbackStats returns the number of queries answered so far and how
-	// many of them fell back to an exact scan. Both counts are cumulative
-	// and safe for concurrent use.
-	FallbackStats() (queries, fallbacks int64)
 }
 
 // FlatIndex is an exact L2 index — a brute-force scan, like FAISS
@@ -211,16 +197,14 @@ type LSHConfig struct {
 // projections; candidates from matching buckets are re-ranked exactly.
 // Queries whose buckets yield fewer than k candidates fall back to a full
 // exact scan so callers always receive k results — the fallback is counted
-// (FallbackStats, plus the ann.lsh.fallbacks counter when a Metrics
-// registry is configured) because each one costs O(n) and scores perfect
-// recall, masking poor hash selectivity.
+// (the ann.lsh.fallbacks counter, when a Metrics registry is configured)
+// because each one costs O(n) and scores perfect recall, masking poor hash
+// selectivity.
 type LSHIndex struct {
 	data   *linalg.Dense
 	tables []map[uint64][]int
 	planes [][][]float64 // [table][bit][dim]
 
-	queries     atomic.Int64
-	fallbacks   atomic.Int64
 	fallbackCtr *obs.Counter
 }
 
@@ -266,11 +250,6 @@ func NewLSHIndex(x *linalg.Dense, cfg LSHConfig) (*LSHIndex, error) {
 // Len implements Index.
 func (l *LSHIndex) Len() int { return l.data.Rows() }
 
-// FallbackStats implements FallbackReporter.
-func (l *LSHIndex) FallbackStats() (queries, fallbacks int64) {
-	return l.queries.Load(), l.fallbacks.Load()
-}
-
 func (l *LSHIndex) hash(table int, v []float64) uint64 {
 	var h uint64
 	for b, plane := range l.planes[table] {
@@ -297,7 +276,6 @@ func (l *LSHIndex) SearchInto(query []float64, k int, dst []Neighbor, sc *Scratc
 	if k <= 0 || l.data.Rows() == 0 {
 		return dst[:0]
 	}
-	l.queries.Add(1)
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -315,105 +293,8 @@ func (l *LSHIndex) SearchInto(query []float64, k int, dst []Neighbor, sc *Scratc
 	}
 	sc.cand = cand[:cap(cand)][:0]
 	if len(uniq) < k {
-		l.fallbacks.Add(1)
 		l.fallbackCtr.Inc()
 		return (&FlatIndex{data: l.data}).SearchInto(query, k, dst, sc)
 	}
 	return rerankInto(l.data, query, uniq, k, dst, sc)
-}
-
-// RecallStats is the result of MeasureRecall: the recall of an approximate
-// index against exact ground truth, together with the fraction of measured
-// queries the index answered by falling back to a full exact scan. A high
-// fallback fraction means the recall number mostly measures the fallback's
-// exact scan, not the approximate structure.
-type RecallStats struct {
-	// Recall is the fraction of exact top-k neighbours retrieved, averaged
-	// over the query rows.
-	Recall float64
-	// Queries is the number of query rows measured.
-	Queries int
-	// FallbackFraction is the fraction of measured queries answered by a
-	// full exact scan (always 0 for indexes that never fall back or do not
-	// report fallbacks).
-	FallbackFraction float64
-}
-
-// Recall computes the fraction of exact top-k neighbours that an index
-// retrieves, averaged over the rows of queries — a quality probe for
-// approximate indexes. Degenerate measurements (no queries, k ≤ 0, an
-// empty exact index) return an error instead of NaN, so a recall number is
-// always a finite, comparable value.
-func Recall(exact, approx Index, queries *linalg.Dense, k int) (float64, error) {
-	stats, err := MeasureRecall(exact, approx, queries, k)
-	if err != nil {
-		return 0, err
-	}
-	return stats.Recall, nil
-}
-
-// MeasureRecall is Recall with the approximate index's fallback fraction
-// measured over the same query set (via FallbackReporter, when
-// implemented). Report the two numbers together: recall alone over-reports
-// an index that degrades to exact scans.
-func MeasureRecall(exact, approx Index, queries *linalg.Dense, k int) (RecallStats, error) {
-	if queries == nil || queries.Rows() == 0 {
-		return RecallStats{}, fmt.Errorf("ann: recall needs at least one query row")
-	}
-	if k <= 0 {
-		return RecallStats{}, fmt.Errorf("ann: recall needs k > 0, got %d", k)
-	}
-	if exact.Len() == 0 {
-		return RecallStats{}, fmt.Errorf("ann: recall against an empty exact index")
-	}
-	var q0, f0 int64
-	reporter, _ := approx.(FallbackReporter)
-	if reporter != nil {
-		q0, f0 = reporter.FallbackStats()
-	}
-	var hits, total int
-	var sc Scratch
-	var exactDst, approxDst []Neighbor
-	truth := map[int]bool{}
-	for q := 0; q < queries.Rows(); q++ {
-		row := queries.RowView(q)
-		clear(truth)
-		exactDst = exact.SearchInto(row, k, exactDst, &sc)
-		for _, n := range exactDst {
-			truth[n.Index] = true
-		}
-		approxDst = approx.SearchInto(row, k, approxDst, &sc)
-		for _, n := range approxDst {
-			if truth[n.Index] {
-				hits++
-			}
-		}
-		total += len(truth)
-	}
-	stats := RecallStats{Queries: queries.Rows()}
-	if total > 0 {
-		stats.Recall = float64(hits) / float64(total)
-	}
-	if reporter != nil {
-		q1, f1 := reporter.FallbackStats()
-		if dq := q1 - q0; dq > 0 {
-			stats.FallbackFraction = float64(f1-f0) / float64(dq)
-		}
-	}
-	return stats, nil
-}
-
-// FallbackFraction returns the cumulative fraction of an index's queries
-// answered by a full exact scan, and whether the index reports fallbacks at
-// all. Surface it wherever recall is reported.
-func FallbackFraction(idx Index) (float64, bool) {
-	reporter, ok := idx.(FallbackReporter)
-	if !ok {
-		return 0, false
-	}
-	queries, fallbacks := reporter.FallbackStats()
-	if queries == 0 {
-		return 0, true
-	}
-	return float64(fallbacks) / float64(queries), true
 }

@@ -26,9 +26,6 @@ const (
 	KindIVF Kind = "ivf"
 )
 
-// Kinds returns the available backend names, in documentation order.
-func Kinds() []Kind { return []Kind{KindFlat, KindLSH, KindHNSW, KindIVF} }
-
 // ParseKind resolves a backend name (case-insensitive; "" means flat).
 func ParseKind(s string) (Kind, error) {
 	switch Kind(strings.ToLower(strings.TrimSpace(s))) {

@@ -114,15 +114,6 @@ func NewHNSWIndex(x *linalg.Dense, cfg HNSWConfig) (*HNSWIndex, error) {
 // Len implements Index.
 func (h *HNSWIndex) Len() int { return h.data.Rows() }
 
-// MaxLevel returns the top layer of the graph (0 for a flat graph, -1 for
-// an empty index).
-func (h *HNSWIndex) MaxLevel() int {
-	if h.entry < 0 {
-		return -1
-	}
-	return h.maxLevel
-}
-
 func (h *HNSWIndex) dist(q []float64, id int32) float64 {
 	return linalg.SquaredDistance(q, h.data.RowView(int(id)))
 }

@@ -144,14 +144,6 @@ func NewIVFIndex(x *linalg.Dense, cfg IVFConfig) (*IVFIndex, error) {
 // Len implements Index.
 func (v *IVFIndex) Len() int { return v.data.Rows() }
 
-// NLists returns the number of quantizer cells.
-func (v *IVFIndex) NLists() int {
-	if v.centroids == nil {
-		return 0
-	}
-	return v.centroids.Rows()
-}
-
 // Search implements Index.
 func (v *IVFIndex) Search(query []float64, k int) []Neighbor {
 	return v.SearchInto(query, k, nil, nil)

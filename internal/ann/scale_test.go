@@ -15,8 +15,8 @@ import (
 	"collabscope/internal/linalg"
 )
 
-// clusteredDense mirrors the synth.Signatures generator: points drawn
-// around c unit-scale Gaussian centroids with within-cluster spread.
+// clusteredDense draws n points around c unit-scale Gaussian centroids
+// with within-cluster spread, row i around centroid i mod c.
 func clusteredDense(n, dim, c int, spread float64, seed int64) (*linalg.Dense, error) {
 	rng := rand.New(rand.NewSource(seed))
 	centroids := linalg.NewDense(c, dim)
@@ -80,17 +80,17 @@ func TestSublinearIndexesRecallAndSpeedupAtScale(t *testing.T) {
 		{"hnsw", hnsw},
 		{"ivf", ivf},
 	} {
-		stats, err := MeasureRecall(flat, tc.idx, queries, k)
+		r, err := Recall(flat, tc.idx, queries, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Recall < 0.9 {
-			t.Errorf("%s: recall@%d = %.3f on n=%d, want ≥ 0.9", tc.name, k, stats.Recall, n)
+		if r < 0.9 {
+			t.Errorf("%s: recall@%d = %.3f on n=%d, want ≥ 0.9", tc.name, k, r, n)
 		}
 		approxNS := queryNS(tc.idx, queries, k)
 		speedup := float64(flatNS) / float64(approxNS)
 		t.Logf("%s: n=%d recall@%d=%.3f flat=%v approx=%v speedup=%.1f×",
-			tc.name, n, k, stats.Recall, time.Duration(flatNS), time.Duration(approxNS), speedup)
+			tc.name, n, k, r, time.Duration(flatNS), time.Duration(approxNS), speedup)
 		if speedup < minSpeedup {
 			t.Errorf("%s: query speedup %.1f× over FlatIndex, want ≥ %.0f×", tc.name, speedup, minSpeedup)
 		}

@@ -56,9 +56,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path maps a key to its cell file: a readable slug plus an FNV hash of
 // the full key, so distinct keys can never collide on a sanitised name.
 func (s *Store) path(key string) string {

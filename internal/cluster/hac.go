@@ -15,7 +15,7 @@ type Linkage int
 // Linkage criteria. The zero value is AverageLink, the documented default.
 const (
 	// AverageLink merges by the mean pairwise distance (UPGMA).
-	AverageLink Linkage = iota
+	AverageLink Linkage = iota // lintobs:allow the zero Linkage: HACConfig and match.Holistic default to it without naming it
 	// SingleLink merges by the minimum pairwise distance.
 	SingleLink
 	// CompleteLink merges by the maximum pairwise distance.

@@ -84,9 +84,11 @@ func Train(set *embed.SignatureSet, v float64) (*Model, error) {
 }
 
 // fitRows is Algorithm 1's decomposition of one schema's signature rows at
-// explained variance v, from scratch, on up to workers goroutines.
+// explained variance v, from scratch, on up to workers goroutines (≤ 0
+// means GOMAXPROCS). A non-converging SVD surfaces as a taxonomy error
+// naming the schema instead of poisoning the model.
 func fitRows(workers int, set *embed.SignatureSet, v float64) (*linalg.PCA, error) {
-	pca, err := linalg.FitPCAChecked(workers, set.Matrix, v)
+	pca, err := linalg.FitPCAChecked(parallel.Workers(workers), set.Matrix, v)
 	if err != nil {
 		return nil, trainError(set.IDs[0].Schema, set, err)
 	}
@@ -170,7 +172,7 @@ func singleSchemaName(set *embed.SignatureSet) (string, error) {
 // explained variance. The paper argues the variance target is the right
 // shared knob because schemas differ in volume and design; this variant
 // lets the ablation benches quantify that claim.
-func TrainFixedComponents(set *embed.SignatureSet, n int) (*Model, error) {
+func TrainFixedComponents(set *embed.SignatureSet, n int) (*Model, error) { // lintobs:allow the fixed-component ablation of EXPERIMENTS.md; tests in core and the root package call it
 	name, err := singleSchemaName(set)
 	if err != nil {
 		return nil, err
@@ -227,7 +229,7 @@ func (m *Model) ErrorsInto(x *linalg.Dense, dst []float64, sc *linalg.PCAScratch
 // Accepts reports whether a signature reconstructs within the model's local
 // linkability range, i.e. whether this model recognises the element as
 // linkable (Definition 4).
-func (m *Model) Accepts(sig []float64) bool {
+func (m *Model) Accepts(sig []float64) bool { // lintobs:allow public API: collabscope.Model aliases core.Model
 	x := linalg.NewDense(1, len(sig))
 	copy(x.RowView(0), sig)
 	return m.Errors(x)[0] <= m.Range
@@ -252,14 +254,6 @@ type AssessConfig struct {
 	// paper reports that relaxation brings no improvement; the ablation
 	// bench quantifies that claim.
 	RelaxEpsilon float64
-	// ApproxMaxRank, when positive, replaces the exact per-schema SVD
-	// with a randomized decomposition capped at this many components —
-	// the scale path for corpora (e.g. record-level entity resolution)
-	// where the exact Jacobi SVD is too slow. Variance targets then
-	// saturate at the captured spectrum.
-	ApproxMaxRank int
-	// Seed drives the randomized decomposition.
-	Seed int64
 }
 
 // Assess runs Algorithm 2: the local schema's signatures are reconstructed
@@ -477,7 +471,7 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 		if err := checkSquares(sets[i], sets[i].Matrix.ColMean()); err != nil {
 			return err
 		}
-		pca, ferr := cfg.fit(1, sets[i])
+		pca, ferr := fitRows(1, sets[i], 1.0)
 		if ferr != nil {
 			return ferr
 		}
@@ -488,18 +482,6 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 		return nil, err
 	}
 	return s, nil
-}
-
-// fit decomposes the full spectrum of one signature set, exactly on up to
-// workers goroutines (≤ 0 means GOMAXPROCS) or, under ApproxMaxRank, via
-// the randomized path. Callers have checked the rows (checkSquares); a
-// non-converging SVD surfaces as a taxonomy error naming the schema
-// instead of poisoning the model.
-func (cfg AssessConfig) fit(workers int, set *embed.SignatureSet) (*linalg.PCA, error) {
-	if cfg.ApproxMaxRank > 0 {
-		return linalg.FitPCAApprox(set.Matrix, 1.0, cfg.ApproxMaxRank, cfg.Seed), nil
-	}
-	return fitRows(parallel.Workers(workers), set, 1.0)
 }
 
 // Models returns the local models of all schemas at explained variance v.

@@ -363,39 +363,6 @@ func TestNewScoperDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestApproxScoperAgreesWithExact(t *testing.T) {
-	_, sets := encodeAll(t)
-	exact, err := NewScoper(sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := NewScoperWith(sets, AssessConfig{ApproxMaxRank: 64, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With the rank cap above the data rank (≤ 9 elements per schema),
-	// the randomized path must reproduce the exact verdicts.
-	for _, v := range []float64{0.3, 0.6, 0.9} {
-		ke, err := exact.Scope(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ka, err := approx.Scope(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diff := 0
-		for id, kept := range ke {
-			if ka[id] != kept {
-				diff++
-			}
-		}
-		if diff > 1 {
-			t.Errorf("v=%v: %d verdicts differ between exact and approx", v, diff)
-		}
-	}
-}
-
 func BenchmarkTrain(b *testing.B) {
 	schemas := testSchemas()
 	enc := embed.NewHashEncoder()

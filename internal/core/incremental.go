@@ -50,10 +50,9 @@ import (
 // Scoper and behind a ModelState: its element IDs and signature rows,
 // their full-spectrum decomposition, a version that bumps on every
 // membership change, and its sufficient statistics. It holds the
-// statistics exactly while it has at least as many rows as dimensions
-// under exact fits, the only regime whose refits read them
-// (fitMaintained): below d they would be a d×d scatter kept up to date for
-// nothing, and ApproxMaxRank's randomized fit has no statistics path.
+// statistics exactly while it has at least as many rows as dimensions, the
+// only regime whose refits read them (fitMaintained): below d they would
+// be a d×d scatter kept up to date for nothing.
 type schemaState struct {
 	set *embed.SignatureSet
 	// full is the fit of set's rows at explained variance 1; nil only in a
@@ -74,17 +73,17 @@ type schemaState struct {
 //   - Every row of next is checked centred on next's mean, which the fit
 //     and the range square; a row that enters held statistics is checked
 //     raw too, since they square it raw (see checkSquares).
-//   - A move that leaves the schema below d, or under ApproxMaxRank, drops
-//     the statistics. The first move that leaves it at n ≥ d accumulates
-//     next's rows in row order; a later one downdates the gone rows in
-//     maintained order and then updates the entering rows in next's order,
-//     on a copy of the held statistics.
+//   - A move that leaves the schema below d drops the statistics. The
+//     first move that leaves it at n ≥ d accumulates next's rows in row
+//     order; a later one downdates the gone rows in maintained order and
+//     then updates the entering rows in next's order, on a copy of the
+//     held statistics.
 //   - The refit runs through fitMaintained on up to workers goroutines,
 //     with the same bits at any count.
 //
 // It returns the diff and the gone rows' indices, ascending. An empty diff
 // changes nothing, not even the version.
-func (st *schemaState) move(workers int, cfg AssessConfig, next *embed.SignatureSet) (StateDelta, []int, error) {
+func (st *schemaState) move(workers int, next *embed.SignatureSet) (StateDelta, []int, error) {
 	var delta StateDelta
 	pos := make(map[schema.ElementID]int, next.Len())
 	for k, id := range next.IDs {
@@ -124,7 +123,7 @@ func (st *schemaState) move(workers int, cfg AssessConfig, next *embed.Signature
 		return delta, nil, err
 	}
 	var stats *linalg.PCAStats
-	if d := next.Matrix.Cols(); cfg.ApproxMaxRank == 0 && next.Len() >= d {
+	if d := next.Matrix.Cols(); next.Len() >= d {
 		for _, k := range enter {
 			row := &embed.SignatureSet{IDs: next.IDs[k : k+1], Matrix: linalg.WrapDense(1, d, next.Matrix.RowView(k))}
 			if err := checkSquares(row, nil); err != nil {
@@ -145,7 +144,7 @@ func (st *schemaState) move(workers int, cfg AssessConfig, next *embed.Signature
 			}
 		}
 	}
-	pca, stats, err := fitMaintained(workers, cfg, next, stats)
+	pca, stats, err := fitMaintained(workers, next, stats)
 	if err != nil {
 		return delta, nil, err
 	}
@@ -156,11 +155,11 @@ func (st *schemaState) move(workers int, cfg AssessConfig, next *embed.Signature
 
 // fitMaintained is a maintained schema's one choice between its two exact
 // refit paths, at explained variance 1. Without statistics (fewer rows
-// than dimensions, the schema-scoping regime, or ApproxMaxRank) it fits
-// the rows through cfg.fit, the from-scratch code path, so the fit is
-// bit-identical to retraining. With them (rows ≥ dimensions) it fits from
-// the statistics, whose cost does not grow with the rows' churn history,
-// within linalg.StatsFitTolerance of from-scratch.
+// than dimensions, the schema-scoping regime) it fits the rows through
+// fitRows, the from-scratch code path, so the fit is bit-identical to
+// retraining. With them (rows ≥ dimensions) it fits from the statistics,
+// whose cost does not grow with the rows' churn history, within
+// linalg.StatsFitTolerance of from-scratch.
 //
 // Rows are checked on the way in (checkSquares), but the rows a schema
 // holds when it first builds statistics were checked only centred, and
@@ -168,16 +167,16 @@ func (st *schemaState) move(workers int, cfg AssessConfig, next *embed.Signature
 // cell then leaves Inf−Inf = NaN. So statistics that are not finite are
 // rebuilt from the rows, and the rows are fitted if the rebuilt ones are
 // still not finite. It returns the statistics to keep.
-func fitMaintained(workers int, cfg AssessConfig, set *embed.SignatureSet, stats *linalg.PCAStats) (*linalg.PCA, *linalg.PCAStats, error) {
+func fitMaintained(workers int, set *embed.SignatureSet, stats *linalg.PCAStats) (*linalg.PCA, *linalg.PCAStats, error) {
 	if stats == nil {
-		pca, err := cfg.fit(workers, set)
+		pca, err := fitRows(workers, set, 1.0)
 		return pca, nil, err
 	}
 	pca, err := linalg.FitPCAFromStats(stats, 1.0)
 	if errors.Is(err, linalg.ErrNonFinite) {
 		stats = linalg.AccumulateStats(set.Matrix)
 		if pca, err = linalg.FitPCAFromStats(stats, 1.0); errors.Is(err, linalg.ErrNonFinite) {
-			pca, err = cfg.fit(workers, set)
+			pca, err = fitRows(workers, set, 1.0)
 			return pca, stats, err
 		}
 	}
@@ -243,7 +242,7 @@ func (s *Scoper) AddElements(i int, add *embed.SignatureSet) error {
 	if err := s.checkDeltaSet(i, add); err != nil {
 		return err
 	}
-	if _, _, err := s.states[i].move(s.workers, s.cfg, appendSet(s.states[i].set, add)); err != nil {
+	if _, _, err := s.states[i].move(s.workers, appendSet(s.states[i].set, add)); err != nil {
 		return err
 	}
 	s.deltaAppendRows(i, add.Len())
@@ -277,7 +276,7 @@ func (s *Scoper) RemoveElements(i int, ids ...schema.ElementID) error {
 		return fmt.Errorf("core: removing %d of %d elements would leave schema %q empty",
 			old.Len(), old.Len(), old.IDs[0].Schema)
 	}
-	_, gone, err := s.states[i].move(s.workers, s.cfg, next)
+	_, gone, err := s.states[i].move(s.workers, next)
 	if err != nil {
 		return err
 	}
@@ -585,7 +584,7 @@ func (st *ModelState) Apply(workers int, set *embed.SignatureSet) (StateDelta, e
 			d, set.Matrix.Cols())
 	}
 	next := &embed.SignatureSet{IDs: slices.Clone(set.IDs), Matrix: set.Matrix.Clone()}
-	delta, _, err := st.move(workers, AssessConfig{}, next)
+	delta, _, err := st.move(workers, next)
 	return delta, err
 }
 
@@ -600,7 +599,7 @@ func (st *ModelState) Model(workers int, v float64) (*Model, error) {
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
 	}
 	if st.full == nil {
-		pca, stats, err := fitMaintained(workers, AssessConfig{}, st.set, st.stats)
+		pca, stats, err := fitMaintained(workers, st.set, st.stats)
 		if err != nil {
 			return nil, err
 		}

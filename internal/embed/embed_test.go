@@ -1,9 +1,8 @@
 package embed
 
 import (
-	"bytes"
+	"context"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -227,6 +226,15 @@ func TestUnionAndFilters(t *testing.T) {
 	}
 }
 
+// encodeSchemaWithSamples is EncodeSchema with attribute serialisations
+// that include instance value samples (§2.3 enrichment variant). The paper
+// shows this enrichment helps some pairs and hurts others, and reduces
+// matching effectiveness overall.
+func encodeSchemaWithSamples(enc Encoder, s *schema.Schema) *SignatureSet {
+	set, _ := EncodeElementsContext(context.Background(), 0, enc, s.ElementsWithSamples())
+	return set
+}
+
 func TestInstanceSampleEnrichment(t *testing.T) {
 	// §2.3's worked example: including instance samples pulls NAME
 	// (Michael Scott) towards FIRST_NAME (Michael) and pushes it away
@@ -248,8 +256,8 @@ func TestInstanceSampleEnrichment(t *testing.T) {
 
 	plain1 := EncodeSchema(e, s1)
 	plain2 := EncodeSchema(e, s2)
-	rich1 := EncodeSchemaWithSamples(e, s1)
-	rich2 := EncodeSchemaWithSamples(e, s2)
+	rich1 := encodeSchemaWithSamples(e, s1)
+	rich2 := encodeSchemaWithSamples(e, s2)
 
 	sim := func(a *SignatureSet, i int, b *SignatureSet, j int) float64 {
 		return linalg.CosineSimilarity(a.Matrix.RowView(i), b.Matrix.RowView(j))
@@ -285,7 +293,7 @@ func TestEncodeSchemaWithSamplesNoSamples(t *testing.T) {
 	e := NewHashEncoder(WithDim(64))
 	s := testSchema()
 	a := EncodeSchema(e, s)
-	b := EncodeSchemaWithSamples(e, s)
+	b := encodeSchemaWithSamples(e, s)
 	if linalg.MaxAbsDiff(a.Matrix, b.Matrix) != 0 {
 		t.Fatal("sample-less encodings should be identical")
 	}
@@ -330,43 +338,5 @@ func BenchmarkEncodeAttribute(b *testing.B) {
 func BenchmarkEncodeColdCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		NewHashEncoder().Encode("CUSTOMER_ID ORDERS NUMBER FOREIGN KEY")
-	}
-}
-
-func TestSignatureSetJSONRoundTrip(t *testing.T) {
-	e := NewHashEncoder(WithDim(48))
-	set := EncodeSchema(e, testSchema())
-	var buf bytes.Buffer
-	if err := set.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSignatureSetJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != set.Len() || back.Matrix.Cols() != 48 {
-		t.Fatalf("round trip shape: %d×%d", back.Len(), back.Matrix.Cols())
-	}
-	if linalg.MaxAbsDiff(back.Matrix, set.Matrix) != 0 {
-		t.Fatal("signatures changed in round trip")
-	}
-	for i := range set.IDs {
-		if back.IDs[i] != set.IDs[i] {
-			t.Fatalf("id %d changed", i)
-		}
-	}
-}
-
-func TestReadSignatureSetJSONValidation(t *testing.T) {
-	cases := map[string]string{
-		"bad json":     `{`,
-		"id mismatch":  `{"dim":2,"ids":[{"schema":"S","table":"T","kind":0}],"rows":[]}`,
-		"ragged row":   `{"dim":2,"ids":[{"schema":"S","table":"T","kind":0}],"rows":[[1]]}`,
-		"negative dim": `{"dim":-1,"ids":[],"rows":[]}`,
-	}
-	for name, payload := range cases {
-		if _, err := ReadSignatureSetJSON(strings.NewReader(payload)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
 	}
 }

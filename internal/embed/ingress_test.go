@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"collabscope/internal/faultinject"
 	"collabscope/internal/linalg"
 	"collabscope/internal/schema"
 )
@@ -63,21 +62,5 @@ func TestEncodeSchemaIngressGuard(t *testing.T) {
 	}
 	if _, err := EncodeSchemaContext(context.Background(), 2, Batch(nanEncoder{dim: 8}), clean); err != nil {
 		t.Fatalf("clean schema rejected: %v", err)
-	}
-}
-
-// TestReadSignatureSetLoadHook drives the embed.load fault-injection site.
-func TestReadSignatureSetLoadHook(t *testing.T) {
-	disarm := faultinject.Arm(faultinject.New(1, faultinject.Fault{
-		Site: "embed.load", Kind: faultinject.KindError, Rate: 1,
-	}))
-	defer disarm()
-	_, err := ReadSignatureSetJSON(strings.NewReader(`{"dim":1,"ids":[],"rows":[]}`))
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	disarm()
-	if _, err := ReadSignatureSetJSON(strings.NewReader(`{"dim":1,"ids":[],"rows":[]}`)); err != nil {
-		t.Fatalf("disarmed read failed: %v", err)
 	}
 }

@@ -30,7 +30,7 @@ func (s *SignatureSet) Len() int { return len(s.IDs) }
 // EncodeSchema serialises every element of the schema (T^t for tables, T^a
 // for attributes) and encodes the sequences into a signature set — phase (I)
 // of collaborative scoping, lines 1-2 of Algorithm 1.
-func EncodeSchema(enc Encoder, s *schema.Schema) *SignatureSet {
+func EncodeSchema(enc Encoder, s *schema.Schema) *SignatureSet { // lintobs:allow tests in core and embed encode their fixture schemas through it
 	set, _ := EncodeSchemaContext(context.Background(), 0, enc, s)
 	return set
 }
@@ -41,15 +41,6 @@ func EncodeSchema(enc Encoder, s *schema.Schema) *SignatureSet {
 // identical for any worker count.
 func EncodeSchemaContext(ctx context.Context, workers int, enc Encoder, s *schema.Schema) (*SignatureSet, error) {
 	return EncodeElementsContext(ctx, workers, enc, s.Elements())
-}
-
-// EncodeSchemaWithSamples is EncodeSchema with attribute serialisations
-// that include instance value samples (§2.3 enrichment variant). The paper
-// shows this enrichment helps some pairs and hurts others, and reduces
-// matching effectiveness overall.
-func EncodeSchemaWithSamples(enc Encoder, s *schema.Schema) *SignatureSet {
-	set, _ := EncodeElementsContext(context.Background(), 0, enc, s.ElementsWithSamples())
-	return set
 }
 
 // EncodeElementsContext encodes already-serialised elements — the entry

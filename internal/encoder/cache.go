@@ -12,12 +12,15 @@ import (
 )
 
 // DefaultCacheCapacity bounds the in-memory signature cache (entries).
+// Evictions are counted as "encoder.cache_evictions".
 const DefaultCacheCapacity = 65536
 
 // CacheKey is the content-addressed identity of one signature: the hex
-// SHA-256 of (wire version, model, dimension, text). Any change to the
-// model identifier or dimensionality changes every key, so a cache can
-// never serve signatures from a different encoder configuration.
+// SHA-256 of (wire version, model, dimension, text). The remote backend
+// names no model and keys with the empty one, so persisted caches of
+// earlier builds keep hitting. Any change to the wire version or the
+// dimensionality changes every key, so a cache can never serve signatures
+// from a different encoder configuration.
 func CacheKey(model string, dim int, text string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d|%s|%d|", WireVersion, model, dim)
@@ -37,11 +40,8 @@ type sigCache struct {
 	reg   *obs.Registry
 }
 
-func newSigCache(capacity int, store *checkpoint.Store, reg *obs.Registry) *sigCache {
-	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
-	}
-	return &sigCache{mem: lru.New[string, []float64](capacity), store: store, reg: reg}
+func newSigCache(store *checkpoint.Store, reg *obs.Registry) *sigCache {
+	return &sigCache{mem: lru.New[string, []float64](DefaultCacheCapacity), store: store, reg: reg}
 }
 
 // get returns a copy of the cached signature (callers own their rows).

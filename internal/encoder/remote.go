@@ -36,7 +36,6 @@ const DefaultMaxBatch = 256
 // backend conformance test.
 type Remote struct {
 	url      string
-	model    string
 	dim      int
 	maxBatch int
 
@@ -47,9 +46,8 @@ type Remote struct {
 	reg    *obs.Registry
 
 	cache *sigCache
-	// Cache construction inputs, consumed in NewRemote.
-	store    *checkpoint.Store
-	capacity int
+	// store is the cache's persistent tier, consumed in NewRemote.
+	store *checkpoint.Store
 
 	co coalescer
 }
@@ -63,15 +61,9 @@ func WithDim(d int) RemoteOption {
 	return func(r *Remote) { r.dim = d }
 }
 
-// WithModel sets the model identifier sent with every request and mixed
-// into every cache key.
-func WithModel(model string) RemoteOption {
-	return func(r *Remote) { r.model = model }
-}
-
 // WithMaxBatch sets the coalescing window (texts per HTTP request;
 // default DefaultMaxBatch).
-func WithMaxBatch(n int) RemoteOption {
+func WithMaxBatch(n int) RemoteOption { // lintobs:allow the coalescing tests set a window of 4; production keeps DefaultMaxBatch
 	return func(r *Remote) {
 		if n > 0 {
 			r.maxBatch = n
@@ -96,13 +88,6 @@ func WithStore(s *checkpoint.Store) RemoteOption {
 	return func(r *Remote) { r.store = s }
 }
 
-// WithCacheCapacity bounds the in-memory signature cache (entries;
-// default DefaultCacheCapacity). Evictions are counted as
-// "encoder.cache_evictions".
-func WithCacheCapacity(n int) RemoteOption {
-	return func(r *Remote) { r.capacity = n }
-}
-
 // WithMetrics attaches a metrics registry: request latency
 // ("encoder.request"), request/retry/failure counters, and cache
 // hit/miss/eviction counters. A nil registry keeps instrumentation
@@ -116,13 +101,13 @@ func WithMetrics(reg *obs.Registry) RemoteOption {
 
 // WithFaultInjector arms a fault injector on this backend only (sites
 // encoder.client.request and encoder.client.body).
-func WithFaultInjector(in *faultinject.Injector) RemoteOption {
+func WithFaultInjector(in *faultinject.Injector) RemoteOption { // lintobs:allow the chaos seam: encoder tests inject faults into one backend through it
 	return func(r *Remote) { r.copts = append(r.copts, exchange.WithFaultInjector(in)) }
 }
 
 // WithJitterRand replaces the backoff jitter's randomness source, pinning
 // the retry schedule for tests.
-func WithJitterRand(rng *rand.Rand) RemoteOption {
+func WithJitterRand(rng *rand.Rand) RemoteOption { // lintobs:allow the retry-schedule tests pin the backoff jitter through it
 	return func(r *Remote) { r.copts = append(r.copts, exchange.WithJitterRand(rng)) }
 }
 
@@ -139,7 +124,7 @@ func NewRemote(url string, opts ...RemoteOption) (*Remote, error) {
 		return nil, fmt.Errorf("encoder: remote backend needs a positive dimension")
 	}
 	r.client = exchange.NewNamedClient("encoder", r.copts...)
-	r.cache = newSigCache(r.capacity, r.store, r.reg)
+	r.cache = newSigCache(r.store, r.reg)
 	r.co.flush = r.flush
 	r.co.window = r.maxBatch
 	return r, nil
@@ -167,7 +152,7 @@ func (r *Remote) EncodeBatch(ctx context.Context, texts []string) ([][]float64, 
 	itemOf := make([]*pending, len(texts))
 	var misses []*pending
 	for i, text := range texts {
-		key := CacheKey(r.model, r.dim, text)
+		key := CacheKey("", r.dim, text)
 		if p, ok := byKey[key]; ok {
 			itemOf[i] = p
 			continue
@@ -283,7 +268,7 @@ func (r *Remote) flush(batch []*pending) {
 // request failure. encoder.requests and encoder.texts count batches, not
 // attempts; the client counts each extra attempt as encoder.retries.
 func (r *Remote) post(texts []string) (*EncodeResponse, error) {
-	payload, err := MarshalRequest(EncodeRequest{Model: r.model, Dim: r.dim, Texts: texts})
+	payload, err := MarshalRequest(EncodeRequest{Dim: r.dim, Texts: texts})
 	if err != nil {
 		return nil, err
 	}

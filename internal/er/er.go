@@ -219,7 +219,7 @@ func (t *Truth) Contains(p CandidatePair) bool { return t.pairs[p.canonical()] }
 
 // MatchedRecords returns the set of records occurring in any true pair —
 // the "linkable" records of Definition 1 transposed to entity resolution.
-func (t *Truth) MatchedRecords() map[schema.ElementID]bool {
+func (t *Truth) MatchedRecords() map[schema.ElementID]bool { // lintobs:allow public API: er.Truth aliases this type
 	out := map[schema.ElementID]bool{}
 	for p := range t.pairs {
 		out[p.A] = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"collabscope/internal/lru"
 	"collabscope/internal/obs"
 )
 
@@ -12,7 +13,8 @@ import (
 // "exchange.etag_evictions" counter, and recently used entries survive.
 func TestModelCacheBounded(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewClient(WithMetrics(reg), WithModelCacheSize(2))
+	c := NewClient(WithMetrics(reg))
+	c.cache = lru.New[string, cacheEntry](2)
 
 	for i := 0; i < 3; i++ {
 		c.cachePut(fmt.Sprintf("http://peer/%d", i), cacheEntry{etag: fmt.Sprintf("e%d", i)})
@@ -62,7 +64,8 @@ func TestModelCacheDefaultCap(t *testing.T) {
 // entry (a model revalidation) never evicts a different model.
 func TestModelCacheUpdateDoesNotEvict(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewClient(WithMetrics(reg), WithModelCacheSize(2))
+	c := NewClient(WithMetrics(reg))
+	c.cache = lru.New[string, cacheEntry](2)
 	c.cachePut("a", cacheEntry{etag: "1"})
 	c.cachePut("b", cacheEntry{etag: "1"})
 	c.cachePut("a", cacheEntry{etag: "2"})

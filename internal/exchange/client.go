@@ -124,12 +124,11 @@ type Client struct {
 	// cache maps model URL → the last validated model and its ETag. Keys
 	// are the caller's (logical) URLs, so a replica group shares one cache
 	// entry — content-hash ETags make replicas interchangeable. The cache
-	// is size-capped (WithModelCacheSize) with least-recently-used
+	// is size-capped (DefaultModelCacheSize) with least-recently-used
 	// eviction, so a long-lived client scanning many peers holds a bounded
 	// number of models; evictions are counted as "exchange.etag_evictions".
-	cacheMu  sync.Mutex
-	cache    *lru.Cache[string, cacheEntry]
-	cacheCap int
+	cacheMu sync.Mutex
+	cache   *lru.Cache[string, cacheEntry]
 }
 
 // DefaultModelCacheSize bounds the per-URL ETag/model cache: enough for a
@@ -189,17 +188,6 @@ func WithMetrics(reg *obs.Registry) ClientOption {
 	return func(c *Client) { c.reg = reg }
 }
 
-// WithModelCacheSize bounds the per-URL ETag/model cache to at most n
-// entries (DefaultModelCacheSize if never set), evicting the least
-// recently used model when full.
-func WithModelCacheSize(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.cacheCap = n
-		}
-	}
-}
-
 // NewClient returns a fetching client with the default transport and retry
 // policy.
 func NewClient(opts ...ClientOption) *Client { return NewNamedClient("exchange", opts...) }
@@ -216,6 +204,7 @@ func NewNamedClient(ns string, opts ...ClientOption) *Client {
 		policy: DefaultRetryPolicy(),
 		randN:  func(n time.Duration) time.Duration { return rand.N(n) },
 		epoch:  obs.NewStopwatch(),
+		cache:  lru.New[string, cacheEntry](DefaultModelCacheSize),
 	}
 	c.now = c.epoch.Elapsed
 	for _, o := range opts {
@@ -655,9 +644,6 @@ func (c *Client) FetchModel(ctx context.Context, rawURL string) (*core.Model, er
 func (c *Client) cacheGet(rawURL string) (cacheEntry, bool) {
 	c.cacheMu.Lock()
 	defer c.cacheMu.Unlock()
-	if c.cache == nil {
-		return cacheEntry{}, false
-	}
 	return c.cache.Get(rawURL)
 }
 
@@ -665,13 +651,6 @@ func (c *Client) cacheGet(rawURL string) (cacheEntry, bool) {
 // recently used entry once the cache is full.
 func (c *Client) cachePut(rawURL string, e cacheEntry) {
 	c.cacheMu.Lock()
-	if c.cache == nil {
-		cap := c.cacheCap
-		if cap <= 0 {
-			cap = DefaultModelCacheSize
-		}
-		c.cache = lru.New[string, cacheEntry](cap)
-	}
 	_, evicted := c.cache.Put(rawURL, e)
 	c.cacheMu.Unlock()
 	if evicted {

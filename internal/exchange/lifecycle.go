@@ -80,9 +80,6 @@ func (s *Server) drain(ctx context.Context) error {
 	return nil
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // flushRegistry re-persists the registry manifest (model cells are written
 // through at publish time), so a restart reloads exactly the models the
 // draining server held.

@@ -440,7 +440,7 @@ func TestDrainCancelsCoalescedWaitersAndRestartReproduces(t *testing.T) {
 	if err := srv.Drain(dctx); err == nil {
 		t.Error("Drain returned nil, want the forced-cancel error")
 	}
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Error("server does not report draining after Drain")
 	}
 	wg.Wait()

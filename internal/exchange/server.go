@@ -157,9 +157,7 @@ type serverConfig struct {
 	models      []*core.Model
 	reg         *obs.Registry
 	pprof       bool
-	inject      *faultinject.Injector
 	registryDir string
-	store       *checkpoint.Store
 	admission   AdmissionConfig
 	workers     int
 }
@@ -183,25 +181,12 @@ func WithPprof() ServerOption {
 	return func(c *serverConfig) { c.pprof = true }
 }
 
-// WithServerFaultInjector arms an instance-scoped fault injector on the
-// server. It takes precedence over a globally armed injector.
-func WithServerFaultInjector(in *faultinject.Injector) ServerOption {
-	return func(c *serverConfig) { c.inject = in }
-}
-
 // WithRegistryDir persists the model registry in a checkpoint store rooted
 // at dir: every publish and upload is written through, and NewServer
 // reloads the registry from the same directory, so a restarted server
 // serves byte-identical model bodies and verdicts.
 func WithRegistryDir(dir string) ServerOption {
 	return func(c *serverConfig) { c.registryDir = dir }
-}
-
-// WithRegistryStore is WithRegistryDir with an already-open store (which
-// may be shared with other persistence in the process). It wins over
-// WithRegistryDir when both are given.
-func WithRegistryStore(st *checkpoint.Store) ServerOption {
-	return func(c *serverConfig) { c.store = st }
 }
 
 // WithAdmission bounds the /v1/assess hot path (queue depth, per-tenant
@@ -227,7 +212,6 @@ func NewServer(opts ...ServerOption) (*Server, error) {
 		tenants:      make(map[string]*tenantSpace),
 		reg:          cfg.reg,
 		pprofEnabled: cfg.pprof,
-		inject:       cfg.inject,
 		workers:      cfg.workers,
 		admission:    cfg.admission.withDefaults(),
 		flight:       make(map[string]*flightCall),
@@ -236,9 +220,7 @@ func NewServer(opts ...ServerOption) (*Server, error) {
 		delta:        newDeltaStore(cfg.reg),
 	}
 	s.computeCtx, s.computeCancel = context.WithCancel(context.Background())
-	if cfg.store != nil {
-		s.store = cfg.store
-	} else if cfg.registryDir != "" {
+	if cfg.registryDir != "" {
 		st, err := checkpoint.Open(cfg.registryDir)
 		if err != nil {
 			return nil, fmt.Errorf("exchange: open registry: %w", err)
@@ -259,9 +241,10 @@ func NewServer(opts ...ServerOption) (*Server, error) {
 }
 
 // SetFaultInjector arms (or, with nil, disarms) an instance-scoped fault
-// injector on this hub. Unlike WithServerFaultInjector it acts on a live
-// server: the chaos SLO harness arms and disarms one replica mid-run.
-func (s *Server) SetFaultInjector(in *faultinject.Injector) {
+// injector on this hub, which takes precedence over a globally armed one.
+// It acts on a live server: the chaos SLO harness arms and disarms one
+// replica mid-run.
+func (s *Server) SetFaultInjector(in *faultinject.Injector) { // lintobs:allow the chaos seam: service tests and the chaos SLO harness fault one live hub through it
 	s.mu.Lock()
 	s.inject = in
 	s.mu.Unlock()

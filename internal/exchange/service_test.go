@@ -325,15 +325,15 @@ func TestAssessQueueFullShed(t *testing.T) {
 	srv, err := NewServer(
 		WithModels(testModel(t, "A"), testModel(t, "B")),
 		WithServerMetrics(reg),
-		WithServerFaultInjector(faultinject.New(1, faultinject.Fault{
-			Site: "exchange.service.assess", Kind: faultinject.KindDelay,
-			Rate: 1, Delay: 400 * time.Millisecond,
-		})),
 		WithAdmission(AdmissionConfig{QueueDepth: 1, TenantQuota: -1}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.SetFaultInjector(faultinject.New(1, faultinject.Fault{
+		Site: "exchange.service.assess", Kind: faultinject.KindDelay,
+		Rate: 1, Delay: 400 * time.Millisecond,
+	}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -384,11 +384,11 @@ func TestAssessCoalescesIdenticalInFlight(t *testing.T) {
 	srv, err := NewServer(
 		WithModels(testModel(t, "A"), testModel(t, "B")),
 		WithServerMetrics(reg),
-		WithServerFaultInjector(in),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.SetFaultInjector(in)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	payload := marshalAssess(t, &AssessRequest{Schema: "A", Signatures: [][]float64{{1, 2, 3, 4}}})
@@ -447,15 +447,15 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := NewServer(
 		WithServerMetrics(reg),
-		WithServerFaultInjector(faultinject.New(1, faultinject.Fault{
-			Site: "exchange.service.assess", Kind: faultinject.KindDelay,
-			Rate: 1, Delay: 400 * time.Millisecond,
-		})),
 		WithAdmission(AdmissionConfig{QueueDepth: 8, TenantQuota: 1}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.SetFaultInjector(faultinject.New(1, faultinject.Fault{
+		Site: "exchange.service.assess", Kind: faultinject.KindDelay,
+		Rate: 1, Delay: 400 * time.Millisecond,
+	}))
 	for _, tenant := range []string{"hot", "calm"} {
 		for _, name := range []string{"A", "B"} {
 			if _, err := srv.PublishTenant(tenant, testModel(t, name)); err != nil {

@@ -41,9 +41,6 @@ const DefaultTenant = "default"
 // compute on an answer the client will have abandoned.
 const DeadlineHeader = "X-Collabscope-Deadline"
 
-// APIVersion is the service API version prefix ("/v1").
-const APIVersion = "v1"
-
 // ListingV1 is the body of GET /v1/models: the wire version the service
 // speaks, the tenant the listing belongs to, and the tenant's published
 // models.

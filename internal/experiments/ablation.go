@@ -4,7 +4,6 @@ import (
 	"collabscope/internal/core"
 	"collabscope/internal/embed"
 	"collabscope/internal/match"
-	"collabscope/internal/schema"
 )
 
 // Matchers returns the nine matcher parameterisations of Figure 7:
@@ -123,18 +122,4 @@ func CompareMatchers(cfg Config, enc *Encoded) ([]MatcherComparison, error) {
 		out[i] = row
 	}
 	return out, nil
-}
-
-// ElementsKept counts the kept/pruned composition of a keep-set — used for
-// the Reduction-Ratio narrative ("all pruned elements but one are true
-// negatives").
-func ElementsKept(keep map[schema.ElementID]bool) (kept, pruned int) {
-	for _, ok := range keep {
-		if ok {
-			kept++
-		} else {
-			pruned++
-		}
-	}
-	return kept, pruned
 }

@@ -19,7 +19,7 @@ type EncoderAblationPoint struct {
 // EncoderAblation evaluates collaborative scoping on a dataset across
 // encoder n-gram weights. Weight 0 disables lexical affinity entirely;
 // large weights drown the synonym channel.
-func EncoderAblation(cfg Config, d *datasets.Dataset, weights []float64) ([]EncoderAblationPoint, error) {
+func EncoderAblation(cfg Config, d *datasets.Dataset, weights []float64) ([]EncoderAblationPoint, error) { // lintobs:allow the encoder-channel ablation of EXPERIMENTS.md; tests in experiments and the root package call it
 	labels := d.Labels()
 	out := make([]EncoderAblationPoint, 0, len(weights))
 	for _, w := range weights {

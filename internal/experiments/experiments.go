@@ -206,7 +206,7 @@ func collabSweep(cfg Config, enc *Encoded, scoper *core.Scoper) ([]metrics.Sweep
 
 // BestScoping returns the scoping row with the highest AUC-PR (the paper's
 // primary metric) and the collaborative row.
-func BestScoping(rows []Table4Row) (best, collaborative Table4Row) {
+func BestScoping(rows []Table4Row) (best, collaborative Table4Row) { // lintobs:allow tests in experiments and the root package's Table 4 benches call it
 	for _, r := range rows {
 		if r.Method == "Collaborative" {
 			collaborative = r

@@ -12,7 +12,6 @@ import (
 	"collabscope/internal/datasets"
 	"collabscope/internal/match"
 	"collabscope/internal/metrics"
-	"collabscope/internal/schema"
 )
 
 // The tests in this file pin the paper's qualitative claims (Section 4.3)
@@ -534,14 +533,6 @@ func TestCompareMatchersAndHelpers(t *testing.T) {
 		if r.BestV <= 0 || r.BestV > 1 {
 			t.Fatalf("%s: best v = %v", r.Matcher, r.BestV)
 		}
-	}
-	kept, pruned := ElementsKept(map[schema.ElementID]bool{
-		schema.TableID("A", "T"):          true,
-		schema.TableID("B", "U"):          false,
-		schema.AttributeID("A", "T", "x"): false,
-	})
-	if kept != 1 || pruned != 2 {
-		t.Fatalf("ElementsKept = %d, %d", kept, pruned)
 	}
 	if DefaultConfig().Dim != 768 {
 		t.Fatal("default dim should be 768")

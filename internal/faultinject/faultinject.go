@@ -112,7 +112,7 @@ func New(seed int64, faults ...Fault) *Injector {
 }
 
 // Events returns a copy of the fired-fault log in firing order.
-func (in *Injector) Events() []Event {
+func (in *Injector) Events() []Event { // lintobs:allow tests in faultinject, parallel and exchange read the fired faults through it
 	if in == nil {
 		return nil
 	}
@@ -234,7 +234,7 @@ var current atomic.Pointer[Injector]
 // Arm makes in the process-global injector behind the package-level Hit and
 // Corrupt hooks and returns the disarm function. Tests must disarm (via
 // defer or t.Cleanup) before the next test arms its own plan.
-func Arm(in *Injector) (disarm func()) {
+func Arm(in *Injector) (disarm func()) { // lintobs:allow tests in faultinject, parallel and schema arm the global injector through it
 	current.Store(in)
 	return func() { current.CompareAndSwap(in, nil) }
 }

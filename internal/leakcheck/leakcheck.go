@@ -20,7 +20,7 @@ const settleTimeout = 2 * time.Second
 // verification runs in t.Cleanup, after the test body and its own cleanups
 // finished. Tests using Guard must not call t.Parallel — a sibling test
 // running concurrently would shift the process-wide goroutine count.
-func Guard(t testing.TB) {
+func Guard(t testing.TB) { // lintobs:allow tests in seven packages check for leaked goroutines through it
 	t.Helper()
 	before := runtime.NumGoroutine()
 	t.Cleanup(func() {

@@ -423,7 +423,7 @@ func TestPCAReconstructionErrorsInto(t *testing.T) {
 		requireSameBits(t, fmt.Sprintf("pass %d", pass), p.ReconstructionErrorsInto(x, got, &sc), want)
 	}
 	// Shrinking input reuses the scratch storage.
-	xs := x.LeadingRows(10)
+	xs := randDense(t, 10, 20, 27)
 	requireSameBits(t, "short batch", p.ReconstructionErrorsInto(xs, make([]float64, 10), &sc), composedErrors(p, xs))
 }
 
@@ -458,18 +458,6 @@ func TestReconstructionPassMatchesComposedKernels(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestLeadingRows(t *testing.T) {
-	m := randDense(t, 8, 5, 27)
-	v := m.LeadingRows(3)
-	if v.Rows() != 3 || v.Cols() != 5 {
-		t.Fatalf("LeadingRows shape %dx%d, want 3x5", v.Rows(), v.Cols())
-	}
-	v.Set(2, 4, 42)
-	if m.At(2, 4) != 42 {
-		t.Fatal("LeadingRows must share storage with the parent matrix")
 	}
 }
 
@@ -530,7 +518,6 @@ func TestKernelShapePanics(t *testing.T) {
 		"Cosine norms":  func() { linalg.CosineSimilaritiesInto(linalg.NewDense(4, 6), a, b, nil, nil) },
 		"RowNorms len":  func() { linalg.RowNormsInto(make([]float64, 3), a) },
 		"Alias":         func() { linalg.MulTransInto(a, a, b) },
-		"LeadingRows":   func() { a.LeadingRows(9) },
 		"RowMSEInto":    func() { linalg.RowMSEInto(make([]float64, 3), a, a.Clone()) },
 		"RowSqDist len": func() { linalg.RowSquaredDistancesInto(make([]float64, 4), a, make([]float64, 2)) },
 	} {

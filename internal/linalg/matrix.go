@@ -45,7 +45,7 @@ func WrapDense(r, c int, data []float64) *Dense {
 }
 
 // FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) *Dense {
+func FromRows(rows [][]float64) *Dense { // lintobs:allow tests in six packages build matrices through it
 	if len(rows) == 0 {
 		return &Dense{}
 	}
@@ -103,28 +103,6 @@ func (m *Dense) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// LeadingRows returns a view of the first r rows backed by the same
-// storage — the resizing trick batched hot paths use to reuse one scratch
-// matrix for a final short batch. Mutating the view mutates m.
-func (m *Dense) LeadingRows(r int) *Dense {
-	if r < 0 || r > m.rows {
-		panic(fmt.Sprintf("linalg: leading rows %d out of range %d", r, m.rows))
-	}
-	return &Dense{rows: r, cols: m.cols, data: m.data[:r*m.cols]}
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	out := NewDense(m.rows, m.cols)
@@ -144,7 +122,7 @@ func (m *Dense) T() *Dense {
 }
 
 // Mul returns the matrix product m·b.
-func (m *Dense) Mul(b *Dense) *Dense {
+func (m *Dense) Mul(b *Dense) *Dense { // lintobs:allow reference product the kernel and SVD tests check against
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
 	}
@@ -171,25 +149,6 @@ func (m *Dense) Add(b *Dense) *Dense {
 	out := m.Clone()
 	for i := range out.data {
 		out.data[i] += b.data[i]
-	}
-	return out
-}
-
-// Sub returns m − b element-wise.
-func (m *Dense) Sub(b *Dense) *Dense {
-	m.sameShape(b)
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Dense) Scale(s float64) *Dense {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
 	}
 	return out
 }
@@ -234,23 +193,8 @@ func (m *Dense) SubRow(v []float64) *Dense {
 	return out
 }
 
-// AddRow returns a new matrix with vector v added to every row.
-func (m *Dense) AddRow(v []float64) *Dense {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("linalg: row vector length %d, want %d", len(v), m.cols))
-	}
-	out := m.Clone()
-	for i := 0; i < out.rows; i++ {
-		row := out.data[i*out.cols : (i+1)*out.cols]
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
-	return out
-}
-
 // RowMSE returns the per-row mean squared error between m and b.
-func RowMSE(m, b *Dense) []float64 {
+func RowMSE(m, b *Dense) []float64 { // lintobs:allow reference the RowMSEInto test checks against
 	m.sameShape(b)
 	out := make([]float64, m.rows)
 	if m.cols == 0 {
@@ -297,7 +241,7 @@ func RowMSEInto(dst []float64, m, b *Dense) []float64 {
 
 // MaxAbsDiff returns the maximum absolute element-wise difference between
 // two matrices, useful for approximate-equality assertions.
-func MaxAbsDiff(a, b *Dense) float64 {
+func MaxAbsDiff(a, b *Dense) float64 { // lintobs:allow tests in linalg and embed compare matrices through it
 	a.sameShape(b)
 	var max float64
 	for i := range a.data {

@@ -62,10 +62,6 @@ func TestRowColCloneIndependent(t *testing.T) {
 	if m.At(1, 0) != 3 {
 		t.Fatal("Row must return a copy")
 	}
-	c := m.Col(1)
-	if c[0] != 2 || c[1] != 4 {
-		t.Fatalf("Col(1) = %v", c)
-	}
 	cl := m.Clone()
 	cl.Set(0, 0, 42)
 	if m.At(0, 0) != 1 {
@@ -140,12 +136,6 @@ func TestAddSubScale(t *testing.T) {
 	if got := a.Add(b); got.At(0, 1) != 7 {
 		t.Fatalf("Add = %v", got)
 	}
-	if got := b.Sub(a); got.At(0, 0) != 2 {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := a.Scale(3); got.At(0, 1) != 6 {
-		t.Fatalf("Scale = %v", got)
-	}
 }
 
 func TestColMeanAndSubAddRow(t *testing.T) {
@@ -157,10 +147,6 @@ func TestColMeanAndSubAddRow(t *testing.T) {
 	centered := m.SubRow(mean)
 	if centered.At(0, 0) != -1 || centered.At(1, 1) != 5 {
 		t.Fatalf("SubRow = %+v", centered)
-	}
-	back := centered.AddRow(mean)
-	if MaxAbsDiff(back, m) > 1e-12 {
-		t.Fatal("AddRow(SubRow(x)) != x")
 	}
 }
 

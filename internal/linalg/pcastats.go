@@ -54,7 +54,7 @@ type PCAStats struct {
 // scatter Σxᵀx whose eigenvalues are the squared singular values — so it
 // carries roughly half the digits of the direct SVD; 1e-6 leaves two
 // decades of headroom over the error observed on the pinned grids.
-const StatsFitTolerance = 1e-6
+const StatsFitTolerance = 1e-6 // lintobs:allow the documented bound of FitPCAFromStats that the exactness tests assert
 
 // NewPCAStats returns an empty accumulator for d-dimensional rows.
 func NewPCAStats(d int) *PCAStats {
@@ -98,16 +98,6 @@ func (s *PCAStats) UpdateRows(x *Dense) {
 	for i := 0; i < x.Rows(); i++ {
 		s.Update(x.RowView(i))
 	}
-}
-
-// DowndateRows removes every row of x in ascending index order.
-func (s *PCAStats) DowndateRows(x *Dense) error {
-	for i := 0; i < x.Rows(); i++ {
-		if err := s.Downdate(x.RowView(i)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // apply adds (sign=+1) or subtracts (sign=-1) one row's contribution. The

@@ -22,33 +22,9 @@ func Norm(v []float64) float64 {
 	return math.Sqrt(Dot(v, v))
 }
 
-// Normalize scales v in place to unit Euclidean norm. A zero vector is left
-// unchanged. It returns the original norm.
-func Normalize(v []float64) float64 {
-	n := Norm(v)
-	if n == 0 {
-		return 0
-	}
-	inv := 1 / n
-	for i := range v {
-		v[i] *= inv
-	}
-	return n
-}
-
-// AxpyInPlace computes y += a·x in place.
-func AxpyInPlace(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}
-
 // CosineSimilarity returns the cosine of the angle between a and b, or 0 if
 // either vector is zero.
-func CosineSimilarity(a, b []float64) float64 {
+func CosineSimilarity(a, b []float64) float64 { // lintobs:allow reference the CosineSimilaritiesInto tests check against
 	na, nb := Norm(a), Norm(b)
 	if na == 0 || nb == 0 {
 		return 0
@@ -74,14 +50,6 @@ func Distance(a, b []float64) float64 {
 	return math.Sqrt(SquaredDistance(a, b))
 }
 
-// MSE returns the mean squared error between two equal-length vectors.
-func MSE(a, b []float64) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	return SquaredDistance(a, b) / float64(len(a))
-}
-
 // Mean returns the arithmetic mean of v, or 0 for an empty slice.
 func Mean(v []float64) float64 {
 	if len(v) == 0 {
@@ -95,7 +63,7 @@ func Mean(v []float64) float64 {
 }
 
 // StdDev returns the population standard deviation of v.
-func StdDev(v []float64) float64 {
+func StdDev(v []float64) float64 { // lintobs:allow tests in linalg, embed and scoping call it
 	if len(v) == 0 {
 		return 0
 	}

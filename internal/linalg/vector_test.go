@@ -15,18 +15,6 @@ func TestDotNormNormalize(t *testing.T) {
 	if Norm(a) != 5 {
 		t.Fatalf("Norm = %v", Norm(a))
 	}
-	v := []float64{3, 4}
-	n := Normalize(v)
-	if n != 5 || !almostEqual(Norm(v), 1, 1e-12) {
-		t.Fatalf("Normalize: n=%v v=%v", n, v)
-	}
-}
-
-func TestNormalizeZeroVector(t *testing.T) {
-	v := []float64{0, 0}
-	if n := Normalize(v); n != 0 || v[0] != 0 {
-		t.Fatalf("zero vector changed: n=%v v=%v", n, v)
-	}
 }
 
 func TestDotLengthMismatchPanics(t *testing.T) {
@@ -36,14 +24,6 @@ func TestDotLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestAxpy(t *testing.T) {
-	y := []float64{1, 1}
-	AxpyInPlace(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("Axpy = %v", y)
-	}
 }
 
 func TestCosineSimilarity(t *testing.T) {
@@ -68,12 +48,6 @@ func TestDistances(t *testing.T) {
 	}
 	if Distance(a, b) != 5 {
 		t.Fatalf("dist = %v", Distance(a, b))
-	}
-	if got := MSE(a, b); got != 12.5 {
-		t.Fatalf("MSE = %v", got)
-	}
-	if MSE(nil, nil) != 0 {
-		t.Fatal("empty MSE should be 0")
 	}
 }
 

@@ -39,9 +39,6 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 // Len returns the number of entries.
 func (c *Cache[K, V]) Len() int { return len(c.index) }
 
-// Cap returns the capacity.
-func (c *Cache[K, V]) Cap() int { return c.capacity }
-
 // Get returns the value under k and promotes the entry to most recent.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	n, ok := c.index[k]

@@ -59,10 +59,9 @@ func TestPutUpdatesWithoutEviction(t *testing.T) {
 
 func TestNonPositiveCapacity(t *testing.T) {
 	c := New[int, int](0)
-	if c.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1", c.Cap())
+	if _, ev := c.Put(1, 1); ev {
+		t.Fatal("Put(1) into an empty cache evicted")
 	}
-	c.Put(1, 1)
 	if key, ev := c.Put(2, 2); !ev || key != 1 {
 		t.Fatalf("Put(2) evicted (%d, %v), want (1, true)", key, ev)
 	}

@@ -17,8 +17,7 @@ import (
 // project.
 //
 // Match (the Matcher interface) works from SignatureSet identifiers alone —
-// schema→table→attribute structure without data types. FloodingSchemas adds
-// data-type edges when full schemas are available.
+// schema→table→attribute structure without data types.
 type Flooding struct {
 	// Threshold selects pairs whose converged similarity reaches this
 	// fraction of the per-kind maximum (relative selection), e.g. 0.6.
@@ -32,25 +31,14 @@ func (f Flooding) Name() string { return fmt.Sprintf("FLOOD(%.1f)", f.Threshold)
 
 // Match implements Matcher.
 func (f Flooding) Match(a, b *embed.SignatureSet) []Pair {
-	return f.run(buildGraph(a, nil), buildGraph(b, nil))
+	return f.run(buildGraph(a), buildGraph(b))
 }
 
-// FloodingSchemas runs Similarity Flooding with full schema information
-// (including data-type edges), strictly more informative than the
-// SignatureSet view of Match.
-func FloodingSchemas(f Flooding, enc embed.Encoder, a, b *schema.Schema) []Pair {
-	return f.run(
-		buildGraph(embed.EncodeSchema(enc, a), typesFromSchema(a)),
-		buildGraph(embed.EncodeSchema(enc, b), typesFromSchema(b)),
-	)
-}
-
-// graphNode is a node of one schema's graph: the schema root, a table, an
-// attribute, or a data-type literal.
+// graphNode is a node of one schema's graph: the schema root, a table or
+// an attribute.
 type graphNode struct {
-	kind string // "schema", "table", "attr", "type"
+	kind string // "schema", "table", "attr"
 	id   schema.ElementID
-	typ  schema.DataType
 }
 
 // schemaGraph is the directed labelled graph of one schema.
@@ -60,9 +48,8 @@ type schemaGraph struct {
 	edges map[string][][2]int
 }
 
-// buildGraph derives a schema graph from a signature set's identifiers,
-// optionally attaching data-type edges.
-func buildGraph(set *embed.SignatureSet, types map[schema.ElementID]schema.DataType) *schemaGraph {
+// buildGraph derives a schema graph from a signature set's identifiers.
+func buildGraph(set *embed.SignatureSet) *schemaGraph {
 	g := &schemaGraph{edges: map[string][][2]int{}}
 	add := func(n graphNode) int {
 		g.nodes = append(g.nodes, n)
@@ -70,7 +57,6 @@ func buildGraph(set *embed.SignatureSet, types map[schema.ElementID]schema.DataT
 	}
 	schemaIdx := add(graphNode{kind: "schema"})
 	tableIdx := map[string]int{}
-	typeIdx := map[schema.DataType]int{}
 	for _, id := range set.IDs {
 		if id.Kind != schema.KindTable {
 			continue
@@ -90,14 +76,6 @@ func buildGraph(set *embed.SignatureSet, types map[schema.ElementID]schema.DataT
 			// Streamlined schemas may lack the table shell; attach the
 			// attribute to the schema root so it still participates.
 			g.edges["column"] = append(g.edges["column"], [2]int{schemaIdx, ai})
-		}
-		if t, ok := types[id]; ok && t != schema.TypeUnknown {
-			yi, seen := typeIdx[t]
-			if !seen {
-				yi = add(graphNode{kind: "type", typ: t})
-				typeIdx[t] = yi
-			}
-			g.edges["type"] = append(g.edges["type"], [2]int{ai, yi})
 		}
 	}
 	return g
@@ -228,30 +206,14 @@ func (f Flooding) run(ga, gb *schemaGraph) []Pair {
 }
 
 // initialSim scores two graph nodes lexically: names for tables and
-// attributes, exact match for types, constant for schema roots.
+// attributes, constant for schema roots.
 func initialSim(a, b graphNode) float64 {
-	if a.kind != b.kind {
+	switch {
+	case a.kind != b.kind:
 		return 0
-	}
-	switch a.kind {
-	case "schema":
+	case a.kind == "schema":
 		return 1
-	case "type":
-		if a.typ == b.typ {
-			return 1
-		}
-		return 0
 	default:
 		return NameSimilarity(elementName(a.id), elementName(b.id))
 	}
-}
-
-func typesFromSchema(s *schema.Schema) map[schema.ElementID]schema.DataType {
-	out := map[schema.ElementID]schema.DataType{}
-	for _, t := range s.Tables {
-		for _, at := range t.Attributes {
-			out[schema.AttributeID(s.Name, t.Name, at.Name)] = at.Type
-		}
-	}
-	return out
 }

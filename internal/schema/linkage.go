@@ -188,7 +188,7 @@ func (g *GroundTruth) Validate(schemas []*Schema) error {
 
 // UnlinkableOverhead computes (|S| − |S′|)/|S′| of Definition 2 from the
 // label distribution: unlinkable count over linkable count.
-func UnlinkableOverhead(labels map[ElementID]bool) float64 {
+func UnlinkableOverhead(labels map[ElementID]bool) float64 { // lintobs:allow tests in schema and datasets check Definition 2 through it
 	var linkable, unlinkable int
 	for _, v := range labels {
 		if v {

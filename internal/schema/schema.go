@@ -281,7 +281,7 @@ func SerializeAttributeWithSamples(a Attribute) string {
 
 // ElementsWithSamples is Elements with attribute serialisations that
 // include instance samples.
-func (s *Schema) ElementsWithSamples() []Element {
+func (s *Schema) ElementsWithSamples() []Element { // lintobs:allow the §2.3 enrichment experiment in embed's tests and schema's tests call it
 	out := make([]Element, 0, s.NumElements())
 	for _, t := range s.Tables {
 		out = append(out, Element{ID: TableID(s.Name, t.Name), Text: SerializeTable(t)})

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"collabscope/internal/embed"
-	"collabscope/internal/linalg"
 	"collabscope/internal/metrics"
 	"collabscope/internal/outlier"
 	"collabscope/internal/schema"
@@ -106,54 +105,6 @@ func (r *Ranking) LabelsFor(labels map[schema.ElementID]bool) []bool {
 		out[i] = labels[id]
 	}
 	return out
-}
-
-// RankLocal is the "local-only" scoping ablation: each schema scores its
-// OWN elements with its own detector, and the per-schema scores are
-// standardised before merging so the threshold p is comparable across
-// schemas. This isolates what collaborative scoping's model EXCHANGE
-// contributes: purely local outlier scores cannot see that an element
-// normal within its own schema (every Formula One attribute) is unlinkable
-// globally, so this baseline is expected to fail on domain heterogeneity.
-func RankLocal(det outlier.Detector, sets []*embed.SignatureSet) *Ranking {
-	var ids []schema.ElementID
-	var scores []float64
-	for _, set := range sets {
-		local := det.Scores(set.Matrix)
-		standardize(local)
-		ids = append(ids, set.IDs...)
-		scores = append(scores, local...)
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	r := &Ranking{
-		IDs:    make([]schema.ElementID, len(idx)),
-		Scores: make([]float64, len(idx)),
-	}
-	for out, in := range idx {
-		r.IDs[out] = ids[in]
-		r.Scores[out] = scores[in]
-	}
-	return r
-}
-
-// standardize shifts and scales v in place to zero mean, unit variance
-// (no-op for constant slices).
-func standardize(v []float64) {
-	mu := linalg.Mean(v)
-	sd := linalg.StdDev(v)
-	if sd == 0 {
-		for i := range v {
-			v[i] = 0
-		}
-		return
-	}
-	for i := range v {
-		v[i] = (v[i] - mu) / sd
-	}
 }
 
 // Grid returns n+1 evenly spaced parameter values spanning [0, 1].

@@ -22,7 +22,8 @@ import (
 // model wire format, both encode envelopes and a checkpoint cell file — to
 // sha256 digests of the bytes each format had before it sealed through
 // this package. Field order, float formatting and the trailer rule all
-// feed the digests.
+// feed the digests. It also pins the remote encoder's cache key, which
+// names the cells of persisted signature caches.
 func TestSealedWireGoldens(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the trained model's bits are pinned on amd64; Go may fuse multiply-adds elsewhere")
@@ -59,7 +60,8 @@ func TestSealedWireGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.Open(t.TempDir())
+	dir := t.TempDir()
+	store, err := checkpoint.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestSealedWireGoldens(t *testing.T) {
 	if err := store.Save("oc3/dim=768/collab/v=0.85", cell{V: 0.85, TP: 17, Tag: "oc3"}); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(store.Dir(), "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("cell files %v (%v), want exactly one", files, err)
 	}
@@ -85,6 +87,7 @@ func TestSealedWireGoldens(t *testing.T) {
 		{"MarshalRequest", sum(req), "a4355ab307a6fbc14bb5bc8766f05e0588d77bb2820611544ed38fa8f4be65e4"},
 		{"MarshalResponse", sum(resp), "0919ff2bb6cd6a28f19f86088164ede8af155262bae7afe6a5a0f71e68a6691a"},
 		{"checkpoint cell", sum(onDisk), "9ea80591692cc1a56a42cd2c3398520d4f227c79fad1fddc4a34eb53406ebe5b"},
+		{"encoder CacheKey", encoder.CacheKey("", 768, "CUSTOMERS"), "458f94b61bd7c6702f6d3579707ab2c8c0f8785a923f2f2a79542ada7d797f70"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: sha256 %s, want %s", c.name, c.got, c.want)

@@ -77,13 +77,6 @@ func (cs caseStyle) render(upper string) string {
 	}
 }
 
-// instantiation records where a concept materialised, for ground-truth
-// derivation.
-type instantiation struct {
-	id    schema.ElementID
-	split bool // the element is a split part or a combined form?
-}
-
 // Generate builds a synthetic dataset with exact ground truth.
 func Generate(cfg Config) (*datasets.Dataset, error) {
 	cfg = cfg.withDefaults()

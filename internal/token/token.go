@@ -129,15 +129,6 @@ func Concept(tok string) string {
 	return tok
 }
 
-// Concepts maps every token to its concept.
-func Concepts(tokens []string) []string {
-	out := make([]string, len(tokens))
-	for i, t := range tokens {
-		out[i] = Concept(t)
-	}
-	return out
-}
-
 // Enrichment lexicon (DESIGN.md §16). The maps below extend the base
 // abbreviation/synonym tables for the OPT-IN enrichment stage
 // (internal/enrich) only: the base encoder keeps consulting

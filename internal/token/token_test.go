@@ -101,10 +101,10 @@ func TestConceptDoesNotBridgeDomains(t *testing.T) {
 }
 
 func TestConcepts(t *testing.T) {
-	got := Concepts([]string{"client", "name"})
-	want := []string{"customer", "name"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Concepts = %v, want %v", got, want)
+	for tok, want := range map[string]string{"client": "customer", "name": "name"} {
+		if got := Concept(tok); got != want {
+			t.Fatalf("Concept(%q) = %q, want %q", tok, got, want)
+		}
 	}
 }
 
