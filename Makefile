@@ -34,27 +34,29 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEncoderResponseJSON -fuzztime=5s ./internal/encoder
 
 # incremental-exactness pins the incremental-maintenance contract
-# (DESIGN.md §15): updated/downdated sufficient statistics must
-# reproduce the from-scratch PCA fit within linalg.StatsFitTolerance, the
-# rows-path refit must be bit-identical, AssessDelta verdicts must equal a
-# full reassessment while re-scoring strictly fewer passes, every
-# Algorithm 2 path must agree on seeded random schemas and churn, and the
-# verdicts must keep Definition 4's metamorphic properties. Scoper and
-# ModelState refits and AssessDelta run on the caller's worker pool, so
-# the Jacobi SVD must give the same bits on 1–8 workers, twin Scopers at 1
-# and 4 workers must agree after every churn step, and a reloaded
-# ModelState must build the Scoper's models at 1 and 4 workers; the
-# linalg, core and root lines run at -cpu 1,2,4, where GOMAXPROCS 1 under
-# a multi-member Jacobi team proves that waits yield.
+# (DESIGN.md §15): every refit runs the from-scratch rows path, so a
+# maintained model must equal a from-scratch fit bit for bit below d and
+# at n ≥ d, a failed refit must change nothing, AssessDelta verdicts must
+# equal a full reassessment while re-scoring strictly fewer passes, every
+# Algorithm 2 path must agree on seeded random schemas and churn that
+# crosses d, and the verdicts must keep Definition 4's metamorphic
+# properties. At n ≥ d a duplicated row leaves null directions the Jacobi
+# sweep must still converge on, which the duplicated-row goldens pin.
+# Scoper and ModelState refits and AssessDelta run on the caller's worker
+# pool, so the Jacobi SVD must give the same bits on 1–8 workers, twin
+# Scopers at 1 and 4 workers must agree after every churn step, and a
+# reloaded ModelState must build the Scoper's models at 1 and 4 workers;
+# the linalg, core and root lines run at -cpu 1,2,4, where GOMAXPROCS 1
+# under a multi-member Jacobi team proves that waits yield.
 # A /v1/assess request decodes on the server's pool and every path scores
 # through the fused reconstruction pass, so the decoder must agree with
 # encoding/json at 1, 2, 3 and 4 workers, on plain rows and on every body
 # that leaves the row walk, and the fused pass must equal the composed
 # kernels bit for bit; those run at -cpu 1,2,4 too.
 incremental-exactness:
-	$(GO) test -count=1 -cpu 1,2,4 -run 'IncrementalExactness|Stats|Jacobi|ReconstructionPass|PCAReconstructionErrorsInto' ./internal/linalg
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Jacobi|GoldenBits|ReconstructionPass|PCAReconstructionErrorsInto' ./internal/linalg
 	$(GO) test -count=1 -cpu 1,2,4 -run 'RowWalkFallback|FuzzAssessRequestJSON' ./internal/exchange
-	$(GO) test -count=1 -cpu 1,2,4 -run 'ScoperIncremental|ScoperHoldsStats|AssessDelta|ModelState' ./internal/core
+	$(GO) test -count=1 -cpu 1,2,4 -run 'ScoperIncremental|ScoperFailedRefit|AssessDelta|ModelState' ./internal/core
 	$(GO) test -count=1 -cpu 1,2,4 -run 'UpdateModelIncremental|AssessDeltaState|AssessmentPathsAgree|Definition4Metamorphic' .
 
 # chaos runs the deterministic fault-injection suite: seed-driven injected

@@ -264,6 +264,8 @@ func runIntegrate(args []string) {
 	scopeV := fs.Float64("scope", 0.5, "collaborative scoping variance (0 = integrate originals)")
 	pf := pipelineFlags(fs)
 	fs.Parse(args)
+	// Reject a malformed -matcher before any schema is read.
+	m := parseMatcher(*matcher)
 
 	schemas := loadSchemas(fs.Args())
 	pipe := pf.build()
@@ -274,7 +276,7 @@ func runIntegrate(args []string) {
 		target = res.Streamlined
 		fmt.Printf("scoped at v=%.2f: kept %d, pruned %d\n", *scopeV, res.Kept, res.Pruned)
 	}
-	pairs := pipe.Match(parseMatcher(*matcher), target)
+	pairs := pipe.Match(m, target)
 	fmt.Printf("%d linkage candidates\n\n", len(pairs))
 
 	med := collabscope.BuildMediated(schemas, pairs)
@@ -314,10 +316,10 @@ func runTrain(args []string) {
 }
 
 // runUpdate implements incremental maintenance for evolving schemas: the
-// training state (rows + sufficient statistics) persists in -state, each
-// run applies the schema file as a diff against it, and only the delta is
-// re-accumulated before the model is retrained and written — so a DDL
-// change costs one state diff instead of a cold retrain pipeline. With
+// training state (the schema's signature rows) persists in -state, each
+// run applies the schema file as a diff against it, and the model is
+// refitted only when the rows changed, then written — so a DDL change
+// costs one state diff instead of a cold retrain pipeline. With
 // -push the refreshed model is republished, bumping its registry version
 // so peers and the scoping service delta-assess against it.
 func runUpdate(args []string) {
@@ -593,6 +595,8 @@ func runMatch(args []string) {
 	pf := pipelineFlags(fs)
 	indexed := indexFlags(fs)
 	fs.Parse(args)
+	// Reject a malformed -matcher or index flag before any schema is read.
+	m := indexed(*matcher)
 
 	schemas := loadSchemas(fs.Args())
 	pipe := pf.build()
@@ -603,7 +607,7 @@ func runMatch(args []string) {
 		target = res.Streamlined
 		fmt.Printf("scoped at v=%.2f: kept %d, pruned %d\n", *scopeV, res.Kept, res.Pruned)
 	}
-	pairs := pipe.Match(indexed(*matcher), target)
+	pairs := pipe.Match(m, target)
 	for _, pr := range pairs {
 		fmt.Printf("%s ~ %s\n", pr.A, pr.B)
 	}
@@ -622,6 +626,8 @@ func runEval(args []string) {
 	if *truthPath == "" {
 		fatalf("-truth is required")
 	}
+	// Reject a malformed -matcher or index flag before any file is read.
+	m := indexed(*matcher)
 
 	schemas := loadSchemas(fs.Args())
 	data, err := os.ReadFile(*truthPath)
@@ -630,7 +636,6 @@ func runEval(args []string) {
 	fatal(err)
 
 	pipe := pf.build()
-	m := indexed(*matcher)
 
 	sota := collabscope.EvaluateMatch(pipe.Match(m, schemas), truth, schemas)
 	fmt.Printf("original   : PQ=%.3f PC=%.3f F1=%.3f RR=%.3f (%d pairs)\n",

@@ -138,9 +138,11 @@ func TestSplitPeers(t *testing.T) {
 	}
 }
 
-// TestScopeRejectsBadFlagsBeforeLoading runs the scope subcommand in a
-// subprocess: a malformed -detector fails even under the default method,
-// and an unknown -method fails before any schema file is read.
+// TestScopeRejectsBadFlagsBeforeLoading runs subcommands in a subprocess:
+// for scope, a malformed -detector fails even under the default method,
+// and an unknown -method fails before any schema file is read; integrate,
+// match and eval fail on a malformed -matcher or -index before reading
+// any schema or -truth file.
 func TestScopeRejectsBadFlagsBeforeLoading(t *testing.T) {
 	if args := os.Getenv("COLLABSCOPE_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"collabscope"}, strings.Split(args, "\n")...)
@@ -157,7 +159,7 @@ func TestScopeRejectsBadFlagsBeforeLoading(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	missing := filepath.Join(dir, "missing.sql")
+	missing, missingTruth := filepath.Join(dir, "missing.sql"), filepath.Join(dir, "missing-truth.json")
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -165,6 +167,9 @@ func TestScopeRejectsBadFlagsBeforeLoading(t *testing.T) {
 		{[]string{"scope", "-dim", "64", "-detector", "bogus:zz", a, b}, "bogus"},
 		{[]string{"scope", "-dim", "64", "-detector", "bogus:zz", missing}, "bogus"},
 		{[]string{"scope", "-dim", "64", "-method", "nope", missing}, `unknown method "nope"`},
+		{[]string{"integrate", "-dim", "64", "-matcher", "bogus:zz", missing}, "bogus"},
+		{[]string{"match", "-dim", "64", "-index", "nope", missing}, `unknown index kind "nope"`},
+		{[]string{"eval", "-dim", "64", "-truth", missingTruth, "-matcher", "bogus:zz", missing}, "bogus"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestScopeRejectsBadFlagsBeforeLoading$")
 		cmd.Env = append(os.Environ(), "COLLABSCOPE_TEST_ARGS="+strings.Join(tc.args, "\n"))
@@ -173,7 +178,7 @@ func TestScopeRejectsBadFlagsBeforeLoading(t *testing.T) {
 			t.Errorf("%v: exit 0, want a failure naming %q\n%s", tc.args, tc.want, out)
 			continue
 		}
-		if !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "missing.sql") {
+		if !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "missing") {
 			t.Errorf("%v: output does not name %q before loading:\n%s", tc.args, tc.want, out)
 		}
 	}

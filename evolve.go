@@ -2,10 +2,9 @@ package collabscope
 
 // Evolving-schema support (DESIGN.md §15): incremental model maintenance
 // across CLI invocations. UpdateModel keeps one schema's training state —
-// its signature rows, plus PCA sufficient statistics while the schema has
-// at least as many elements as signature dimensions — in a state
-// directory, applies each schema revision as a diff, and refits only from
-// the maintained state, on the pipeline's workers. AssessDeltaState keeps
+// its signature rows — in a state directory, applies each schema revision
+// as a diff, and refits only when the rows changed, on the pipeline's
+// workers. AssessDeltaState keeps
 // per-foreign-model score columns in the same directory, so re-assessing
 // after one peer republishes re-scores only against the model that
 // actually changed.
@@ -42,11 +41,8 @@ type DeltaReport = core.DeltaReport
 // variance v, persisting the training state in stateDir. The first call
 // performs a full fit; later calls diff the schema against the maintained
 // state and refit only when it changed. The result matches a from-scratch
-// TrainModel bit-for-bit while the schema has fewer elements than
-// signature dimensions, and within the documented
-// linalg.StatsFitTolerance beyond that, where the fit reads the
-// maintained statistics. Fits run on the pipeline's workers with the same
-// bits at any count.
+// TrainModel bit-for-bit at any element count. Fits run on the pipeline's
+// workers with the same bits at any count.
 func (p *Pipeline) UpdateModel(s *Schema, v float64, stateDir string) (*ModelUpdate, error) {
 	return p.UpdateModelContext(context.Background(), s, v, stateDir)
 }

@@ -2,6 +2,7 @@ package collabscope
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,11 +21,17 @@ func modelBytes(t *testing.T, m *Model) []byte {
 // through a schema's evolution: first run is a full fit, later runs apply
 // diffs against the persisted state — and every round's model is
 // byte-identical on the wire to a from-scratch TrainModel of the same
-// schema revision (rows path: elements ≪ signature dimensions). Below d the
-// state keeps no sufficient statistics, so its cell on disk holds no
-// scatter.
+// schema revision. It runs at 64 dimensions, far more than the schema's
+// elements, and at 4, fewer; at both the state cell on disk holds the
+// rows alone, no scatter.
 func TestUpdateModelIncrementalLifecycle(t *testing.T) {
-	pipe := New(WithDimension(64))
+	for _, dim := range []int{64, 4} {
+		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) { updateLifecycle(t, dim) })
+	}
+}
+
+func updateLifecycle(t *testing.T, dim int) {
+	pipe := New(WithDimension(dim))
 	dir := t.TempDir()
 	const v = 0.8
 	noScatter := func(what string) {
@@ -38,7 +45,7 @@ func TestUpdateModelIncrementalLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if bytes.Contains(b, []byte(`"scatter"`)) {
-			t.Fatalf("%s: the state cell holds a scatter below d", what)
+			t.Fatalf("%s: the state cell holds a scatter", what)
 		}
 	}
 

@@ -121,18 +121,16 @@ func trainError(name string, set *embed.SignatureSet, err error) error {
 
 // checkSquares refuses the rows of set that a fit could not square, before
 // the caller changes any state. The fit and the linkability range square
-// rows centred on the schema's mean, so mean is that centre; sufficient
-// statistics square the raw rows, checked with a nil mean. A NaN or ±Inf
-// entry fails, and so does a finite row whose squares overflow: it would
-// leave a model with a +Inf range, which fails every Scope of the corpus,
-// or statistics that ModelState.Save cannot write. The error wraps
-// linalg.ErrNonFinite and names the element.
-func checkSquares(set *embed.SignatureSet, mean []float64) error {
+// rows centred on the schema's mean. A NaN or ±Inf entry fails, and so
+// does a finite row whose centred squares overflow: it would leave a model
+// with a +Inf range, which fails every Scope of the corpus. The error
+// wraps linalg.ErrNonFinite and names the element.
+func checkSquares(set *embed.SignatureSet) error {
 	name := set.IDs[0].Schema
 	if err := linalg.CheckFinite(set.Matrix); err != nil {
 		return trainError(name, set, err)
 	}
-	if r := linalg.WorstOverflow(set.Matrix, mean); r >= 0 {
+	if r := linalg.WorstOverflow(set.Matrix, set.Matrix.ColMean()); r >= 0 {
 		return fmt.Errorf("core: train schema %q: signature of %s overflows when squared: %w",
 			name, set.IDs[r], linalg.ErrNonFinite)
 	}
@@ -417,10 +415,9 @@ func (cfg AssessConfig) Linkable(foreign []*Model, errs [][]float64, n int) []bo
 // fits each schema's full PCA once, so sweeping the explained variance v is
 // cheap (truncation only).
 type Scoper struct {
-	// states holds each schema's rows, full-spectrum fit, version (1 at
-	// construction, bumped by every successful incremental mutation) and,
-	// at n ≥ d, sufficient statistics (DESIGN.md §15). Delta assessment
-	// keys cached scores on the versions.
+	// states holds each schema's rows, full-spectrum fit and version (1
+	// at construction, bumped by every successful incremental mutation;
+	// DESIGN.md §15). Delta assessment keys cached scores on the versions.
 	states  []schemaState
 	cfg     AssessConfig
 	workers int
@@ -468,7 +465,7 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 		}
 	}
 	err := parallel.ForEach(ctx, workers, len(sets), func(i int) error {
-		if err := checkSquares(sets[i], sets[i].Matrix.ColMean()); err != nil {
+		if err := checkSquares(sets[i]); err != nil {
 			return err
 		}
 		pca, ferr := fitRows(1, sets[i], 1.0)

@@ -3,10 +3,9 @@
 // full reassessment per change defeats the point of scoping. This file adds
 // the layers that survive schema evolution:
 //
-//   - schemaState: one maintained schema (rows, their fit, a version, and
-//     sufficient statistics only while rows ≥ dimensions) with one
-//     mutation, move, that checks, moves the statistics, refits and
-//     commits or changes nothing.
+//   - schemaState: one maintained schema (rows, their fit and a version)
+//     with one mutation, move, that checks, refits and commits or changes
+//     nothing.
 //   - Scoper.AddElements / RemoveElements plus AssessDelta: in-process
 //     incremental maintenance that refits only the changed schema and
 //     re-scores only element×model pairs whose verdict can change, with obs
@@ -19,12 +18,9 @@
 //
 // Every path scores through Columns, the one Algorithm 2 engine.
 //
-// Exactness: an incremental refit over fewer rows than dimensions runs the
-// exact from-scratch code path on the maintained rows, so the refitted
-// state is bit-identical to retraining from zero. When rows reach the
-// dimension the refit switches to the sufficient-statistics path (cost
-// independent of history length), which matches from-scratch training
-// within linalg.StatsFitTolerance. Delta assessment is exact in both cases:
+// Exactness: every incremental refit runs the from-scratch code path on
+// the maintained rows, at any row count, so the refitted state is
+// bit-identical to retraining from zero. Delta assessment is exact too:
 // reused scores are the identical float64s a full pass would recompute.
 // Refits and delta assessment run on the caller's worker pool, and neither
 // depends on its size.
@@ -32,7 +28,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -48,18 +43,14 @@ import (
 
 // schemaState is one maintained schema, the state behind each schema of a
 // Scoper and behind a ModelState: its element IDs and signature rows,
-// their full-spectrum decomposition, a version that bumps on every
-// membership change, and its sufficient statistics. It holds the
-// statistics exactly while it has at least as many rows as dimensions, the
-// only regime whose refits read them (fitMaintained): below d they would
-// be a d×d scatter kept up to date for nothing.
+// their full-spectrum decomposition, and a version that bumps on every
+// membership change.
 type schemaState struct {
 	set *embed.SignatureSet
 	// full is the fit of set's rows at explained variance 1; nil only in a
 	// ModelState loaded from its cell, until its first Model.
 	full    *linalg.PCA
 	version int64
-	stats   *linalg.PCAStats
 }
 
 // move is the one mutation of a maintained schema (DESIGN.md §15): it
@@ -67,19 +58,10 @@ type schemaState struct {
 // diffs next against the current rows by element ID: a current row is gone
 // when its element is missing from next or its signature changed, and a
 // row of next enters when its element is new or changed. It then checks
-// next's squares, moves the statistics, refits and commits; a failure at
-// any step changes nothing.
-//
-//   - Every row of next is checked centred on next's mean, which the fit
-//     and the range square; a row that enters held statistics is checked
-//     raw too, since they square it raw (see checkSquares).
-//   - A move that leaves the schema below d drops the statistics. The
-//     first move that leaves it at n ≥ d accumulates next's rows in row
-//     order; a later one downdates the gone rows in maintained order and
-//     then updates the entering rows in next's order, on a copy of the
-//     held statistics.
-//   - The refit runs through fitMaintained on up to workers goroutines,
-//     with the same bits at any count.
+// every row of next centred on next's mean, which the fit and the range
+// square (see checkSquares), refits next's rows through fitRows, the
+// from-scratch path, on up to workers goroutines, with the same bits at
+// any count, and commits; a failure at any step changes nothing.
 //
 // It returns the diff and the gone rows' indices, ascending. An empty diff
 // changes nothing, not even the version.
@@ -93,7 +75,7 @@ func (st *schemaState) move(workers int, next *embed.SignatureSet) (StateDelta, 
 		pos[id] = k
 	}
 	old := st.set
-	kept := make([]bool, next.Len())
+	kept := 0
 	var gone []int
 	for k, id := range old.IDs {
 		nk, ok := pos[id]
@@ -101,89 +83,29 @@ func (st *schemaState) move(workers int, next *embed.SignatureSet) (StateDelta, 
 		case !ok:
 			delta.Removed++
 		case slices.Equal(old.Matrix.RowView(k), next.Matrix.RowView(nk)):
-			kept[nk] = true
+			kept++
 			continue
 		default:
 			delta.Changed++
 		}
 		gone = append(gone, k)
 	}
-	var enter []int
-	for k, ok := range kept {
-		if !ok {
-			enter = append(enter, k)
-		}
-	}
-	delta.Added = len(enter) - delta.Changed
+	// Every row of next that is not kept enters, new or changed.
+	delta.Added = next.Len() - kept - delta.Changed
 	if delta.Empty() {
 		return delta, nil, nil
 	}
 
-	if err := checkSquares(next, next.Matrix.ColMean()); err != nil {
+	if err := checkSquares(next); err != nil {
 		return delta, nil, err
 	}
-	var stats *linalg.PCAStats
-	if d := next.Matrix.Cols(); next.Len() >= d {
-		for _, k := range enter {
-			row := &embed.SignatureSet{IDs: next.IDs[k : k+1], Matrix: linalg.WrapDense(1, d, next.Matrix.RowView(k))}
-			if err := checkSquares(row, nil); err != nil {
-				return delta, nil, err
-			}
-		}
-		if st.stats == nil {
-			stats = linalg.AccumulateStats(next.Matrix)
-		} else {
-			stats = &linalg.PCAStats{N: st.stats.N, Sum: slices.Clone(st.stats.Sum), Scatter: st.stats.Scatter.Clone()}
-			for _, k := range gone {
-				if err := stats.Downdate(old.Matrix.RowView(k)); err != nil {
-					return delta, nil, fmt.Errorf("core: downdate schema %q: %w", old.IDs[0].Schema, err)
-				}
-			}
-			for _, k := range enter {
-				stats.Update(next.Matrix.RowView(k))
-			}
-		}
-	}
-	pca, stats, err := fitMaintained(workers, next, stats)
+	pca, err := fitRows(workers, next, 1.0)
 	if err != nil {
 		return delta, nil, err
 	}
-	st.set, st.full, st.stats = next, pca, stats
+	st.set, st.full = next, pca
 	st.version++
 	return delta, gone, nil
-}
-
-// fitMaintained is a maintained schema's one choice between its two exact
-// refit paths, at explained variance 1. Without statistics (fewer rows
-// than dimensions, the schema-scoping regime) it fits the rows through
-// fitRows, the from-scratch code path, so the fit is bit-identical to
-// retraining. With them (rows ≥ dimensions) it fits from the statistics,
-// whose cost does not grow with the rows' churn history, within
-// linalg.StatsFitTolerance of from-scratch.
-//
-// Rows are checked on the way in (checkSquares), but the rows a schema
-// holds when it first builds statistics were checked only centred, and
-// sums over many large rows can overflow too; downdating an overflowed
-// cell then leaves Inf−Inf = NaN. So statistics that are not finite are
-// rebuilt from the rows, and the rows are fitted if the rebuilt ones are
-// still not finite. It returns the statistics to keep.
-func fitMaintained(workers int, set *embed.SignatureSet, stats *linalg.PCAStats) (*linalg.PCA, *linalg.PCAStats, error) {
-	if stats == nil {
-		pca, err := fitRows(workers, set, 1.0)
-		return pca, nil, err
-	}
-	pca, err := linalg.FitPCAFromStats(stats, 1.0)
-	if errors.Is(err, linalg.ErrNonFinite) {
-		stats = linalg.AccumulateStats(set.Matrix)
-		if pca, err = linalg.FitPCAFromStats(stats, 1.0); errors.Is(err, linalg.ErrNonFinite) {
-			pca, err = fitRows(workers, set, 1.0)
-			return pca, stats, err
-		}
-	}
-	if err != nil {
-		return nil, stats, trainError(set.IDs[0].Schema, set, err)
-	}
-	return pca, stats, nil
 }
 
 // model builds the schema's model at explained variance v by truncating
@@ -521,11 +443,10 @@ func deltaScore(ctx context.Context, local *embed.SignatureSet, m *Model, mver i
 // a Scoper keeps per schema — persisted in a checkpoint store between
 // invocations. It backs `collabscope update`: a schema evolution applies
 // as a diff (added / removed / changed elements) through the same mutation
-// as Scoper.AddElements and RemoveElements, so it holds sufficient
-// statistics exactly while the schema has at least as many elements as
-// dimensions. Persisted state reloads bit-identically — JSON float64
-// encoding round-trips exactly — so a restarted process resumes
-// incremental maintenance as if it never stopped.
+// as Scoper.AddElements and RemoveElements. Persisted state reloads
+// bit-identically — JSON float64 encoding round-trips exactly — so a
+// restarted process resumes incremental maintenance as if it never
+// stopped.
 type ModelState struct{ schemaState }
 
 // StateDelta summarises one ModelState.Apply: how many elements were added,
@@ -589,39 +510,36 @@ func (st *ModelState) Apply(workers int, set *embed.SignatureSet) (StateDelta, e
 }
 
 // Model trains the current state's model at explained variance v by
-// truncating its fit: bit-identical to Train over the maintained rows
-// while they are fewer than dimensions, and fitted from the maintained
-// sufficient statistics otherwise. A state loaded from its cell is fitted
-// here first, on up to workers goroutines (≤ 0 means GOMAXPROCS), with
-// the same bits at any count.
+// truncating its fit: bit-identical to Train over the maintained rows, at
+// any row count. A state loaded from its cell is fitted here first, on up
+// to workers goroutines (≤ 0 means GOMAXPROCS), with the same bits at any
+// count.
 func (st *ModelState) Model(workers int, v float64) (*Model, error) {
 	if v <= 0 || v > 1 {
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
 	}
 	if st.full == nil {
-		pca, stats, err := fitMaintained(workers, st.set, st.stats)
+		pca, err := fitRows(workers, st.set, 1.0)
 		if err != nil {
 			return nil, err
 		}
-		st.full, st.stats = pca, stats
+		st.full = pca
 	}
 	return st.model(v)
 }
 
 // modelStateCell is the checkpoint-cell payload of a ModelState: its
-// element IDs and rows, and its statistics only while it holds them.
-// Float64 values survive the JSON round trip exactly (Go emits the
-// shortest representation that parses back to the same bits), so a
-// reloaded state is bit-identical to the saved one.
+// element IDs and rows. Float64 values survive the JSON round trip exactly
+// (Go emits the shortest representation that parses back to the same
+// bits), so a reloaded state is bit-identical to the saved one. Cells of
+// older builds also carry sufficient statistics (stats_n, sum, scatter),
+// which decoding ignores.
 type modelStateCell struct {
 	Schema  string             `json:"schema"`
 	Dim     int                `json:"dim"`
 	Version int64              `json:"version"`
 	IDs     []schema.ElementID `json:"ids"`
 	Rows    [][]float64        `json:"rows"`
-	StatsN  int                `json:"stats_n,omitempty"`
-	Sum     []float64          `json:"sum,omitempty"`
-	Scatter [][]float64        `json:"scatter,omitempty"`
 }
 
 // modelStateKey is the checkpoint-cell key of a schema's incremental state.
@@ -633,9 +551,6 @@ func (st *ModelState) Save(store CellStore) error {
 	name := st.set.IDs[0].Schema
 	cell := modelStateCell{Schema: name, Dim: st.set.Matrix.Cols(), Version: st.version,
 		IDs: st.set.IDs, Rows: rowViews(st.set.Matrix)}
-	if st.stats != nil {
-		cell.StatsN, cell.Sum, cell.Scatter = st.stats.N, st.stats.Sum, rowViews(st.stats.Scatter)
-	}
 	if err := store.Save(modelStateKey(name), &cell); err != nil {
 		return fmt.Errorf("core: save incremental state of %q: %w", name, err)
 	}
@@ -645,9 +560,9 @@ func (st *ModelState) Save(store CellStore) error {
 // LoadModelState restores a schema's persisted incremental state. A missing
 // cell — or a corrupt one, which the store quarantines — reports
 // (nil, false, nil): the caller re-initialises from a full fit, exactly the
-// crash-safety posture of every other checkpoint consumer. The statistics
-// are required at n ≥ d and dropped below d, so the cells of older builds,
-// which kept them at every n, load too.
+// crash-safety posture of every other checkpoint consumer. The cells of
+// older builds, which also held sufficient statistics, load too: the
+// state is refitted from their rows.
 func LoadModelState(store CellStore, schemaName string) (*ModelState, bool, error) {
 	var cell modelStateCell
 	ok, err := store.Load(modelStateKey(schemaName), &cell)
@@ -655,24 +570,14 @@ func LoadModelState(store CellStore, schemaName string) (*ModelState, bool, erro
 		return nil, false, err
 	}
 	n := len(cell.IDs)
-	holds := n >= cell.Dim
-	if cell.Schema != schemaName || cell.Dim <= 0 || n == 0 || len(cell.Rows) != n ||
-		holds && (cell.StatsN != n || len(cell.Sum) != cell.Dim || len(cell.Scatter) != cell.Dim) {
+	if cell.Schema != schemaName || cell.Dim <= 0 || n == 0 || len(cell.Rows) != n {
 		return nil, false, fmt.Errorf("core: incremental state cell for %q is inconsistent", schemaName)
 	}
-	rows, err := cellDense(schemaName, "row", cell.Rows, cell.Dim)
+	rows, err := cellDense(schemaName, cell.Rows, cell.Dim)
 	if err != nil {
 		return nil, false, err
 	}
-	st := &ModelState{schemaState{set: &embed.SignatureSet{IDs: cell.IDs, Matrix: rows}, version: cell.Version}}
-	if holds {
-		scatter, err := cellDense(schemaName, "scatter row", cell.Scatter, cell.Dim)
-		if err != nil {
-			return nil, false, err
-		}
-		st.stats = &linalg.PCAStats{N: n, Sum: cell.Sum, Scatter: scatter}
-	}
-	return st, true, nil
+	return &ModelState{schemaState{set: &embed.SignatureSet{IDs: cell.IDs, Matrix: rows}, version: cell.Version}}, true, nil
 }
 
 // rowViews returns the rows of m as views, for a cell to encode.
@@ -686,12 +591,12 @@ func rowViews(m *linalg.Dense) [][]float64 {
 
 // cellDense copies the rows of a state cell into a matrix, refusing a row
 // that is not dim wide.
-func cellDense(schemaName, what string, rows [][]float64, dim int) (*linalg.Dense, error) {
+func cellDense(schemaName string, rows [][]float64, dim int) (*linalg.Dense, error) {
 	m := linalg.NewDense(len(rows), dim)
 	for k, row := range rows {
 		if len(row) != dim {
-			return nil, fmt.Errorf("core: incremental state cell for %q has a %d-wide %s, want %d",
-				schemaName, len(row), what, dim)
+			return nil, fmt.Errorf("core: incremental state cell for %q has a %d-wide row, want %d",
+				schemaName, len(row), dim)
 		}
 		copy(m.RowView(k), row)
 	}

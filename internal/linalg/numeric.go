@@ -29,20 +29,18 @@ func FirstNonFinite(v []float64) int {
 }
 
 // WorstOverflow returns the index of the row of x whose squared distance
-// from c, Σ_j (x_ij − c_j)², is not finite, or -1 if every row's is. A nil
-// c measures the rows themselves. A NaN or ±Inf entry makes the sum not
-// finite, and so do finite entries too large to square. When several rows
-// overflow it returns the one with the largest |x_ij − c_j|, the lowest
-// index on ties: one huge row drags a mean far enough that every row's
-// centred squares overflow, and the huge row is the one to name.
+// from c, Σ_j (x_ij − c_j)², is not finite, or -1 if every row's is. A NaN
+// or ±Inf entry makes the sum not finite, and so do finite entries too
+// large to square. When several rows overflow it returns the one with the
+// largest |x_ij − c_j|, the lowest index on ties: one huge row drags a
+// mean far enough that every row's centred squares overflow, and the huge
+// row is the one to name.
 func WorstOverflow(x *Dense, c []float64) int {
 	worst, worstFar := -1, 0.0
 	for i := 0; i < x.rows; i++ {
 		var sq, far float64
 		for j, v := range x.data[i*x.cols : (i+1)*x.cols] {
-			if c != nil {
-				v -= c[j]
-			}
+			v -= c[j]
 			sq += v * v
 			far = max(far, math.Abs(v))
 		}

@@ -32,11 +32,12 @@ func TestWorstOverflow(t *testing.T) {
 			x.Set(i, j, float64(i+j))
 		}
 	}
-	if got := WorstOverflow(x, nil); got != -1 {
+	zero := make([]float64, 3)
+	if got := WorstOverflow(x, zero); got != -1 {
 		t.Fatalf("finite rows: got %d, want -1", got)
 	}
 	x.Set(1, 2, math.NaN())
-	if got := WorstOverflow(x, nil); got != 1 {
+	if got := WorstOverflow(x, zero); got != 1 {
 		t.Fatalf("NaN row: got %d, want 1", got)
 	}
 	x.Set(1, 2, 0)
@@ -44,7 +45,7 @@ func TestWorstOverflow(t *testing.T) {
 	// from zero.
 	x.Set(2, 0, 1e199)
 	x.Set(3, 1, 1e200)
-	if got := WorstOverflow(x, nil); got != 3 {
+	if got := WorstOverflow(x, zero); got != 3 {
 		t.Fatalf("huge rows: got %d, want 3", got)
 	}
 	// Centred on 9e199 in column 1 every row overflows: rows 0–2 lie about

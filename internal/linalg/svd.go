@@ -262,6 +262,13 @@ func (t *jacobiTeam) await(row, want int) bool {
 // rotatePair applies the Jacobi rotation that zeroes the inner product of
 // working rows p and q, unless it is already negligible, and reports
 // whether it rotated.
+//
+// The tangent is t = sign(ζ)/(|ζ| + √(1+ζ²)). Past |ζ| = 1e150, where
+// 1+ζ² rounds to ζ² and √(ζ²) to |ζ|, that formula gives the correctly
+// rounded 1/(2ζ), which 0.5/ζ gives too, without squaring ζ: beyond
+// 1.3e154 ζ² overflows, t becomes 0 and the identity "rotation" would
+// count as one every sweep. A working row decayed to a null direction of
+// a rank-deficient input (n ≥ d with a duplicated row) reaches such ζ.
 func (t *jacobiTeam) rotatePair(p, q int) bool {
 	const tol = 1e-12
 	n, m := t.vt.cols, t.w.cols
@@ -280,9 +287,12 @@ func (t *jacobiTeam) rotatePair(p, q int) bool {
 	}
 	zeta := (beta - alpha) / (2 * gamma)
 	var tn float64
-	if zeta > 0 {
+	switch {
+	case math.Abs(zeta) > 1e150:
+		tn = 0.5 / zeta
+	case zeta > 0:
 		tn = 1 / (zeta + math.Sqrt(1+zeta*zeta))
-	} else {
+	default:
 		tn = -1 / (-zeta + math.Sqrt(1+zeta*zeta))
 	}
 	cs := 1 / math.Sqrt(1+tn*tn)
