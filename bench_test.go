@@ -13,6 +13,7 @@ package collabscope
 // output itself.
 
 import (
+	"context"
 	"testing"
 
 	"collabscope/internal/core"
@@ -74,11 +75,11 @@ func BenchmarkTable3Cartesian(b *testing.B) {
 
 func benchmarkTable4(b *testing.B, d *datasets.Dataset) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, d)
+	enc := must(experiments.Encode(context.Background(), cfg, d))
 	b.ResetTimer()
 	var collab metrics.SweepSummary
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table4(cfg, enc)
+		rows, err := experiments.Table4(context.Background(), cfg, enc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func BenchmarkTable4ScopingOC3FO(b *testing.B) { benchmarkTable4(b, datasets.OC3
 
 func BenchmarkFigure3Histogram(b *testing.B) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3FO())
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3FO()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bins := experiments.Figure3(cfg, enc, 12)
@@ -113,13 +114,13 @@ func BenchmarkFigure3Histogram(b *testing.B) {
 
 func benchmarkCurves(b *testing.B, d *datasets.Dataset) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, d)
+	enc := must(experiments.Encode(context.Background(), cfg, d))
 	det := cfg.Detectors()[3] // PCA(v=0.5), the paper's best scoping method
 	b.ResetTimer()
 	var collabF1 float64
 	for i := 0; i < b.N; i++ {
-		sc := experiments.ScopingCurves(cfg, enc, det)
-		cc, err := experiments.CollaborativeCurves(cfg, enc)
+		sc := must(experiments.ScopingCurves(context.Background(), cfg, enc, det))
+		cc, err := experiments.CollaborativeCurves(context.Background(), cfg, enc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,11 +141,11 @@ func BenchmarkFigure6Curves(b *testing.B) { benchmarkCurves(b, datasets.OC3FO())
 func benchmarkFigure7(b *testing.B, d *datasets.Dataset) {
 	cfg := benchConfig()
 	cfg.VGrid = []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01}
-	enc := experiments.Encode(cfg, d)
+	enc := must(experiments.Encode(context.Background(), cfg, d))
 	b.ResetTimer()
 	var bestBoost float64
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Figure7(cfg, enc)
+		series, err := experiments.Figure7(context.Background(), cfg, enc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,12 +169,12 @@ func BenchmarkFigure7AblationOC3FO(b *testing.B) { benchmarkFigure7(b, datasets.
 
 func BenchmarkDiscussionNumbers(b *testing.B) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3FO())
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3FO()))
 	b.ResetTimer()
 	var d experiments.Discussion
 	for i := 0; i < b.N; i++ {
 		var err error
-		d, err = experiments.Discuss(cfg, enc)
+		d, err = experiments.Discuss(context.Background(), cfg, enc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,16 +190,16 @@ func BenchmarkDiscussionNumbers(b *testing.B) {
 // improvement; the reported F1 metrics let the claim be inspected.
 func BenchmarkAblationRangeRelaxation(b *testing.B) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3FO())
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3FO()))
 	for _, eps := range []float64{0, 0.25, 0.5, 1.0} {
 		b.Run(fmtEps(eps), func(b *testing.B) {
-			scoper, err := core.NewScoperWith(enc.Sets, core.AssessConfig{RelaxEpsilon: eps})
+			scoper, err := core.NewScoperContext(context.Background(), 0, enc.Sets, core.AssessConfig{RelaxEpsilon: eps})
 			if err != nil {
 				b.Fatal(err)
 			}
 			var f1 float64
 			for i := 0; i < b.N; i++ {
-				entries, err := scoper.Sweep(enc.Labels, cfg.VGrid)
+				entries, err := scoper.SweepContext(context.Background(), enc.Labels, cfg.VGrid)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -213,20 +214,20 @@ func BenchmarkAblationRangeRelaxation(b *testing.B) {
 // acceptance against the stricter all-models (intersection) variant.
 func BenchmarkAblationAcceptance(b *testing.B) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3FO())
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3FO()))
 	modes := map[string]core.AcceptanceMode{
 		"AnyModel":  core.AnyModel,
 		"AllModels": core.AllModels,
 	}
 	for name, mode := range modes {
 		b.Run(name, func(b *testing.B) {
-			scoper, err := core.NewScoperWith(enc.Sets, core.AssessConfig{Mode: mode})
+			scoper, err := core.NewScoperContext(context.Background(), 0, enc.Sets, core.AssessConfig{Mode: mode})
 			if err != nil {
 				b.Fatal(err)
 			}
 			var f1 float64
 			for i := 0; i < b.N; i++ {
-				entries, err := scoper.Sweep(enc.Labels, cfg.VGrid)
+				entries, err := scoper.SweepContext(context.Background(), enc.Labels, cfg.VGrid)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -241,7 +242,7 @@ func BenchmarkAblationAcceptance(b *testing.B) {
 // knob against fixing the same component count for every schema.
 func BenchmarkAblationFixedComponents(b *testing.B) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3FO())
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3FO()))
 	assessAll := func(models []*core.Model) metrics.Confusion {
 		var c metrics.Confusion
 		for i, set := range enc.Sets {
@@ -251,7 +252,7 @@ func BenchmarkAblationFixedComponents(b *testing.B) {
 					foreign = append(foreign, m)
 				}
 			}
-			for id, kept := range core.Assess(set, foreign) {
+			for id, kept := range must(core.AssessContext(context.Background(), 0, set, foreign, core.AssessConfig{})) {
 				c.Observe(kept, enc.Labels[id])
 			}
 		}
@@ -307,7 +308,7 @@ func BenchmarkEncodeOC3FO(b *testing.B) {
 	d := datasets.OC3FO()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc := experiments.Encode(cfg, d)
+		enc := must(experiments.Encode(context.Background(), cfg, d))
 		if enc.Union.Len() != 287 {
 			b.Fatal("element count mismatch")
 		}
@@ -316,14 +317,14 @@ func BenchmarkEncodeOC3FO(b *testing.B) {
 
 func BenchmarkCollaborativeScopeOC3FO(b *testing.B) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3FO())
-	scoper, err := core.NewScoper(enc.Sets)
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3FO()))
+	scoper, err := core.NewScoperContext(context.Background(), 0, enc.Sets, core.AssessConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scoper.Scope(0.8); err != nil {
+		if _, err := scoper.ScopeContext(context.Background(), 0.8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,11 +332,11 @@ func BenchmarkCollaborativeScopeOC3FO(b *testing.B) {
 
 func BenchmarkGlobalScopingRankOC3FO(b *testing.B) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3FO())
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3FO()))
 	det := cfg.Detectors()[3] // PCA(v=0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := scoping.Rank(det, enc.Union)
+		r := must(scoping.RankContext(context.Background(), 0, det, enc.Union))
 		if r.Len() != 287 {
 			b.Fatal("rank length mismatch")
 		}
@@ -348,10 +349,10 @@ func BenchmarkMatcherLSH(b *testing.B)     { benchmarkMatcher(b, match.LSH{K: 5}
 
 func benchmarkMatcher(b *testing.B, m match.Matcher) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3())
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs := match.MatchAll(m, enc.Sets)
+		pairs := must(match.MatchAllContext(context.Background(), 0, m, enc.Sets))
 		if len(pairs) == 0 {
 			b.Fatal("no pairs")
 		}
@@ -380,7 +381,7 @@ func BenchmarkHeterogeneityKnobs(b *testing.B) {
 	b.ResetTimer()
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Heterogeneity(cfg, experiments.HeterogeneityGrid(23))
+		points, err := experiments.Heterogeneity(context.Background(), cfg, experiments.HeterogeneityGrid(23))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -398,7 +399,7 @@ func BenchmarkScalabilitySweep(b *testing.B) {
 	b.ResetTimer()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Scalability(cfg, []int{2, 6, 10}, 1, 17)
+		points, err := experiments.Scalability(context.Background(), cfg, []int{2, 6, 10}, 1, 17)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -434,13 +435,13 @@ func BenchmarkERScopedBlocking(b *testing.B) {
 
 func BenchmarkExtendedDetectors(b *testing.B) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3FO())
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3FO()))
 	for _, det := range cfg.ExtraDetectors() {
 		b.Run(det.Name(), func(b *testing.B) {
 			var sum metrics.SweepSummary
 			for i := 0; i < b.N; i++ {
-				sum = scoping.Evaluate(det, enc.Union, enc.Labels,
-					scoping.Grid(cfg.PSteps), cfg.ROCLambda)
+				sum = must(scoping.Evaluate(context.Background(), det, enc.Union, enc.Labels,
+					scoping.Grid(cfg.PSteps), cfg.ROCLambda))
 			}
 			b.ReportMetric(100*sum.AUCPR, "auc_pr")
 		})
@@ -449,12 +450,12 @@ func BenchmarkExtendedDetectors(b *testing.B) {
 
 func BenchmarkExtendedMatchers(b *testing.B) {
 	cfg := benchConfig()
-	enc := experiments.Encode(cfg, datasets.OC3())
+	enc := must(experiments.Encode(context.Background(), cfg, datasets.OC3()))
 	for _, m := range cfg.ExtraMatchers() {
 		b.Run(m.Name(), func(b *testing.B) {
 			var f1 float64
 			for i := 0; i < b.N; i++ {
-				pairs := match.MatchAll(m, enc.Sets)
+				pairs := must(match.MatchAllContext(context.Background(), 0, m, enc.Sets))
 				f1 = match.Evaluate(pairs, enc.Dataset.Truth,
 					match.Cartesian(enc.Dataset.Schemas)).F1
 			}
@@ -476,7 +477,7 @@ func BenchmarkAblationEncoderChannels(b *testing.B) {
 		b.Run(fmtWeight(w), func(b *testing.B) {
 			var pr float64
 			for i := 0; i < b.N; i++ {
-				points, err := experiments.EncoderAblation(cfg, d, []float64{w})
+				points, err := experiments.EncoderAblation(context.Background(), cfg, d, []float64{w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -502,7 +503,7 @@ func benchmarkParallelEncodeAll(b *testing.B, workers int) {
 	schemas := DatasetOC3FO().Schemas
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sets := pipe.EncodeAll(schemas)
+		sets := must(pipe.EncodeAllContext(context.Background(), schemas))
 		if len(sets) != len(schemas) {
 			b.Fatal("missing signature sets")
 		}
@@ -518,7 +519,7 @@ func benchmarkParallelMatchAll(b *testing.B, workers int) {
 	m := NewSimMatcher(0.6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if pairs := pipe.Match(m, schemas); len(pairs) == 0 {
+		if pairs := must(pipe.MatchContext(context.Background(), m, schemas)); len(pairs) == 0 {
 			b.Fatal("no pairs")
 		}
 	}
@@ -532,7 +533,7 @@ func benchmarkParallelAssess(b *testing.B, workers int) {
 	schemas := DatasetOC3FO().Schemas
 	foreign := make([]*Model, 0, len(schemas)-1)
 	for _, s := range schemas[1:] {
-		m, err := pipe.TrainModel(s, 0.8)
+		m, err := pipe.TrainModelContext(context.Background(), s, 0.8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -540,7 +541,7 @@ func benchmarkParallelAssess(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if verdicts := pipe.Assess(schemas[0], foreign); len(verdicts) == 0 {
+		if verdicts := must(pipe.AssessContext(context.Background(), schemas[0], foreign)); len(verdicts) == 0 {
 			b.Fatal("no verdicts")
 		}
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -71,7 +72,7 @@ func main() {
 		fatal(err)
 	}
 
-	r := &runner{cfg: cfg, csvDir: *csvDir, extended: *extended, detector: det}
+	r := &runner{ctx: context.Background(), cfg: cfg, csvDir: *csvDir, extended: *extended, detector: det}
 	if *all {
 		r.table2()
 		r.table3()
@@ -136,6 +137,7 @@ func main() {
 }
 
 type runner struct {
+	ctx      context.Context
 	cfg      experiments.Config
 	csvDir   string
 	extended bool
@@ -146,8 +148,11 @@ type runner struct {
 
 func (r *runner) encoded() (*experiments.Encoded, *experiments.Encoded) {
 	if r.oc3 == nil {
-		r.oc3 = experiments.Encode(r.cfg, datasets.OC3())
-		r.ocfo = experiments.Encode(r.cfg, datasets.OC3FO())
+		var err error
+		r.oc3, err = experiments.Encode(r.ctx, r.cfg, datasets.OC3())
+		fatal(err)
+		r.ocfo, err = experiments.Encode(r.ctx, r.cfg, datasets.OC3FO())
+		fatal(err)
 	}
 	return r.oc3, r.ocfo
 }
@@ -209,7 +214,7 @@ func (r *runner) table4() {
 		if r.extended {
 			table4 = experiments.Table4Extended
 		}
-		rows, err := table4(r.cfg, enc)
+		rows, err := table4(r.ctx, r.cfg, enc)
 		fatal(err)
 		for _, row := range rows {
 			s := row.Summary
@@ -239,8 +244,9 @@ func (r *runner) figures56() {
 		fmt.Printf("Figure %d: best scoping vs collaborative scoping on %s\n", figure, enc.Dataset.Name)
 		// The paper's best scoping method, PCA(v=0.5), is the default; the
 		// -detector flag swaps in any registered detector.
-		sc := experiments.ScopingCurves(r.cfg, enc, r.detector)
-		cc, err := experiments.CollaborativeCurves(r.cfg, enc)
+		sc, err := experiments.ScopingCurves(r.ctx, r.cfg, enc, r.detector)
+		fatal(err)
+		cc, err := experiments.CollaborativeCurves(r.ctx, r.cfg, enc)
 		fatal(err)
 		for _, cs := range []experiments.CurveSet{sc, cc} {
 			fmt.Printf("-- %s\n", cs.Label)
@@ -270,7 +276,7 @@ func (r *runner) figure7() {
 		if r.extended {
 			figure7 = experiments.Figure7Extended
 		}
-		series, err := figure7(r.cfg, enc)
+		series, err := figure7(r.ctx, r.cfg, enc)
 		fatal(err)
 		for _, s := range series {
 			fmt.Printf("-- %s  SOTA: PQ=%.3f PC=%.3f F1=%.3f RR=%.3f (%d pairs)\n",
@@ -295,7 +301,7 @@ func (r *runner) discussion() {
 	fmt.Println("Section 4.4 discussion numbers")
 	oc3, ocfo := r.encoded()
 	for _, enc := range []*experiments.Encoded{oc3, ocfo} {
-		d, err := experiments.Discuss(r.cfg, enc)
+		d, err := experiments.Discuss(r.ctx, r.cfg, enc)
 		fatal(err)
 		fmt.Printf("%-8s passes=%d cartesian=%d (%.2f%%) pruned@v=0.01: %d (%.2f%%), falsely pruned: %d\n",
 			enc.Dataset.Name, d.PassOperations, d.CartesianSize, d.PassOverCartPct,
@@ -308,7 +314,7 @@ func (r *runner) scale() {
 	fmt.Println("Scalability (extension): synthetic scenarios with growing schema counts")
 	fmt.Printf("%4s %9s %12s %12s %12s %12s %11s %11s\n",
 		"k", "elements", "sum|Sk|^2", "|S|^2", "ratio", "collab_time", "collab_PR", "global_PR")
-	points, err := experiments.Scalability(r.cfg, []int{2, 4, 6, 8, 10}, 2, 17)
+	points, err := experiments.Scalability(r.ctx, r.cfg, []int{2, 4, 6, 8, 10}, 2, 17)
 	fatal(err)
 	for _, p := range points {
 		fmt.Printf("%4d %9d %12d %12d %12.3f %12s %11.3f %11.3f\n",
@@ -320,7 +326,7 @@ func (r *runner) scale() {
 
 func (r *runner) hetero() {
 	fmt.Println("Heterogeneity knobs (extension): collaborative vs global scoping AUC-PR")
-	points, err := experiments.Heterogeneity(r.cfg, experiments.HeterogeneityGrid(23))
+	points, err := experiments.Heterogeneity(r.ctx, r.cfg, experiments.HeterogeneityGrid(23))
 	fatal(err)
 	fmt.Printf("%-24s %12s %12s %12s\n", "scenario", "collab_PR", "scoping_PR", "advantage")
 	for _, p := range points {
@@ -358,7 +364,7 @@ func (r *runner) matchers() {
 	oc3, ocfo := r.encoded()
 	for _, enc := range []*experiments.Encoded{oc3, ocfo} {
 		fmt.Printf("Matcher comparison on %s: SOTA vs best streamlined setting\n", enc.Dataset.Name)
-		rows, err := experiments.CompareMatchers(r.cfg, enc)
+		rows, err := experiments.CompareMatchers(r.ctx, r.cfg, enc)
 		fatal(err)
 		fmt.Printf("%-12s %26s %8s %26s\n", "matcher", "SOTA PQ/PC/F1", "best v", "scoped PQ/PC/F1")
 		for _, row := range rows {

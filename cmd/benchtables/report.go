@@ -85,7 +85,7 @@ func (r *runner) reportTable4(w func(string, ...any)) {
 		if r.extended {
 			table4 = experiments.Table4Extended
 		}
-		rows, err := table4(r.cfg, enc)
+		rows, err := table4(r.ctx, r.cfg, enc)
 		fatal(err)
 		for _, row := range rows {
 			s := row.Summary
@@ -103,7 +103,7 @@ func (r *runner) reportDiscussion(w func(string, ...any)) {
 	w("|---|---|---|---|---|---|\n")
 	oc3, ocfo := r.encoded()
 	for _, enc := range []*experiments.Encoded{oc3, ocfo} {
-		d, err := experiments.Discuss(r.cfg, enc)
+		d, err := experiments.Discuss(r.ctx, r.cfg, enc)
 		fatal(err)
 		w("| %s | %d | %d | %.2f | %d (%.2f %%) | %d |\n",
 			enc.Dataset.Name, d.PassOperations, d.CartesianSize, d.PassOverCartPct,

@@ -50,31 +50,32 @@ func main() {
 		usage()
 	}
 	cmd, args := os.Args[1], os.Args[2:]
+	ctx := context.Background()
 	switch cmd {
 	case "stats":
 		runStats(args)
 	case "scope":
-		runScope(args)
+		runScope(ctx, args)
 	case "match":
-		runMatch(args)
+		runMatch(ctx, args)
 	case "eval":
-		runEval(args)
+		runEval(ctx, args)
 	case "train":
-		runTrain(args)
+		runTrain(ctx, args)
 	case "update":
-		runUpdate(args)
+		runUpdate(ctx, args)
 	case "assess":
-		runAssess(args)
+		runAssess(ctx, args)
 	case "integrate":
-		runIntegrate(args)
+		runIntegrate(ctx, args)
 	case "suggest":
-		runSuggest(args)
+		runSuggest(ctx, args)
 	case "serve":
-		runServe(args)
+		runServe(ctx, args)
 	case "fetch":
-		runFetch(args)
+		runFetch(ctx, args)
 	case "push":
-		runPush(args)
+		runPush(ctx, args)
 	default:
 		usage()
 	}
@@ -83,7 +84,7 @@ func main() {
 // runServe runs the scoping service: train the local model(s), publish
 // them, and serve the /v1 API (uploads, assess hot path, metrics) until
 // killed. With -registry, uploads and published models survive restarts.
-func runServe(args []string) {
+func runServe(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	v := fs.Float64("v", 0.8, "global explained variance")
@@ -102,7 +103,7 @@ func runServe(args []string) {
 	pipe := pf.build(collabscope.WithMetrics(reg))
 	var models []*collabscope.Model
 	for _, s := range loadSchemasOptional(fs.Args()) {
-		m, err := pipe.TrainModel(s, *v)
+		m, err := pipe.TrainModelContext(ctx, s, *v)
 		fatal(err)
 		models = append(models, m)
 		fmt.Printf("trained %s: %d components at v=%.2f, linkability range %.4g\n",
@@ -143,7 +144,7 @@ func runServe(args []string) {
 	// work is refused immediately, in-flight flights get -drain-timeout to
 	// finish, the registry manifest is flushed, and only then does the
 	// listener close — the graceful-rollout contract of DESIGN.md §14.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	sig, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	hs := &http.Server{Handler: handler}
 	errCh := make(chan error, 1)
@@ -151,10 +152,10 @@ func runServe(args []string) {
 	select {
 	case err := <-errCh:
 		fatal(err)
-	case <-ctx.Done():
+	case <-sig.Done():
 		stop()
 		fmt.Fprintln(os.Stderr, "collabscope: shutdown signal received, draining")
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		dctx, cancel := context.WithTimeout(ctx, *drainTimeout)
 		defer cancel()
 		if err := handler.Drain(dctx); err != nil {
 			fmt.Fprintf(os.Stderr, "collabscope: drain: %v\n", err)
@@ -167,7 +168,7 @@ func runServe(args []string) {
 }
 
 // runPush uploads trained model files into a running service's registry.
-func runPush(args []string) {
+func runPush(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("push", flag.ExitOnError)
 	server := fs.String("server", "", "scoping service base URL (required)")
 	modelsArg := fs.String("models", "", "comma-separated model files to upload (required)")
@@ -183,7 +184,7 @@ func runPush(args []string) {
 		m, err := collabscope.ReadModelJSON(fh)
 		fatal(err)
 		fatal(fh.Close())
-		fatal(pipe.UploadModel(context.Background(), *server, *tenant, m))
+		fatal(pipe.UploadModel(ctx, *server, *tenant, m))
 		fmt.Printf("uploaded %s (%d components, range %.4g) -> %s\n",
 			m.Schema, m.Components(), m.Range, *server)
 	}
@@ -191,7 +192,7 @@ func runPush(args []string) {
 
 // runFetch implements the consumer side: harvest peers' models into files,
 // keeping whatever healthy peers provide and reporting the rest.
-func runFetch(args []string) {
+func runFetch(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("fetch", flag.ExitOnError)
 	peersArg := fs.String("peers", "", "comma-separated peer base URLs (required)")
 	out := fs.String("out", ".", "directory to write <schema>.model.json files into")
@@ -205,7 +206,7 @@ func runFetch(args []string) {
 	pipe := collabscope.New(collabscope.WithRetryPolicy(collabscope.RetryPolicy{
 		MaxAttempts: *retries, Timeout: *timeout,
 	}))
-	models, failed := pipe.FetchModels(context.Background(), splitPeers(*peersArg))
+	models, failed := pipe.FetchModels(ctx, splitPeers(*peersArg))
 	fatal(os.MkdirAll(*out, 0o755))
 	for _, m := range models {
 		path := filepath.Join(*out, m.Schema+".model.json")
@@ -235,16 +236,16 @@ func splitPeers(arg string) []string {
 }
 
 // runSuggest proposes an explained-variance setting label-free.
-func runSuggest(args []string) {
+func runSuggest(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("suggest", flag.ExitOnError)
 	pf := pipelineFlags(fs)
 	fs.Parse(args)
 
 	schemas := loadSchemas(fs.Args())
 	pipe := pf.build()
-	v, err := pipe.SuggestVariance(schemas, nil)
+	v, err := pipe.SuggestVarianceContext(ctx, schemas, nil)
 	fatal(err)
-	res, err := pipe.CollaborativeScope(schemas, v)
+	res, err := pipe.CollaborativeScopeContext(ctx, schemas, v)
 	fatal(err)
 	fmt.Printf("suggested explained variance v=%.2f (keeps %d of %d elements)\n",
 		v, res.Kept, res.Kept+res.Pruned)
@@ -257,7 +258,7 @@ func usage() {
 
 // runIntegrate scopes, matches, clusters the linkages, and emits a mediated
 // schema with UNION ALL view skeletons.
-func runIntegrate(args []string) {
+func runIntegrate(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("integrate", flag.ExitOnError)
 	matcher := fs.String("matcher", "sim:0.6",
 		"matcher: "+strings.Join(collabscope.Matchers(), ", ")+" (name or name:param)")
@@ -271,12 +272,13 @@ func runIntegrate(args []string) {
 	pipe := pf.build()
 	target := schemas
 	if *scopeV > 0 {
-		res, err := pipe.CollaborativeScope(schemas, *scopeV)
+		res, err := pipe.CollaborativeScopeContext(ctx, schemas, *scopeV)
 		fatal(err)
 		target = res.Streamlined
 		fmt.Printf("scoped at v=%.2f: kept %d, pruned %d\n", *scopeV, res.Kept, res.Pruned)
 	}
-	pairs := pipe.Match(m, target)
+	pairs, err := pipe.MatchContext(ctx, m, target)
+	fatal(err)
 	fmt.Printf("%d linkage candidates\n\n", len(pairs))
 
 	med := collabscope.BuildMediated(schemas, pairs)
@@ -288,7 +290,7 @@ func runIntegrate(args []string) {
 
 // runTrain implements the distributed workflow's producer side: train the
 // local model (Algorithm 1) and write it to a file for exchange.
-func runTrain(args []string) {
+func runTrain(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	v := fs.Float64("v", 0.8, "global explained variance")
 	out := fs.String("out", "", "model output file (default <schema>.model.json)")
@@ -300,7 +302,7 @@ func runTrain(args []string) {
 		fatalf("train expects exactly one schema file")
 	}
 	pipe := pf.build()
-	model, err := pipe.TrainModel(schemas[0], *v)
+	model, err := pipe.TrainModelContext(ctx, schemas[0], *v)
 	fatal(err)
 
 	path := *out
@@ -322,7 +324,7 @@ func runTrain(args []string) {
 // costs one state diff instead of a cold retrain pipeline. With
 // -push the refreshed model is republished, bumping its registry version
 // so peers and the scoping service delta-assess against it.
-func runUpdate(args []string) {
+func runUpdate(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("update", flag.ExitOnError)
 	v := fs.Float64("v", 0.8, "global explained variance")
 	state := fs.String("state", "", "state directory holding the incremental training state (required)")
@@ -340,7 +342,7 @@ func runUpdate(args []string) {
 		fatalf("update expects exactly one schema file")
 	}
 	pipe := pf.build()
-	up, err := pipe.UpdateModel(schemas[0], *v, *state)
+	up, err := pipe.UpdateModelContext(ctx, schemas[0], *v, *state)
 	fatal(err)
 
 	path := *out
@@ -359,7 +361,7 @@ func runUpdate(args []string) {
 			schemas[0].Name, up.Added, up.Version, path)
 	}
 	if *push != "" {
-		fatal(pipe.UploadModel(context.Background(), *push, *tenant, up.Model))
+		fatal(pipe.UploadModel(ctx, *push, *tenant, up.Model))
 		fmt.Printf("republished %s (%d components, range %.4g) -> %s\n",
 			up.Model.Schema, up.Model.Components(), up.Model.Range, *push)
 	}
@@ -367,7 +369,7 @@ func runUpdate(args []string) {
 
 // runAssess implements the consumer side: assess the local schema against
 // exchanged foreign models (Algorithm 2) and report/stream the verdicts.
-func runAssess(args []string) {
+func runAssess(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("assess", flag.ExitOnError)
 	modelsArg := fs.String("models", "", "comma-separated foreign model files")
 	peersArg := fs.String("peers", "", "comma-separated peer base URLs to fetch foreign models from")
@@ -404,7 +406,7 @@ func runAssess(args []string) {
 		if *modelsArg != "" || *peersArg != "" {
 			fatalf("-server assesses against the hub's registry; it cannot be mixed with -models/-peers")
 		}
-		res, err := pipe.AssessServer(context.Background(), local, *server, *tenant)
+		res, err := pipe.AssessServer(ctx, local, *server, *tenant)
 		fatal(err)
 		if len(res.Used) == 0 {
 			fatalf("the hub holds no foreign models for %s (upload some with `collabscope push`)", local.Name)
@@ -423,7 +425,7 @@ func runAssess(args []string) {
 			}
 		}
 		if *peersArg != "" {
-			fetched, failed := pipe.FetchModels(context.Background(), splitPeers(*peersArg))
+			fetched, failed := pipe.FetchModels(ctx, splitPeers(*peersArg))
 			for _, pe := range failed {
 				fmt.Fprintf(os.Stderr, "collabscope: peer failed, assessing without it: %s\n", pe)
 			}
@@ -443,12 +445,14 @@ func runAssess(args []string) {
 			fatalf("no foreign models available (all peers failed?)")
 		}
 		if *delta {
-			verdicts, rep, err := pipe.AssessDeltaState(local, foreign, *state)
+			verdicts, rep, err := pipe.AssessDeltaStateContext(ctx, local, foreign, *state)
 			fatal(err)
 			fmt.Printf("delta assessment: %d passes re-scored, %d reused\n", rep.Rescored, rep.Reused)
 			assessment = &collabscope.Assessment{Verdicts: verdicts, Used: used}
 		} else {
-			assessment = &collabscope.Assessment{Verdicts: pipe.Assess(local, foreign), Used: used}
+			verdicts, err := pipe.AssessContext(ctx, local, foreign)
+			fatal(err)
+			assessment = &collabscope.Assessment{Verdicts: verdicts, Used: used}
 		}
 	}
 
@@ -537,7 +541,7 @@ func printMetrics(src string) {
 	snap.Fprint(os.Stdout)
 }
 
-func runScope(args []string) {
+func runScope(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("scope", flag.ExitOnError)
 	v := fs.Float64("v", 0.8, "global explained variance for collaborative scoping")
 	method := fs.String("method", "collaborative", "scoping method: collaborative or global")
@@ -559,9 +563,9 @@ func runScope(args []string) {
 	var res *collabscope.ScopeResult
 	var err error
 	if *method == "global" {
-		res, err = pipe.GlobalScope(schemas, det, *p)
+		res, err = pipe.GlobalScopeContext(ctx, schemas, det, *p)
 	} else {
-		res, err = pipe.CollaborativeScope(schemas, *v)
+		res, err = pipe.CollaborativeScopeContext(ctx, schemas, *v)
 	}
 	fatal(err)
 
@@ -587,7 +591,7 @@ func runScope(args []string) {
 	}
 }
 
-func runMatch(args []string) {
+func runMatch(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("match", flag.ExitOnError)
 	matcher := fs.String("matcher", "lsh:5",
 		"matcher: "+strings.Join(collabscope.Matchers(), ", ")+" (name or name:param)")
@@ -602,19 +606,20 @@ func runMatch(args []string) {
 	pipe := pf.build()
 	target := schemas
 	if *scopeV > 0 {
-		res, err := pipe.CollaborativeScope(schemas, *scopeV)
+		res, err := pipe.CollaborativeScopeContext(ctx, schemas, *scopeV)
 		fatal(err)
 		target = res.Streamlined
 		fmt.Printf("scoped at v=%.2f: kept %d, pruned %d\n", *scopeV, res.Kept, res.Pruned)
 	}
-	pairs := pipe.Match(m, target)
+	pairs, err := pipe.MatchContext(ctx, m, target)
+	fatal(err)
 	for _, pr := range pairs {
 		fmt.Printf("%s ~ %s\n", pr.A, pr.B)
 	}
 	fmt.Printf("%d candidate linkages\n", len(pairs))
 }
 
-func runEval(args []string) {
+func runEval(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	truthPath := fs.String("truth", "", "ground-truth linkages JSON file (required)")
 	matcher := fs.String("matcher", "lsh:5",
@@ -637,13 +642,17 @@ func runEval(args []string) {
 
 	pipe := pf.build()
 
-	sota := collabscope.EvaluateMatch(pipe.Match(m, schemas), truth, schemas)
+	pairs, err := pipe.MatchContext(ctx, m, schemas)
+	fatal(err)
+	sota := collabscope.EvaluateMatch(pairs, truth, schemas)
 	fmt.Printf("original   : PQ=%.3f PC=%.3f F1=%.3f RR=%.3f (%d pairs)\n",
 		sota.PQ, sota.PC, sota.F1, sota.RR, sota.Generated)
 	if *scopeV > 0 {
-		res, err := pipe.CollaborativeScope(schemas, *scopeV)
+		res, err := pipe.CollaborativeScopeContext(ctx, schemas, *scopeV)
 		fatal(err)
-		scoped := collabscope.EvaluateMatch(pipe.Match(m, res.Streamlined), truth, schemas)
+		pairs, err := pipe.MatchContext(ctx, m, res.Streamlined)
+		fatal(err)
+		scoped := collabscope.EvaluateMatch(pairs, truth, schemas)
 		fmt.Printf("scoped v=%.2f: PQ=%.3f PC=%.3f F1=%.3f RR=%.3f (%d pairs)\n",
 			*scopeV, scoped.PQ, scoped.PC, scoped.F1, scoped.RR, scoped.Generated)
 	}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"flag"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +12,15 @@ import (
 
 	"collabscope"
 )
+
+// must unwraps a (value, error) pair, panicking on error so each call
+// stays one expression.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func TestParseDetectorSpecs(t *testing.T) {
 	cases := map[string]string{
@@ -108,8 +119,8 @@ func TestPipelineFlagsEncoderAndEnrich(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := parsedPipelineFlags(t, "-dim", "64").build().Encode(s)
-	enriched := parsedPipelineFlags(t, "-dim", "64", "-enrich", "lexicon,fk").build().Encode(s)
+	plain := must(parsedPipelineFlags(t, "-dim", "64").build().EncodeContext(context.Background(), s))
+	enriched := must(parsedPipelineFlags(t, "-dim", "64", "-enrich", "lexicon,fk").build().EncodeContext(context.Background(), s))
 	if plain.Len() != enriched.Len() {
 		t.Fatalf("element counts diverged: %d vs %d", plain.Len(), enriched.Len())
 	}
@@ -150,15 +161,7 @@ func TestScopeRejectsBadFlagsBeforeLoading(t *testing.T) {
 		os.Exit(0)
 	}
 	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.sql"), filepath.Join(dir, "b.sql")
-	for path, ddl := range map[string]string{
-		a: "CREATE TABLE customer (id INT PRIMARY KEY, email VARCHAR(20));",
-		b: "CREATE TABLE client (cid INT PRIMARY KEY, email_address VARCHAR(20));",
-	} {
-		if err := os.WriteFile(path, []byte(ddl), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	a, b := writeSchemas(t, dir)
 	missing, missingTruth := filepath.Join(dir, "missing.sql"), filepath.Join(dir, "missing-truth.json")
 	for _, tc := range []struct {
 		args []string
@@ -171,15 +174,88 @@ func TestScopeRejectsBadFlagsBeforeLoading(t *testing.T) {
 		{[]string{"match", "-dim", "64", "-index", "nope", missing}, `unknown index kind "nope"`},
 		{[]string{"eval", "-dim", "64", "-truth", missingTruth, "-matcher", "bogus:zz", missing}, "bogus"},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestScopeRejectsBadFlagsBeforeLoading$")
-		cmd.Env = append(os.Environ(), "COLLABSCOPE_TEST_ARGS="+strings.Join(tc.args, "\n"))
-		out, err := cmd.CombinedOutput()
+		out, err := runCLI(tc.args...)
 		if err == nil {
 			t.Errorf("%v: exit 0, want a failure naming %q\n%s", tc.args, tc.want, out)
 			continue
 		}
 		if !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "missing") {
 			t.Errorf("%v: output does not name %q before loading:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// runCLI runs the collabscope command with args in a subprocess, through
+// TestScopeRejectsBadFlagsBeforeLoading's re-entry hook, and returns its
+// combined output.
+func runCLI(args ...string) ([]byte, error) {
+	cmd := exec.Command(os.Args[0], "-test.run=^TestScopeRejectsBadFlagsBeforeLoading$")
+	cmd.Env = append(os.Environ(), "COLLABSCOPE_TEST_ARGS="+strings.Join(args, "\n"))
+	return cmd.CombinedOutput()
+}
+
+// writeSchemas writes two small overlapping DDL schemas, a and b, into dir.
+func writeSchemas(t *testing.T, dir string) (a, b string) {
+	t.Helper()
+	a, b = filepath.Join(dir, "a.sql"), filepath.Join(dir, "b.sql")
+	for path, ddl := range map[string]string{
+		a: "CREATE TABLE customer (id INT PRIMARY KEY, email VARCHAR(20));",
+		b: "CREATE TABLE client (cid INT PRIMARY KEY, email_address VARCHAR(20));",
+	} {
+		if err := os.WriteFile(path, []byte(ddl), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a, b
+}
+
+// TestFailedStageFailsTheCommand runs subcommands whose encoder or foreign
+// model cannot work: each must exit non-zero and name the cause, never
+// print an empty assessment or match as a result.
+func TestFailedStageFailsTheCommand(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	a, b := writeSchemas(t, dir)
+	bSchema := loadSchemas([]string{b})[0]
+	writeModel := func(name string, opts ...collabscope.Option) string {
+		t.Helper()
+		m := must(collabscope.New(opts...).TrainModelContext(ctx, bSchema, 0.8))
+		path := filepath.Join(dir, name)
+		fh := must(os.Create(path))
+		if err := m.WriteJSON(fh); err != nil {
+			t.Fatal(err)
+		}
+		if err := fh.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	model, narrow := writeModel("b.model.json"), writeModel("b64.model.json", collabscope.WithDimension(64))
+
+	// An encoder URL nothing listens on: the port of a listener closed
+	// before the run.
+	ln := must(net.Listen("tcp", "127.0.0.1:0"))
+	closed := "remote:http://" + ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"assess", "-encoder", closed, "-models", model, a}, []string{ln.Addr().String()}},
+		{[]string{"match", "-encoder", closed, a, b}, []string{ln.Addr().String()}},
+		{[]string{"assess", "-models", narrow, a}, []string{`"b"`, "64", "768"}},
+	} {
+		out, err := runCLI(tc.args...)
+		if err == nil {
+			t.Errorf("%v: exit 0, want a failure naming %q\n%s", tc.args, tc.want, out)
+			continue
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("%v: output does not name %q:\n%s", tc.args, want, out)
+			}
 		}
 	}
 }

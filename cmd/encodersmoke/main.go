@@ -86,9 +86,10 @@ func main() {
 // scope runs the collaborative-scoping assessment at v = 0.8 and returns
 // the per-element linkability verdicts.
 func scope(sets []*embed.SignatureSet) map[schema.ElementID]bool {
-	scoper, err := core.NewScoper(sets)
+	ctx := context.Background()
+	scoper, err := core.NewScoperContext(ctx, 0, sets, core.AssessConfig{})
 	fatal(err)
-	keep, err := scoper.ScopeContext(context.Background(), 0.8)
+	keep, err := scoper.ScopeContext(ctx, 0.8)
 	fatal(err)
 	return keep
 }

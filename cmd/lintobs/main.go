@@ -1,4 +1,4 @@
-// Command lintobs enforces three repository disciplines.
+// Command lintobs enforces four repository disciplines.
 //
 // Timing: time.Now belongs to internal/obs. Hot paths measure durations
 // through obs.Stopwatch / obs.Registry.Clock, which keeps latency
@@ -21,6 +21,13 @@
 // heap.Interface, errors.Is/As/Unwrap and the JSON marshalers) are
 // skipped, since they are called through it.
 //
+// Context roots: outside package main, no non-test file calls
+// context.Background or context.TODO. A library function that runs a
+// stage takes its caller's context and returns its error; a root context
+// inside the library is how a context-free wrapper that drops that error
+// starts. A value that owns a goroutine's lifetime, or an API that takes
+// no context, waives its line.
+//
 // Usage:
 //
 //	lintobs ./...
@@ -28,7 +35,8 @@
 // Scans non-test Go files under the given roots, skipping internal/obs for
 // the timing check and internal/linalg for the kernel check. The reach
 // check counts only references inside the walk, so narrower roots than the
-// whole module report names that code outside them uses. A deliberate
+// whole module report names that code outside them uses. The context-root
+// check skips files of package main. A deliberate
 // use or declaration is waived with a trailing "// lintobs:allow <reason>"
 // comment on the offending line; a waiver without a reason waives nothing.
 package main
@@ -41,6 +49,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -76,7 +85,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "\t"+o)
 		}
 	}
-	if len(r.time)+len(r.kernel)+len(r.unreached) > 0 {
+	if len(r.ctxroot) > 0 {
+		fmt.Fprintln(os.Stderr, "lintobs: context.Background/TODO outside package main — take the caller's context,")
+		fmt.Fprintln(os.Stderr, "lintobs: or waive a deliberate root with `// lintobs:allow <reason>`:")
+		for _, o := range r.ctxroot {
+			fmt.Fprintln(os.Stderr, "\t"+o)
+		}
+	}
+	if len(r.time)+len(r.kernel)+len(r.unreached)+len(r.ctxroot) > 0 {
 		os.Exit(1)
 	}
 	fmt.Println("lintobs: clean")
@@ -85,11 +101,11 @@ func main() {
 // report holds one "<path>:<line>" entry per offender of each check; an
 // unreached entry also names the declaration.
 type report struct {
-	time, kernel, unreached []string
+	time, kernel, unreached, ctxroot []string
 }
 
 // lint walks the non-test Go files under roots (a trailing "/..." is
-// allowed) and runs the three checks over them.
+// allowed) and runs the four checks over them.
 func lint(roots []string) (report, error) {
 	var r report
 	reach := newReachScan()
@@ -128,6 +144,11 @@ func lint(roots []string) (report, error) {
 				}
 				r.kernel = append(r.kernel, found...)
 			}
+			found, err := scanContextRoots(path)
+			if err != nil {
+				return err
+			}
+			r.ctxroot = append(r.ctxroot, found...)
 			return reach.add(path, strings.Contains(slash, "internal/"))
 		})
 		if err != nil {
@@ -153,26 +174,34 @@ func waivedLines(fset *token.FileSet, file *ast.File) map[int]bool {
 	return waived
 }
 
-// scanFile returns one "<path>:<line>" per unwaived time.Now call.
-func scanFile(path string) ([]string, error) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve the local name of the "time" import ("time" unless renamed).
-	timeName := ""
+// importName returns the local name of the import whose path ends in
+// suffix (its last element unless renamed), or "" when the file does not
+// import it or imports it for side effects only.
+func importName(file *ast.File, suffix string) string {
+	name := ""
 	for _, imp := range file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) != "time" {
+		path := strings.Trim(imp.Path.Value, `"`)
+		if path != suffix && !strings.HasSuffix(path, "/"+suffix) {
 			continue
 		}
-		timeName = "time"
+		name = path[strings.LastIndex(path, "/")+1:]
 		if imp.Name != nil {
-			timeName = imp.Name.Name
+			name = imp.Name.Name
 		}
 	}
-	if timeName == "" || timeName == "_" {
-		return nil, nil
+	if name == "_" {
+		return ""
+	}
+	return name
+}
+
+// scanCalls returns one "<path>:<line>" per unwaived call of pkg.<name>
+// for a name in names, where pkg is the local name of the import ending
+// in suffix.
+func scanCalls(fset *token.FileSet, file *ast.File, suffix string, names ...string) []string {
+	pkg := importName(file, suffix)
+	if pkg == "" {
+		return nil
 	}
 	waived := waivedLines(fset, file)
 	var offenders []string
@@ -182,11 +211,11 @@ func scanFile(path string) ([]string, error) {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Now" {
+		if !ok || !slices.Contains(names, sel.Sel.Name) {
 			return true
 		}
 		ident, ok := sel.X.(*ast.Ident)
-		if !ok || ident.Name != timeName {
+		if !ok || ident.Name != pkg {
 			return true
 		}
 		pos := fset.Position(call.Pos())
@@ -195,7 +224,28 @@ func scanFile(path string) ([]string, error) {
 		}
 		return true
 	})
-	return offenders, nil
+	return offenders
+}
+
+// scanFile returns one "<path>:<line>" per unwaived time.Now call.
+func scanFile(path string) ([]string, error) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	if err != nil {
+		return nil, err
+	}
+	return scanCalls(fset, file, "time", "Now"), nil
+}
+
+// scanContextRoots returns one "<path>:<line>" per unwaived
+// context.Background or context.TODO call in a file outside package main.
+func scanContextRoots(path string) ([]string, error) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	if err != nil || file.Name.Name == "main" {
+		return nil, err
+	}
+	return scanCalls(fset, file, "context", "Background", "TODO"), nil
 }
 
 // kernelBypass is the set of per-pair linalg helpers that rebuild an
@@ -214,18 +264,8 @@ func scanKernelBypass(path string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the local name of the linalg import ("linalg" unless renamed).
-	linalgName := ""
-	for _, imp := range file.Imports {
-		if !strings.HasSuffix(strings.Trim(imp.Path.Value, `"`), "internal/linalg") {
-			continue
-		}
-		linalgName = "linalg"
-		if imp.Name != nil {
-			linalgName = imp.Name.Name
-		}
-	}
-	if linalgName == "" || linalgName == "_" {
+	linalgName := importName(file, "internal/linalg")
+	if linalgName == "" {
 		return nil, nil
 	}
 	waived := waivedLines(fset, file)

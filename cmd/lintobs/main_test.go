@@ -201,6 +201,58 @@ func f(linalg fake, a, b []float64) float64 {
 	}
 }
 
+const wrapperSrc = `package p
+
+import "context"
+
+func ScopeContext(ctx context.Context, v float64) (int, error) { return 0, ctx.Err() }
+
+// Scope drops the error of the form it wraps.
+func Scope(v float64) int {
+	n, _ := ScopeContext(context.Background(), v)
+	return n
+}
+`
+
+func TestContextRootFlagsWrapper(t *testing.T) {
+	path := write(t, "wrapper.go", wrapperSrc)
+	offenders, err := scanContextRoots(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(offenders) != 1 || !strings.HasSuffix(offenders[0], "wrapper.go:9") {
+		t.Fatalf("offenders = %v, want wrapper.go:9", offenders)
+	}
+	todo := write(t, "todo.go", strings.Replace(wrapperSrc, "context.Background()", "context.TODO()", 1))
+	if offenders, err := scanContextRoots(todo); err != nil || len(offenders) != 1 {
+		t.Fatalf("context.TODO offenders = %v, %v; want one", offenders, err)
+	}
+}
+
+func TestContextRootHonoursWaiver(t *testing.T) {
+	path := write(t, "waived.go", strings.Replace(wrapperSrc,
+		"ScopeContext(context.Background(), v)",
+		"ScopeContext(context.Background(), v) // lintobs:allow this API takes no context", 1))
+	offenders, err := scanContextRoots(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(offenders) != 0 {
+		t.Fatalf("waived line still flagged: %v", offenders)
+	}
+}
+
+func TestContextRootSkipsPackageMain(t *testing.T) {
+	path := write(t, "main.go", strings.Replace(wrapperSrc, "package p", "package main", 1))
+	offenders, err := scanContextRoots(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(offenders) != 0 {
+		t.Fatalf("package main flagged: %v", offenders)
+	}
+}
+
 // tree writes files (slash-separated paths relative to a fresh temp dir)
 // and returns the dir.
 func tree(t *testing.T, files map[string]string) string {
@@ -352,8 +404,8 @@ func Exported() {}
 }
 
 // TestRepoIsClean runs every check over the whole repository — the same
-// gate CI runs — so a time.Now, kernel-bypass or test-only-export
-// regression fails here first.
+// gate CI runs — so a time.Now, kernel-bypass, test-only-export or
+// context-root regression fails here first.
 func TestRepoIsClean(t *testing.T) {
 	r, err := lint([]string{"../.."})
 	if err != nil {
@@ -361,6 +413,7 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for name, offenders := range map[string][]string{
 		"time.Now": r.time, "kernel bypass": r.kernel, "unreached export": r.unreached,
+		"context root": r.ctxroot,
 	} {
 		if len(offenders) != 0 {
 			t.Errorf("lintobs %s offenders: %v", name, offenders)

@@ -90,7 +90,8 @@ func main() {
 	fatal(err)
 	tenant := scenarios[0].Tenant
 	enc := embed.NewHashEncoder(embed.WithDim(96))
-	sets := embed.EncodeSchemas(enc, scenarios[0].Dataset.Schemas)
+	sets, err := embed.EncodeSchemasContext(ctx, 0, enc, scenarios[0].Dataset.Schemas)
+	fatal(err)
 	client := exchange.NewClient()
 	var models []*core.Model
 	for _, set := range sets {

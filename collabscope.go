@@ -115,7 +115,7 @@ func ExplainError(err error) string {
 	case errors.Is(err, ErrNonFinite):
 		return "a signature contains NaN/Inf — the error names the schema element and dimension; check the encoder input"
 	case errors.Is(err, ErrDimMismatch):
-		return "the encoder returned signatures of the wrong shape — the error names the element; check the backend's dimension against WithDimension"
+		return "signatures of the wrong shape — the error names the element (check the encoder backend's dimension against WithDimension) or a foreign model trained at another dimension and both widths (retrain it at the shared dimension)"
 	case errors.Is(err, ErrSVDNoConvergence):
 		return "the SVD exhausted its sweep budget — the input matrix is numerically ill-conditioned"
 	case errors.Is(err, ErrDegenerateModel):
@@ -156,10 +156,10 @@ func ReadModelJSON(r io.Reader) (*Model, error) { return core.ReadModelJSON(r) }
 // worker-pool parallelism every stage fans out on.
 //
 // All stages are deterministic: the same inputs produce bit-identical
-// results for any parallelism setting. Each method has a Context variant
-// (CollaborativeScopeContext, GlobalScopeContext, MatchContext, …) that
-// supports cancellation mid-run; the plain methods are thin
-// context.Background() wrappers around them.
+// results for any parallelism setting. Every method that runs a stage takes
+// a context, stops promptly with ctx.Err() once it is done, and returns the
+// error of every stage it runs: a failed encode or assessment is never
+// reported as an empty result.
 type Pipeline struct {
 	enc     embed.Encoder
 	workers int
@@ -310,15 +310,9 @@ func (p *Pipeline) Encoder() Encoder { return p.enc }
 // Parallelism returns the pipeline's worker count.
 func (p *Pipeline) Parallelism() int { return p.workers }
 
-// Encode serialises and encodes every element of a schema.
-func (p *Pipeline) Encode(s *Schema) *SignatureSet {
-	set, _ := p.EncodeContext(context.Background(), s)
-	return set
-}
-
-// EncodeContext is Encode with cancellation. With enrichers attached
-// (WithEnrichers), each schema's elements pass through the enrichment
-// stage before encoding.
+// EncodeContext serialises and encodes every element of a schema. With
+// enrichers attached (WithEnrichers), the elements pass through the
+// enrichment stage before encoding.
 func (p *Pipeline) EncodeContext(ctx context.Context, s *Schema) (*SignatureSet, error) {
 	if p.encErr != nil {
 		return nil, p.encErr
@@ -330,15 +324,10 @@ func (p *Pipeline) EncodeContext(ctx context.Context, s *Schema) (*SignatureSet,
 	return embed.EncodeElementsContext(ctx, p.workers, p.enc, enrich.Schema(ctx, p.enrichers, s))
 }
 
-// EncodeAll encodes each schema independently with the shared encoder.
-func (p *Pipeline) EncodeAll(schemas []*Schema) []*SignatureSet {
-	sets, _ := p.EncodeAllContext(context.Background(), schemas)
-	return sets
-}
-
-// EncodeAllContext is EncodeAll with cancellation. Schemas encode
-// sequentially while their elements fan out (or batch to a remote
-// backend), keeping the worker pool saturated without nesting pools.
+// EncodeAllContext encodes each schema independently with the shared
+// encoder. Schemas encode sequentially while their elements fan out (or
+// batch to a remote backend), keeping the worker pool saturated without
+// nesting pools.
 func (p *Pipeline) EncodeAllContext(ctx context.Context, schemas []*Schema) ([]*SignatureSet, error) {
 	if p.encErr != nil {
 		return nil, p.encErr
@@ -380,17 +369,12 @@ func newScopeResult(schemas []*Schema, keep map[ElementID]bool) *ScopeResult {
 	return res
 }
 
-// CollaborativeScope runs the paper's contribution end-to-end: local
-// signatures, local self-supervised models at the global explained variance
-// v ∈ (0, 1], and the distributed linkability assessment. It returns the
-// linkability verdicts and the streamlined schemas.
-func (p *Pipeline) CollaborativeScope(schemas []*Schema, v float64) (*ScopeResult, error) {
-	return p.CollaborativeScopeContext(context.Background(), schemas, v)
-}
-
-// CollaborativeScopeContext is CollaborativeScope with cancellation:
-// encoding, per-schema training, and the distributed assessment all stop
-// promptly once ctx is done, returning ctx.Err().
+// CollaborativeScopeContext runs the paper's contribution end-to-end:
+// local signatures, local self-supervised models at the global explained
+// variance v ∈ (0, 1], and the distributed linkability assessment. It
+// returns the linkability verdicts and the streamlined schemas. Encoding,
+// per-schema training, and the assessment all stop promptly once ctx is
+// done, returning ctx.Err().
 func (p *Pipeline) CollaborativeScopeContext(ctx context.Context, schemas []*Schema, v float64) (*ScopeResult, error) {
 	ctx, sp := obs.Start(p.obsContext(ctx), "pipeline.scope")
 	sp.Annotate("schemas", int64(len(schemas)))
@@ -410,16 +394,11 @@ func (p *Pipeline) CollaborativeScopeContext(ctx context.Context, schemas []*Sch
 	return newScopeResult(schemas, keep), nil
 }
 
-// SuggestVariance proposes an explained-variance setting label-free, by
-// locating the saturation cliff of the kept-count curve over the grid (an
-// extension; the paper leaves the ideal v scenario-dependent). A nil grid
-// uses DefaultVarianceGrid.
-func (p *Pipeline) SuggestVariance(schemas []*Schema, grid []float64) (float64, error) {
-	return p.SuggestVarianceContext(context.Background(), schemas, grid)
-}
-
-// SuggestVarianceContext is SuggestVariance with cancellation; the grid
-// points fan out over the worker pool.
+// SuggestVarianceContext proposes an explained-variance setting
+// label-free, by locating the saturation cliff of the kept-count curve over
+// the grid (an extension; the paper leaves the ideal v scenario-dependent).
+// A nil grid uses DefaultVarianceGrid. The grid points fan out over the
+// worker pool.
 func (p *Pipeline) SuggestVarianceContext(ctx context.Context, schemas []*Schema, grid []float64) (float64, error) {
 	ctx, sp := obs.Start(p.obsContext(ctx), "pipeline.sweep")
 	sp.Annotate("schemas", int64(len(schemas)))
@@ -438,10 +417,11 @@ func (p *Pipeline) SuggestVarianceContext(ctx context.Context, schemas []*Schema
 	return scoper.SuggestVarianceContext(ctx, grid)
 }
 
-// DefaultVarianceGrid returns the explained-variance grid SuggestVariance
-// sweeps when none is given: 1.00, 0.95, … 0.05 in exact 0.05 steps, with a
-// final 0.01 probe. Points are generated from integer steps, so each value
-// is the float64 nearest its decimal (no accumulated subtraction drift).
+// DefaultVarianceGrid returns the explained-variance grid
+// SuggestVarianceContext sweeps when none is given: 1.00, 0.95, … 0.05 in
+// exact 0.05 steps, with a final 0.01 probe. Points are generated from
+// integer steps, so each value is the float64 nearest its decimal (no
+// accumulated subtraction drift).
 func DefaultVarianceGrid() []float64 {
 	grid := make([]float64, 0, 21)
 	for i := 20; i >= 1; i-- {
@@ -450,13 +430,8 @@ func DefaultVarianceGrid() []float64 {
 	return append(grid, 0.01)
 }
 
-// TrainModel runs Algorithm 1 for a single schema, returning the local
-// model that can be exchanged with other parties.
-func (p *Pipeline) TrainModel(s *Schema, v float64) (*Model, error) {
-	return p.TrainModelContext(context.Background(), s, v)
-}
-
-// TrainModelContext is TrainModel with cancellation.
+// TrainModelContext runs Algorithm 1 for a single schema, returning the
+// local model that can be exchanged with other parties.
 func (p *Pipeline) TrainModelContext(ctx context.Context, s *Schema, v float64) (*Model, error) {
 	ctx, sp := obs.Start(p.obsContext(ctx), "pipeline.train")
 	defer sp.End()
@@ -468,16 +443,13 @@ func (p *Pipeline) TrainModelContext(ctx context.Context, s *Schema, v float64) 
 	return core.Train(set, v)
 }
 
-// Assess runs Algorithm 2 for a single schema against foreign models,
-// returning the linkability verdict for each local element.
-func (p *Pipeline) Assess(s *Schema, foreign []*Model) map[ElementID]bool {
-	verdicts, _ := p.AssessContext(context.Background(), s, foreign)
-	return verdicts
-}
-
-// AssessContext is Assess with cancellation; the element-by-foreign-model
-// passes fan out over the worker pool.
-func (p *Pipeline) AssessContext(ctx context.Context, s *Schema, foreign []*Model) (map[ElementID]bool, error) {
+// AssessContext runs Algorithm 2 for a single schema against foreign
+// models, returning the linkability verdict for each local element. A
+// model published under the schema's own name is skipped, as Algorithm 2
+// requires. The element-by-foreign-model passes fan out over the worker
+// pool.
+func (p *Pipeline) AssessContext(ctx context.Context, s *Schema, models []*Model) (map[ElementID]bool, error) {
+	foreign := foreignModels(models, s.Name)
 	ctx, sp := obs.Start(p.obsContext(ctx), "pipeline.assess")
 	sp.Annotate("models", int64(len(foreign)))
 	defer sp.End()
@@ -488,16 +460,11 @@ func (p *Pipeline) AssessContext(ctx context.Context, s *Schema, foreign []*Mode
 	return core.AssessContext(ctx, p.workers, set, foreign, core.AssessConfig{})
 }
 
-// GlobalScope runs the prior-work scoping baseline: rank the unified
-// signature set with the detector and keep the fraction keep ∈ [0, 1] with
-// the lowest outlier scores.
-func (p *Pipeline) GlobalScope(schemas []*Schema, det Detector, keep float64) (*ScopeResult, error) {
-	return p.GlobalScopeContext(context.Background(), schemas, det, keep)
-}
-
-// GlobalScopeContext is GlobalScope with cancellation. Detectors that
-// implement context-aware scoring (LOF, kNN, Mahalanobis, the autoencoder
-// ensemble) honour ctx mid-scan and fan out over the worker pool.
+// GlobalScopeContext runs the prior-work scoping baseline: rank the
+// unified signature set with the detector and keep the fraction
+// keep ∈ [0, 1] with the lowest outlier scores. Every detector honours
+// ctx; LOF, kNN, Mahalanobis and the autoencoder ensemble check it mid-scan
+// and fan out over the worker pool.
 func (p *Pipeline) GlobalScopeContext(ctx context.Context, schemas []*Schema, det Detector, keep float64) (*ScopeResult, error) {
 	if det == nil {
 		return nil, fmt.Errorf("collabscope: nil detector")
@@ -639,14 +606,8 @@ func NewCompositeMatcher(threshold float64) Matcher { return match.Composite{Thr
 // strategy of Saeedi et al. cited in the paper; it needs no cardinality.
 func NewHACMatcher(cutoff float64) Matcher { return match.HACMatcher{Cutoff: cutoff} }
 
-// Match runs a matcher over every pair of schemas and returns the
-// deduplicated union of linkage candidates.
-func (p *Pipeline) Match(m Matcher, schemas []*Schema) []Pair {
-	pairs, _ := p.MatchContext(context.Background(), m, schemas)
-	return pairs
-}
-
-// MatchContext is Match with cancellation; the O(k²) schema pairs fan out
+// MatchContext runs a matcher over every pair of schemas and returns the
+// deduplicated union of linkage candidates. The O(k²) schema pairs fan out
 // over the worker pool and the candidate union is folded in enumeration
 // order, so the pair set is identical for any parallelism setting.
 func (p *Pipeline) MatchContext(ctx context.Context, m Matcher, schemas []*Schema) ([]Pair, error) {
@@ -663,14 +624,22 @@ func (p *Pipeline) MatchContext(ctx context.Context, m Matcher, schemas []*Schem
 // MatchHolistic clusters the union of ALL schemas once per element kind
 // (He & Chang's holistic strategy) and links cross-schema co-members — one
 // k-means run instead of one per schema pair.
-func (p *Pipeline) MatchHolistic(k int, seed int64, schemas []*Schema) []Pair {
-	return match.Holistic(k, seed, p.EncodeAll(schemas))
+func (p *Pipeline) MatchHolistic(ctx context.Context, k int, seed int64, schemas []*Schema) ([]Pair, error) {
+	sets, err := p.EncodeAllContext(ctx, schemas)
+	if err != nil {
+		return nil, err
+	}
+	return match.Holistic(k, seed, sets), nil
 }
 
 // MatchHolisticAuto is MatchHolistic with the cardinality self-tuned by the
 // silhouette coefficient over candidate k values (the ALITE approach).
-func (p *Pipeline) MatchHolisticAuto(candidates []int, seed int64, schemas []*Schema) []Pair {
-	return match.HolisticAuto(candidates, seed, p.EncodeAll(schemas))
+func (p *Pipeline) MatchHolisticAuto(ctx context.Context, candidates []int, seed int64, schemas []*Schema) ([]Pair, error) {
+	sets, err := p.EncodeAllContext(ctx, schemas)
+	if err != nil {
+		return nil, err
+	}
+	return match.HolisticAuto(candidates, seed, sets), nil
 }
 
 // EvaluateMatch scores generated pairs against ground truth; the Reduction

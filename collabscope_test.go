@@ -1,9 +1,19 @@
 package collabscope
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// must unwraps a (value, error) pair, panicking on error so each call
+// stays one expression.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func pipelineForTest() *Pipeline {
 	return New(WithDimension(192))
@@ -16,7 +26,7 @@ func figure1Schemas() []*Schema {
 func TestCollaborativeScopeEndToEnd(t *testing.T) {
 	pipe := pipelineForTest()
 	fig := DatasetFigure1()
-	res, err := pipe.CollaborativeScope(fig.Schemas, 0.7)
+	res, err := pipe.CollaborativeScopeContext(context.Background(), fig.Schemas, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +46,10 @@ func TestCollaborativeScopeEndToEnd(t *testing.T) {
 
 func TestCollaborativeScopeValidation(t *testing.T) {
 	pipe := pipelineForTest()
-	if _, err := pipe.CollaborativeScope(figure1Schemas()[:1], 0.7); err == nil {
+	if _, err := pipe.CollaborativeScopeContext(context.Background(), figure1Schemas()[:1], 0.7); err == nil {
 		t.Fatal("single schema should fail")
 	}
-	if _, err := pipe.CollaborativeScope(figure1Schemas(), 0); err == nil {
+	if _, err := pipe.CollaborativeScopeContext(context.Background(), figure1Schemas(), 0); err == nil {
 		t.Fatal("v=0 should fail")
 	}
 }
@@ -47,11 +57,11 @@ func TestCollaborativeScopeValidation(t *testing.T) {
 func TestTrainAndAssess(t *testing.T) {
 	pipe := pipelineForTest()
 	schemas := figure1Schemas()
-	m2, err := pipe.TrainModel(schemas[1], 0.8)
+	m2, err := pipe.TrainModelContext(context.Background(), schemas[1], 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verdicts := pipe.Assess(schemas[0], []*Model{m2})
+	verdicts := must(pipe.AssessContext(context.Background(), schemas[0], []*Model{m2}))
 	if len(verdicts) != schemas[0].NumElements() {
 		t.Fatalf("verdicts = %d", len(verdicts))
 	}
@@ -60,7 +70,7 @@ func TestTrainAndAssess(t *testing.T) {
 func TestGlobalScope(t *testing.T) {
 	pipe := pipelineForTest()
 	schemas := figure1Schemas()
-	res, err := pipe.GlobalScope(schemas, NewPCADetector(0.5), 0.5)
+	res, err := pipe.GlobalScopeContext(context.Background(), schemas, NewPCADetector(0.5), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +80,10 @@ func TestGlobalScope(t *testing.T) {
 	if res.Kept != 12 {
 		t.Fatalf("keep 0.5 kept %d of 24", res.Kept)
 	}
-	if _, err := pipe.GlobalScope(schemas, nil, 0.5); err == nil {
+	if _, err := pipe.GlobalScopeContext(context.Background(), schemas, nil, 0.5); err == nil {
 		t.Fatal("nil detector should fail")
 	}
-	if _, err := pipe.GlobalScope(nil, NewZScoreDetector(), 0.5); err == nil {
+	if _, err := pipe.GlobalScopeContext(context.Background(), nil, NewZScoreDetector(), 0.5); err == nil {
 		t.Fatal("no elements should fail")
 	}
 }
@@ -94,7 +104,7 @@ func TestDetectorConstructors(t *testing.T) {
 func TestMatchAndEvaluate(t *testing.T) {
 	pipe := pipelineForTest()
 	fig := DatasetFigure1()
-	pairs := pipe.Match(NewLSHMatcher(1), fig.Schemas)
+	pairs := must(pipe.MatchContext(context.Background(), NewLSHMatcher(1), fig.Schemas))
 	if len(pairs) == 0 {
 		t.Fatal("no pairs generated")
 	}
@@ -114,12 +124,12 @@ func TestScopingImprovesMatchPrecision(t *testing.T) {
 	fig := DatasetFigure1()
 	matcher := NewLSHMatcher(2)
 
-	sota := EvaluateMatch(pipe.Match(matcher, fig.Schemas), fig.Truth, fig.Schemas)
-	res, err := pipe.CollaborativeScope(fig.Schemas, 0.85)
+	sota := EvaluateMatch(must(pipe.MatchContext(context.Background(), matcher, fig.Schemas)), fig.Truth, fig.Schemas)
+	res, err := pipe.CollaborativeScopeContext(context.Background(), fig.Schemas, 0.85)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scoped := EvaluateMatch(pipe.Match(matcher, res.Streamlined), fig.Truth, fig.Schemas)
+	scoped := EvaluateMatch(must(pipe.MatchContext(context.Background(), matcher, res.Streamlined)), fig.Truth, fig.Schemas)
 	if scoped.PQ <= sota.PQ {
 		t.Errorf("scoped PQ %.3f should beat SOTA PQ %.3f", scoped.PQ, sota.PQ)
 	}
@@ -184,7 +194,7 @@ func TestWithEncoderOption(t *testing.T) {
 func TestSuggestVarianceFacade(t *testing.T) {
 	pipe := New(WithDimension(192))
 	oc3 := DatasetOC3()
-	v, err := pipe.SuggestVariance(oc3.Schemas, nil)
+	v, err := pipe.SuggestVarianceContext(context.Background(), oc3.Schemas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +202,14 @@ func TestSuggestVarianceFacade(t *testing.T) {
 		t.Fatalf("suggested v = %v", v)
 	}
 	// Using the suggestion must produce a non-trivial scoping.
-	res, err := pipe.CollaborativeScope(oc3.Schemas, v)
+	res, err := pipe.CollaborativeScopeContext(context.Background(), oc3.Schemas, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Kept == 0 || res.Pruned == 0 {
 		t.Fatalf("degenerate scoping at suggested v=%v: kept=%d pruned=%d", v, res.Kept, res.Pruned)
 	}
-	if _, err := pipe.SuggestVariance(oc3.Schemas[:1], nil); err == nil {
+	if _, err := pipe.SuggestVarianceContext(context.Background(), oc3.Schemas[:1], nil); err == nil {
 		t.Fatal("single schema should fail")
 	}
 }
@@ -207,11 +217,11 @@ func TestSuggestVarianceFacade(t *testing.T) {
 func TestMatchHolisticFacade(t *testing.T) {
 	pipe := pipelineForTest()
 	fig := DatasetFigure1()
-	pairs := pipe.MatchHolistic(4, 1, fig.Schemas)
+	pairs := must(pipe.MatchHolistic(context.Background(), 4, 1, fig.Schemas))
 	if len(pairs) == 0 {
 		t.Fatal("holistic matching found nothing")
 	}
-	auto := pipe.MatchHolisticAuto([]int{2, 4, 6}, 1, fig.Schemas)
+	auto := must(pipe.MatchHolisticAuto(context.Background(), []int{2, 4, 6}, 1, fig.Schemas))
 	if len(auto) == 0 {
 		t.Fatal("auto holistic matching found nothing")
 	}

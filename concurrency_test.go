@@ -34,11 +34,11 @@ func TestCollaborativeScopeDeterministicAcrossWorkers(t *testing.T) {
 	seq, par := pipelinesForDeterminism()
 	schemas := DatasetOC3().Schemas
 	for _, v := range []float64{0.9, 0.5, 0.1} {
-		a, err := seq.CollaborativeScope(schemas, v)
+		a, err := seq.CollaborativeScopeContext(context.Background(), schemas, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := par.CollaborativeScope(schemas, v)
+		b, err := par.CollaborativeScopeContext(context.Background(), schemas, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,11 +58,11 @@ func TestGlobalScopeDeterministicAcrossWorkers(t *testing.T) {
 		NewMahalanobisDetector(),
 		NewAutoencoderDetector(3, 5, 1),
 	} {
-		a, err := seq.GlobalScope(schemas, det, 0.6)
+		a, err := seq.GlobalScopeContext(context.Background(), schemas, det, 0.6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := par.GlobalScope(schemas, det, 0.6)
+		b, err := par.GlobalScopeContext(context.Background(), schemas, det, 0.6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,8 +78,8 @@ func TestMatchDeterministicAcrossWorkers(t *testing.T) {
 		NewLSHMatcher(3),
 		NewClusterMatcher(5, 1),
 	} {
-		a := seq.Match(m, schemas)
-		b := par.Match(m, schemas)
+		a := must(seq.MatchContext(context.Background(), m, schemas))
+		b := must(par.MatchContext(context.Background(), m, schemas))
 		if len(a) != len(b) {
 			t.Fatalf("%s: pair counts differ: %d vs %d", m.Name(), len(a), len(b))
 		}
@@ -94,11 +94,11 @@ func TestMatchDeterministicAcrossWorkers(t *testing.T) {
 func TestSuggestVarianceDeterministicAcrossWorkers(t *testing.T) {
 	seq, par := pipelinesForDeterminism()
 	schemas := DatasetFigure1().Schemas
-	a, err := seq.SuggestVariance(schemas, nil)
+	a, err := seq.SuggestVarianceContext(context.Background(), schemas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.SuggestVariance(schemas, nil)
+	b, err := par.SuggestVarianceContext(context.Background(), schemas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,20 +137,6 @@ func TestPreCancelledContextReturnsPromptly(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancelled calls took %v; want prompt return", elapsed)
 	}
-}
-
-func TestContextMethodsMatchPlainMethods(t *testing.T) {
-	pipe := New(WithDimension(192))
-	schemas := DatasetFigure1().Schemas
-	plain, err := pipe.CollaborativeScope(schemas, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCtx, err := pipe.CollaborativeScopeContext(context.Background(), schemas, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameKeep(t, plain.Keep, viaCtx.Keep)
 }
 
 // Regression test for the default-grid float drift: the grid used to be

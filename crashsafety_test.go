@@ -1,6 +1,7 @@
 package collabscope
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -39,7 +40,7 @@ func TestPipelineIsolatesEncoderPanic(t *testing.T) {
 	schemas := figure1Schemas()
 	marker := schemas[0].Tables[0].Name
 	pipe := New(WithEncoder(BatchEncoder(faultyEncoder{dim: 16, marker: marker, mode: "panic"})))
-	_, err := pipe.CollaborativeScope(schemas, 0.7)
+	_, err := pipe.CollaborativeScopeContext(context.Background(), schemas, 0.7)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -51,7 +52,7 @@ func TestPipelineIsolatesEncoderPanic(t *testing.T) {
 		t.Fatalf("ExplainError(%v) = %q", err, hint)
 	}
 	// The pipeline object survives and works with a healthy encoder.
-	if _, err := New(WithDimension(64)).CollaborativeScope(schemas, 0.7); err != nil {
+	if _, err := New(WithDimension(64)).CollaborativeScopeContext(context.Background(), schemas, 0.7); err != nil {
 		t.Fatalf("later run broken: %v", err)
 	}
 }
@@ -60,7 +61,7 @@ func TestPipelineSurfacesNonFiniteSignature(t *testing.T) {
 	schemas := figure1Schemas()
 	marker := schemas[1].Tables[0].Name
 	pipe := New(WithEncoder(BatchEncoder(faultyEncoder{dim: 16, marker: marker, mode: "nan"})))
-	_, err := pipe.CollaborativeScope(schemas, 0.7)
+	_, err := pipe.CollaborativeScopeContext(context.Background(), schemas, 0.7)
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}

@@ -17,12 +17,15 @@
 //
 //	pipe := collabscope.New()
 //	schemas := []*collabscope.Schema{s1, s2, s3}
-//	res, err := pipe.CollaborativeScope(schemas, 0.8)
+//	res, err := pipe.CollaborativeScopeContext(ctx, schemas, 0.8)
+//	if err != nil {
+//		return err // a failed assessment is never an empty result
+//	}
 //	// res.Streamlined now holds the pruned schemas; feed them to a matcher:
-//	pairs := pipe.Match(collabscope.NewLSHMatcher(5), res.Streamlined)
+//	pairs, err := pipe.MatchContext(ctx, collabscope.NewLSHMatcher(5), res.Streamlined)
 //
 // The distributed deployment the paper sketches is first-class: a party
-// publishes its trained model over HTTP with NewModelServer and assesses
+// publishes its trained model over HTTP with NewScopingServer and assesses
 // against its peers with Pipeline.AssessRemote / CollaborativeScopeRemote,
 // which tolerate flaky peers — missing models only make the verdicts more
 // conservative, and the result reports who was absent (see remote.go).

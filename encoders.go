@@ -25,10 +25,11 @@ type TextEncoder = embed.TextEncoder
 // isolated per element).
 func BatchEncoder(e TextEncoder) Encoder { return embed.Batch(e) }
 
-// ErrDimMismatch reports an encoder that violated its batch contract — a
-// signature whose length differs from the declared Dim(), or a vector
-// count differing from the text count. Detected at encoding ingress,
-// before a truncated or padded matrix can corrupt downstream models.
+// ErrDimMismatch reports signatures of the wrong shape: an encoder that
+// broke its batch contract (a signature length other than Dim(), or a
+// vector count other than the text count), or a foreign model trained at
+// another dimension than the signatures it assesses. Both are caught
+// before a truncated, padded or mismatched matrix reaches any model.
 var ErrDimMismatch = embed.ErrDimMismatch
 
 // EncoderBackends lists the built-in encoder backend names accepted by
@@ -41,7 +42,7 @@ func EncoderBackends() []string { return encoder.Backends() }
 // and a content-addressed signature cache. The backend inherits the
 // pipeline's dimension (WithDimension), HTTP client, retry policy, and
 // metrics registry, regardless of option order. An invalid spec surfaces
-// on the first Encode/Scope call, not as a construction panic.
+// on the first encode of any pipeline call, not as a construction panic.
 func WithEncoderBackend(spec string) Option {
 	return func(p *Pipeline) {
 		p.encSpec = spec
@@ -103,8 +104,9 @@ func ParseEnrichers(spec string) ([]Enricher, error) {
 }
 
 // WithEnrichers runs the given enrichers, in order, between schema load
-// and encoding on every pipeline path (Encode, CollaborativeScope,
-// Match, …). No enrichers — the default — is the base pipeline exactly.
+// and encoding on every pipeline path (EncodeContext,
+// CollaborativeScopeContext, MatchContext, …). No enrichers — the
+// default — is the base pipeline exactly.
 func WithEnrichers(es ...Enricher) Option {
 	return func(p *Pipeline) { p.enrichers = append(p.enrichers, es...) }
 }

@@ -33,8 +33,8 @@ CREATE TABLE ORDERS (
 // bit-identical to the default construction at the same dimension.
 func TestWithEncoderBackendHash(t *testing.T) {
 	s := testSchema(t)
-	base := New(WithDimension(64)).Encode(s)
-	spec := New(WithDimension(64), WithEncoderBackend("hash")).Encode(s)
+	base := must(New(WithDimension(64)).EncodeContext(context.Background(), s))
+	spec := must(New(WithDimension(64), WithEncoderBackend("hash")).EncodeContext(context.Background(), s))
 	if base.Len() != spec.Len() {
 		t.Fatalf("element counts diverged: %d vs %d", base.Len(), spec.Len())
 	}
@@ -69,9 +69,9 @@ func TestWithEncoderBackendInvalidSpec(t *testing.T) {
 // the default pipeline is untouched.
 func TestWithEnrichersChangesSignatures(t *testing.T) {
 	s := testSchema(t)
-	plain := New(WithDimension(64)).Encode(s)
-	enriched1 := New(WithDimension(64), WithEnrichers(NewLexiconEnricher(), NewFKContextEnricher())).Encode(s)
-	enriched2 := New(WithDimension(64), WithEnrichers(NewLexiconEnricher(), NewFKContextEnricher())).Encode(s)
+	plain := must(New(WithDimension(64)).EncodeContext(context.Background(), s))
+	enriched1 := must(New(WithDimension(64), WithEnrichers(NewLexiconEnricher(), NewFKContextEnricher())).EncodeContext(context.Background(), s))
+	enriched2 := must(New(WithDimension(64), WithEnrichers(NewLexiconEnricher(), NewFKContextEnricher())).EncodeContext(context.Background(), s))
 
 	changed := false
 	for i := 0; i < plain.Len(); i++ {
@@ -148,12 +148,12 @@ func TestWithEncoderCacheRemote(t *testing.T) {
 			WithEncoderCache(dir),
 		}
 	}
-	cold := New(opts()...).Encode(s)
+	cold := must(New(opts()...).EncodeContext(context.Background(), s))
 	coldReqs := stub.Requests()
 	if coldReqs == 0 {
 		t.Fatal("cold pipeline made no requests")
 	}
-	warm := New(opts()...).Encode(s)
+	warm := must(New(opts()...).EncodeContext(context.Background(), s))
 	if delta := stub.Requests() - coldReqs; delta != 0 {
 		t.Fatalf("warm pipeline made %d requests, want 0", delta)
 	}

@@ -117,7 +117,7 @@ func TestAssessmentPathsAgree(t *testing.T) {
 // TestDefinition4Metamorphic checks three properties of Definition 4's
 // verdicts on pathGen's seeded schemas, at the seed's v:
 //
-//   - permuting the schema order passed to NewScoper changes no verdict;
+//   - permuting the schema order passed to NewScoperContext changes no verdict;
 //   - in the default AnyModel mode, where one accepting foreign model makes
 //     an element linkable, adding one more schema only adds linkable
 //     verdicts to the others (not asserted for AllModels, where the new
@@ -180,6 +180,33 @@ func TestDefinition4Metamorphic(t *testing.T) {
 	}
 	if grown == 0 || relaxed == 0 {
 		t.Fatalf("vacuous generator: %d verdicts gained from an added schema, %d from relaxation", grown, relaxed)
+	}
+}
+
+// TestAssessNeverUsesOwnModel checks Definition 4's rule that a schema is
+// never assessed against its own model, whose self-reconstruction
+// trivially succeeds: for every schema of every bundled dataset, passing
+// AssessContext and AssessDeltaStateContext all models, its own included,
+// gives the verdicts of passing only the others.
+func TestAssessNeverUsesOwnModel(t *testing.T) {
+	ctx := context.Background()
+	pipe := New(WithDimension(96))
+	for _, d := range []*Dataset{DatasetFigure1(), DatasetOC3(), DatasetOC3FO(), DatasetSourceToTarget()} {
+		models := make([]*Model, len(d.Schemas))
+		for i, s := range d.Schemas {
+			models[i] = must(pipe.TrainModelContext(ctx, s, 0.3))
+		}
+		for i, s := range d.Schemas {
+			what := d.Name + "/" + s.Name
+			others := append(append([]*Model(nil), models[:i]...), models[i+1:]...)
+			want := must(pipe.AssessContext(ctx, s, others))
+			sameVerdicts(t, must(pipe.AssessContext(ctx, s, models)), want, what+": AssessContext")
+			got, _, err := pipe.AssessDeltaStateContext(ctx, s, models, t.TempDir())
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			sameVerdicts(t, got, want, what+": AssessDeltaStateContext")
+		}
 	}
 }
 

@@ -1,13 +1,12 @@
 package collabscope
 
 // Evolving-schema support (DESIGN.md §15): incremental model maintenance
-// across CLI invocations. UpdateModel keeps one schema's training state —
-// its signature rows — in a state directory, applies each schema revision
-// as a diff, and refits only when the rows changed, on the pipeline's
-// workers. AssessDeltaState keeps
-// per-foreign-model score columns in the same directory, so re-assessing
-// after one peer republishes re-scores only against the model that
-// actually changed.
+// across CLI invocations. UpdateModelContext keeps one schema's training
+// state — its signature rows — in a state directory, applies each schema
+// revision as a diff, and refits only when the rows changed, on the
+// pipeline's workers. AssessDeltaStateContext keeps per-foreign-model score
+// columns in the same directory, so re-assessing after one peer
+// republishes re-scores only against the model that actually changed.
 
 import (
 	"context"
@@ -37,17 +36,12 @@ type ModelUpdate struct {
 // element×model passes were re-scored versus reused.
 type DeltaReport = core.DeltaReport
 
-// UpdateModel incrementally retrains the schema's model at explained
-// variance v, persisting the training state in stateDir. The first call
-// performs a full fit; later calls diff the schema against the maintained
-// state and refit only when it changed. The result matches a from-scratch
-// TrainModel bit-for-bit at any element count. Fits run on the pipeline's
-// workers with the same bits at any count.
-func (p *Pipeline) UpdateModel(s *Schema, v float64, stateDir string) (*ModelUpdate, error) {
-	return p.UpdateModelContext(context.Background(), s, v, stateDir)
-}
-
-// UpdateModelContext is UpdateModel with cancellation.
+// UpdateModelContext incrementally retrains the schema's model at
+// explained variance v, persisting the training state in stateDir. The
+// first call performs a full fit; later calls diff the schema against the
+// maintained state and refit only when it changed. The result matches a
+// from-scratch TrainModelContext bit-for-bit at any element count. Fits run
+// on the pipeline's workers with the same bits at any count.
 func (p *Pipeline) UpdateModelContext(ctx context.Context, s *Schema, v float64, stateDir string) (*ModelUpdate, error) {
 	ctx, sp := obs.Start(p.obsContext(ctx), "pipeline.update")
 	defer sp.End()
@@ -87,17 +81,14 @@ func (p *Pipeline) UpdateModelContext(ctx context.Context, s *Schema, v float64,
 	return up, nil
 }
 
-// AssessDeltaState is Assess with a cross-invocation delta cache in
-// stateDir: per-foreign-model score columns persist between runs, keyed by
-// the model's content fingerprint and the local signatures', so only
-// models that actually changed since the last run are re-scored. Verdicts
-// are identical to Assess — the report proves the saved work.
-func (p *Pipeline) AssessDeltaState(s *Schema, foreign []*Model, stateDir string) (map[ElementID]bool, DeltaReport, error) {
-	return p.AssessDeltaStateContext(context.Background(), s, foreign, stateDir)
-}
-
-// AssessDeltaStateContext is AssessDeltaState with cancellation.
-func (p *Pipeline) AssessDeltaStateContext(ctx context.Context, s *Schema, foreign []*Model, stateDir string) (map[ElementID]bool, DeltaReport, error) {
+// AssessDeltaStateContext is AssessContext with a cross-invocation delta
+// cache in stateDir: per-foreign-model score columns persist between runs,
+// keyed by the model's content fingerprint and the local signatures', so
+// only models that actually changed since the last run are re-scored.
+// Verdicts are identical to AssessContext, which also skips the schema's
+// own model — the report proves the saved work.
+func (p *Pipeline) AssessDeltaStateContext(ctx context.Context, s *Schema, models []*Model, stateDir string) (map[ElementID]bool, DeltaReport, error) {
+	foreign := foreignModels(models, s.Name)
 	ctx, sp := obs.Start(p.obsContext(ctx), "pipeline.assess_delta")
 	sp.Annotate("models", int64(len(foreign)))
 	defer sp.End()

@@ -2,6 +2,7 @@ package collabscope
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,7 +21,7 @@ func modelBytes(t *testing.T, m *Model) []byte {
 // TestUpdateModelIncrementalLifecycle drives `collabscope update`'s engine
 // through a schema's evolution: first run is a full fit, later runs apply
 // diffs against the persisted state — and every round's model is
-// byte-identical on the wire to a from-scratch TrainModel of the same
+// byte-identical on the wire to a from-scratch TrainModelContext of the same
 // schema revision. It runs at 64 dimensions, far more than the schema's
 // elements, and at 4, fewer; at both the state cell on disk holds the
 // rows alone, no scatter.
@@ -55,14 +56,14 @@ func updateLifecycle(t *testing.T, dim int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := pipe.UpdateModel(rev1, v, dir)
+	up, err := pipe.UpdateModelContext(context.Background(), rev1, v, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if up.Resumed || up.Version != 1 || up.Added == 0 || up.Removed != 0 {
 		t.Fatalf("first update: %+v, want fresh full fit at version 1", up)
 	}
-	want, err := pipe.TrainModel(rev1, v)
+	want, err := pipe.TrainModelContext(context.Background(), rev1, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func updateLifecycle(t *testing.T, dim int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up2, err := pipe.UpdateModel(rev2, v, dir)
+	up2, err := pipe.UpdateModelContext(context.Background(), rev2, v, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func updateLifecycle(t *testing.T, dim int) {
 	if up2.Added == 0 || up2.Removed == 0 {
 		t.Fatalf("second update delta %+v, want both additions and removals", up2)
 	}
-	want2, err := pipe.TrainModel(rev2, v)
+	want2, err := pipe.TrainModelContext(context.Background(), rev2, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func updateLifecycle(t *testing.T, dim int) {
 	noScatter("second update")
 
 	// Unchanged schema: a no-op diff, same version, same model.
-	up3, err := pipe.UpdateModel(rev2, v, dir)
+	up3, err := pipe.UpdateModelContext(context.Background(), rev2, v, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func updateLifecycle(t *testing.T, dim int) {
 }
 
 // TestAssessDeltaStateMatchesAssess pins `assess -delta`: verdicts equal
-// plain Assess, and the second run over unchanged models reuses every
+// plain AssessContext, and the second run over unchanged models reuses every
 // persisted score column.
 func TestAssessDeltaStateMatchesAssess(t *testing.T) {
 	fig := DatasetFigure1()
@@ -123,15 +124,15 @@ func TestAssessDeltaStateMatchesAssess(t *testing.T) {
 	local := fig.Schemas[0]
 	var foreign []*Model
 	for _, s := range fig.Schemas[1:] {
-		m, err := pipe.TrainModel(s, v)
+		m, err := pipe.TrainModelContext(context.Background(), s, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		foreign = append(foreign, m)
 	}
-	want := pipe.Assess(local, foreign)
+	want := must(pipe.AssessContext(context.Background(), local, foreign))
 
-	got, rep, err := pipe.AssessDeltaState(local, foreign, dir)
+	got, rep, err := pipe.AssessDeltaStateContext(context.Background(), local, foreign, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestAssessDeltaStateMatchesAssess(t *testing.T) {
 		}
 	}
 
-	got, rep, err = pipe.AssessDeltaState(local, foreign, dir)
+	got, rep, err = pipe.AssessDeltaStateContext(context.Background(), local, foreign, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

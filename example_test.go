@@ -1,6 +1,7 @@
 package collabscope_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -35,13 +36,17 @@ func Example() {
 	}
 
 	pipe := collabscope.New()
-	res, err := pipe.CollaborativeScope([]*collabscope.Schema{crm, shop, racing}, 0.5)
+	ctx := context.Background()
+	res, err := pipe.CollaborativeScopeContext(ctx, []*collabscope.Schema{crm, shop, racing}, 0.5)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("kept %d of %d elements\n", res.Kept, res.Kept+res.Pruned)
 
-	pairs := pipe.Match(collabscope.NewLSHMatcher(1), res.Streamlined)
+	pairs, err := pipe.MatchContext(ctx, collabscope.NewLSHMatcher(1), res.Streamlined)
+	if err != nil {
+		panic(err)
+	}
 	for _, p := range pairs {
 		fmt.Printf("%s ~ %s\n", p.A, p.B)
 	}
@@ -55,21 +60,25 @@ func Example() {
 	// crm.orders.order_id ~ shop.purchases.purchase_id
 }
 
-// ExamplePipeline_TrainModel shows the distributed workflow: one party
-// trains a model, the other assesses against it — no schema elements are
-// exchanged.
-func ExamplePipeline_TrainModel() {
+// ExamplePipeline_TrainModelContext shows the distributed workflow: one
+// party trains a model, the other assesses against it — no schema elements
+// are exchanged.
+func ExamplePipeline_TrainModelContext() {
 	fig := collabscope.DatasetFigure1()
 	pipe := collabscope.New()
+	ctx := context.Background()
 
 	// S2 trains locally and publishes only {mean, components, range}.
-	model, err := pipe.TrainModel(fig.Schemas[1], 0.5)
+	model, err := pipe.TrainModelContext(ctx, fig.Schemas[1], 0.5)
 	if err != nil {
 		panic(err)
 	}
 
 	// S1 assesses its elements against S2's model.
-	verdicts := pipe.Assess(fig.Schemas[0], []*collabscope.Model{model})
+	verdicts, err := pipe.AssessContext(ctx, fig.Schemas[0], []*collabscope.Model{model})
+	if err != nil {
+		panic(err)
+	}
 	var linkable []string
 	for id, ok := range verdicts {
 		if ok {
@@ -87,7 +96,10 @@ func ExamplePipeline_TrainModel() {
 func ExampleEvaluateMatch() {
 	fig := collabscope.DatasetFigure1()
 	pipe := collabscope.New()
-	pairs := pipe.Match(collabscope.NewSimMatcher(0.8), fig.Schemas)
+	pairs, err := pipe.MatchContext(context.Background(), collabscope.NewSimMatcher(0.8), fig.Schemas)
+	if err != nil {
+		panic(err)
+	}
 	eval := collabscope.EvaluateMatch(pairs, fig.Truth, fig.Schemas)
 	fmt.Printf("PQ=%.2f PC=%.2f\n", eval.PQ, eval.PC)
 	// Output:

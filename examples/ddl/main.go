@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -67,6 +68,7 @@ func main() {
 	schemas := []*collabscope.Schema{crm, shop, racing}
 
 	pipe := collabscope.New()
+	ctx := context.Background()
 
 	// The distributed workflow: each party trains its own model at the
 	// agreed variance and shares ONLY the model (mean, components,
@@ -74,22 +76,18 @@ func main() {
 	const variance = 0.5 // small schemas warrant a lower variance
 	models := make([]*collabscope.Model, len(schemas))
 	for i, s := range schemas {
-		models[i], err = pipe.TrainModel(s, variance)
+		models[i], err = pipe.TrainModelContext(ctx, s, variance)
 		check(err)
 		fmt.Printf("%s: trained local model with %d components, range %.4g\n",
 			s.Name, models[i].Components(), models[i].Range)
 	}
 	fmt.Println()
 
-	// Each party assesses its own schema against the others' models.
-	for i, s := range schemas {
-		foreign := make([]*collabscope.Model, 0, len(models)-1)
-		for j, m := range models {
-			if j != i {
-				foreign = append(foreign, m)
-			}
-		}
-		verdict := pipe.Assess(s, foreign)
+	// Each party assesses its own schema against the others' models;
+	// AssessContext skips the model trained on the schema itself.
+	for _, s := range schemas {
+		verdict, err := pipe.AssessContext(ctx, s, models)
+		check(err)
 		streamlined := s.Subset(verdict)
 		fmt.Printf("%s: %d -> %d elements after linkability assessment\n",
 			s.Name, s.NumElements(), streamlined.NumElements())

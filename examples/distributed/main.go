@@ -39,7 +39,7 @@ type party struct {
 	ln      net.Listener
 }
 
-func newParty(s *collabscope.Schema, variance float64) (*party, error) {
+func newParty(ctx context.Context, s *collabscope.Schema, variance float64) (*party, error) {
 	p := &party{metrics: collabscope.NewMetrics()}
 	p.schema = s
 	p.pipe = collabscope.New(
@@ -57,11 +57,11 @@ func newParty(s *collabscope.Schema, variance float64) (*party, error) {
 		collabscope.WithMetrics(p.metrics),
 	)
 	var err error
-	p.model, err = p.pipe.TrainModel(s, variance)
+	p.model, err = p.pipe.TrainModelContext(ctx, s, variance)
 	if err != nil {
 		return nil, err
 	}
-	handler, err := collabscope.NewModelServer(p.model)
+	handler, err := collabscope.NewScopingServer(collabscope.WithServerModels(p.model))
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func (p *party) shutdown() { _ = p.srv.Close() }
 // (dead hubs included — that is the point) and assess its own schema
 // locally, returning each assessor's sorted keep-list and any reported
 // peer failures.
-func assessRound(assessors, all []*party) (map[string][]string, map[string][]collabscope.PeerError) {
+func assessRound(ctx context.Context, assessors, all []*party) (map[string][]string, map[string][]collabscope.PeerError) {
 	kept := map[string][]string{}
 	failures := map[string][]collabscope.PeerError{}
 	for _, p := range assessors {
@@ -94,7 +94,7 @@ func assessRound(assessors, all []*party) (map[string][]string, map[string][]col
 				peers = append(peers, peer.url())
 			}
 		}
-		res, err := p.pipe.AssessRemote(context.Background(), p.schema, peers)
+		res, err := p.pipe.AssessRemote(ctx, p.schema, peers)
 		check(err)
 		kept[p.schema.Name] = keepList(res.Verdicts)
 		failures[p.schema.Name] = res.Failed
@@ -116,11 +116,12 @@ func keepList(verdicts map[collabscope.ElementID]bool) []string {
 func main() {
 	fig := collabscope.DatasetFigure1()
 	const variance = 0.3 // tiny toy schemas need a low variance
+	ctx := context.Background()
 
 	// Spin up one party per schema.
 	parties := make([]*party, len(fig.Schemas))
 	for i, s := range fig.Schemas {
-		p, err := newParty(s, variance)
+		p, err := newParty(ctx, s, variance)
 		check(err)
 		parties[i] = p
 		fmt.Printf("%s serving its model at %s/v1/models (%d components, range %.4g)\n",
@@ -133,7 +134,7 @@ func main() {
 	}()
 
 	fmt.Println("\n--- round 1: all parties up ---")
-	round1, failures1 := assessRound(parties, parties)
+	round1, failures1 := assessRound(ctx, parties, parties)
 	for _, name := range sortedKeys(round1) {
 		fmt.Printf("%s assessed linkable: %v\n", name, round1[name])
 		if len(failures1[name]) > 0 {
@@ -148,19 +149,20 @@ func main() {
 	fmt.Printf("\n--- %s killed; round 2: survivors assess without it ---\n", dead.schema.Name)
 
 	survivors := parties[:len(parties)-1]
-	round2, failures2 := assessRound(survivors, parties)
+	round2, failures2 := assessRound(ctx, survivors, parties)
 
 	// Baseline: what each survivor would decide assessing in-process
-	// against the surviving models only (no network at all).
+	// against the surviving models only (no network at all);
+	// AssessContext skips the survivor's own model.
+	var surviving []*collabscope.Model
+	for _, p := range survivors {
+		surviving = append(surviving, p.model)
+	}
 	exitCode := 0
 	for _, p := range survivors {
-		var foreign []*collabscope.Model
-		for _, peer := range survivors {
-			if peer != p {
-				foreign = append(foreign, peer.model)
-			}
-		}
-		want := keepList(p.pipe.Assess(p.schema, foreign))
+		verdicts, err := p.pipe.AssessContext(ctx, p.schema, surviving)
+		check(err)
+		want := keepList(verdicts)
 		name := p.schema.Name
 		fmt.Printf("%s assessed linkable: %v\n", name, round2[name])
 		for _, pe := range failures2[name] {

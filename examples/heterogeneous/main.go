@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"collabscope"
@@ -17,6 +18,7 @@ import (
 func main() {
 	ocfo := collabscope.DatasetOC3FO()
 	pipe := collabscope.New()
+	ctx := context.Background()
 
 	matchers := []collabscope.Matcher{
 		collabscope.NewSimMatcher(0.8),
@@ -29,7 +31,7 @@ func main() {
 
 	// How much of the Formula One schema survives scoping?
 	const variance = 0.85
-	res, err := pipe.CollaborativeScope(ocfo.Schemas, variance)
+	res, err := pipe.CollaborativeScopeContext(ctx, ocfo.Schemas, variance)
 	if err != nil {
 		panic(err)
 	}
@@ -49,11 +51,16 @@ func main() {
 	// Ablation: each matcher on the original vs streamlined schemas.
 	fmt.Printf("%-12s %-12s %7s %7s %7s %7s %7s\n",
 		"matcher", "input", "PQ", "PC", "F1", "RR", "pairs")
+	evaluate := func(m collabscope.Matcher, schemas []*collabscope.Schema) collabscope.MatchEval {
+		pairs, err := pipe.MatchContext(ctx, m, schemas)
+		if err != nil {
+			panic(err)
+		}
+		return collabscope.EvaluateMatch(pairs, ocfo.Truth, ocfo.Schemas)
+	}
 	for _, m := range matchers {
-		sota := collabscope.EvaluateMatch(pipe.Match(m, ocfo.Schemas), ocfo.Truth, ocfo.Schemas)
-		scoped := collabscope.EvaluateMatch(pipe.Match(m, res.Streamlined), ocfo.Truth, ocfo.Schemas)
-		printEval(m.Name(), "original", sota)
-		printEval(m.Name(), "streamlined", scoped)
+		printEval(m.Name(), "original", evaluate(m, ocfo.Schemas))
+		printEval(m.Name(), "streamlined", evaluate(m, res.Streamlined))
 	}
 }
 

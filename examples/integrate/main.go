@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"collabscope"
@@ -16,16 +17,20 @@ import (
 func main() {
 	fig := collabscope.DatasetFigure1()
 	pipe := collabscope.New()
+	ctx := context.Background()
 
 	// 1. Scope: prune unlinkable elements (the CAR schema, DOB, …).
-	res, err := pipe.CollaborativeScope(fig.Schemas, 0.3)
+	res, err := pipe.CollaborativeScopeContext(ctx, fig.Schemas, 0.3)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("scoping kept %d of %d elements\n", res.Kept, res.Kept+res.Pruned)
 
 	// 2. Match the streamlined schemas.
-	pairs := pipe.Match(collabscope.NewSimMatcher(0.55), res.Streamlined)
+	pairs, err := pipe.MatchContext(ctx, collabscope.NewSimMatcher(0.55), res.Streamlined)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("matcher generated %d linkage candidates\n\n", len(pairs))
 
 	// 3. Derive the mediated schema from the linkage clusters.

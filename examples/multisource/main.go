@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"collabscope"
@@ -16,6 +17,7 @@ func main() {
 	oc3 := collabscope.DatasetOC3()
 	labels := oc3.Labels()
 	pipe := collabscope.New()
+	ctx := context.Background()
 
 	fmt.Println("OC3: three vendor schemas, 160 elements, 79 linkable")
 	fmt.Println()
@@ -23,7 +25,7 @@ func main() {
 	// Global scoping (prior work): one outlier detector over the unified
 	// signature set, keeping the lowest-scoring fraction p.
 	for _, p := range []float64{0.5, 0.7, 0.9} {
-		res, err := pipe.GlobalScope(oc3.Schemas, collabscope.NewPCADetector(0.5), p)
+		res, err := pipe.GlobalScopeContext(ctx, oc3.Schemas, collabscope.NewPCADetector(0.5), p)
 		if err != nil {
 			panic(err)
 		}
@@ -34,7 +36,7 @@ func main() {
 	// Collaborative scoping: per-schema encoder-decoders, assessed
 	// mutually; the explained variance v is the only shared knob.
 	for _, v := range []float64{0.9, 0.75, 0.5} {
-		res, err := pipe.CollaborativeScope(oc3.Schemas, v)
+		res, err := pipe.CollaborativeScopeContext(ctx, oc3.Schemas, v)
 		if err != nil {
 			panic(err)
 		}

@@ -16,6 +16,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -25,6 +26,7 @@ import (
 
 func main() {
 	fig := collabscope.DatasetFigure1()
+	ctx := context.Background()
 
 	// An instrumented pipeline: metrics registry + JSONL trace log.
 	metrics := collabscope.NewMetrics()
@@ -34,7 +36,7 @@ func main() {
 		collabscope.WithMetrics(metrics),
 		collabscope.WithTraceLog(&trace),
 	)
-	res, err := pipe.CollaborativeScope(fig.Schemas, 0.3)
+	res, err := pipe.CollaborativeScopeContext(ctx, fig.Schemas, 0.3)
 	check(err)
 	fmt.Printf("scoped %d schemas: kept %d elements, pruned %d\n\n",
 		len(fig.Schemas), res.Kept, res.Pruned)
@@ -61,7 +63,7 @@ func main() {
 	// (the zero-cost fast path — no registry, no allocations) produces
 	// identical verdicts.
 	plain, err := collabscope.New(collabscope.WithDimension(384)).
-		CollaborativeScope(fig.Schemas, 0.3)
+		CollaborativeScopeContext(ctx, fig.Schemas, 0.3)
 	check(err)
 	if plain.Kept != res.Kept || plain.Pruned != res.Pruned {
 		fmt.Println("ERROR: instrumented and plain runs diverged")

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"collabscope"
@@ -17,6 +18,7 @@ func main() {
 	fig := collabscope.DatasetFigure1()
 
 	pipe := collabscope.New()
+	ctx := context.Background()
 
 	// Phase I-III of collaborative scoping in one call: every schema
 	// trains a local encoder-decoder at the shared explained variance and
@@ -25,7 +27,7 @@ func main() {
 	// shared variance must be low; real schemas (see the multisource
 	// example) work well at v ∈ [0.6, 0.95].
 	const variance = 0.3
-	res, err := pipe.CollaborativeScope(fig.Schemas, variance)
+	res, err := pipe.CollaborativeScopeContext(ctx, fig.Schemas, variance)
 	if err != nil {
 		panic(err)
 	}
@@ -44,9 +46,14 @@ func main() {
 
 	// Matching the streamlined schemas produces far fewer false linkages
 	// than matching the originals.
-	matcher := collabscope.NewLSHMatcher(2)
-	sota := collabscope.EvaluateMatch(pipe.Match(matcher, fig.Schemas), fig.Truth, fig.Schemas)
-	scoped := collabscope.EvaluateMatch(pipe.Match(matcher, res.Streamlined), fig.Truth, fig.Schemas)
+	evaluate := func(schemas []*collabscope.Schema) collabscope.MatchEval {
+		pairs, err := pipe.MatchContext(ctx, collabscope.NewLSHMatcher(2), schemas)
+		if err != nil {
+			panic(err)
+		}
+		return collabscope.EvaluateMatch(pairs, fig.Truth, fig.Schemas)
+	}
+	sota, scoped := evaluate(fig.Schemas), evaluate(res.Streamlined)
 
 	fmt.Printf("\nmatching with %s:\n", "LSH(2)")
 	fmt.Printf("  original schemas:    PQ=%.2f PC=%.2f F1=%.2f RR=%.2f\n",

@@ -71,7 +71,7 @@ func main() {
 	ctx := context.Background()
 	models := make([]*collabscope.Model, len(fig.Schemas))
 	for i, s := range fig.Schemas {
-		models[i], err = seeder.TrainModel(s, variance)
+		models[i], err = seeder.TrainModelContext(ctx, s, variance)
 		check(err)
 		check(seeder.UploadModel(ctx, fleet[0].url(), "", models[i]))
 	}

@@ -20,7 +20,7 @@ import (
 
 func ocfoEncoded(b *testing.B) *experiments.Encoded {
 	b.Helper()
-	return experiments.Encode(benchConfig(), datasets.OC3FO())
+	return must(experiments.Encode(context.Background(), benchConfig(), datasets.OC3FO()))
 }
 
 func BenchmarkHotPathMatcherComposite(b *testing.B) {
@@ -28,7 +28,7 @@ func BenchmarkHotPathMatcherComposite(b *testing.B) {
 	m := match.Composite{Threshold: 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		match.MatchAll(m, enc.Sets)
+		must(match.MatchAllContext(context.Background(), 0, m, enc.Sets))
 	}
 }
 
@@ -37,7 +37,7 @@ func BenchmarkHotPathMatcherSim(b *testing.B) {
 	m := match.Sim{Threshold: 0.6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		match.MatchAll(m, enc.Sets)
+		must(match.MatchAllContext(context.Background(), 0, m, enc.Sets))
 	}
 }
 
@@ -46,7 +46,7 @@ func BenchmarkHotPathDetectorLOF(b *testing.B) {
 	det := outlier.LOF{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := det.ScoresContext(context.Background(), 1, enc.Union.Matrix); err != nil {
+		if _, err := det.Scores(context.Background(), 1, enc.Union.Matrix); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkHotPathDetectorKNN(b *testing.B) {
 	det := outlier.KNNDistance{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := det.ScoresContext(context.Background(), 1, enc.Union.Matrix); err != nil {
+		if _, err := det.Scores(context.Background(), 1, enc.Union.Matrix); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkHotPathDetectorAutoencoder(b *testing.B) {
 	det := outlier.Autoencoder{Models: 1, Epochs: 5, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := det.ScoresContext(context.Background(), 1, enc.Union.Matrix); err != nil {
+		if _, err := det.Scores(context.Background(), 1, enc.Union.Matrix); err != nil {
 			b.Fatal(err)
 		}
 	}

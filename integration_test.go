@@ -2,6 +2,7 @@ package collabscope
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func TestOC3EndToEnd(t *testing.T) {
 	oc3 := DatasetOC3()
 	pipe := New(WithDimension(256))
 
-	res, err := pipe.CollaborativeScope(oc3.Schemas, 0.85)
+	res, err := pipe.CollaborativeScopeContext(context.Background(), oc3.Schemas, 0.85)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +41,8 @@ func TestOC3EndToEnd(t *testing.T) {
 
 	// Matching the streamlined schemas beats the originals on PQ.
 	matcher := NewLSHMatcher(5)
-	sota := EvaluateMatch(pipe.Match(matcher, oc3.Schemas), oc3.Truth, oc3.Schemas)
-	scoped := EvaluateMatch(pipe.Match(matcher, res.Streamlined), oc3.Truth, oc3.Schemas)
+	sota := EvaluateMatch(must(pipe.MatchContext(context.Background(), matcher, oc3.Schemas)), oc3.Truth, oc3.Schemas)
+	scoped := EvaluateMatch(must(pipe.MatchContext(context.Background(), matcher, res.Streamlined)), oc3.Truth, oc3.Schemas)
 	if scoped.PQ <= sota.PQ {
 		t.Errorf("scoped PQ %.3f should beat SOTA %.3f", scoped.PQ, sota.PQ)
 	}
@@ -58,14 +59,14 @@ func TestModelExchangeMatchesInProcessScoping(t *testing.T) {
 	pipe := New(WithDimension(192))
 	const v = 0.4
 
-	direct, err := pipe.CollaborativeScope(fig.Schemas, v)
+	direct, err := pipe.CollaborativeScopeContext(context.Background(), fig.Schemas, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	models := make([]*Model, len(fig.Schemas))
 	for i, s := range fig.Schemas {
-		m, err := pipe.TrainModel(s, v)
+		m, err := pipe.TrainModelContext(context.Background(), s, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestModelExchangeMatchesInProcessScoping(t *testing.T) {
 				foreign = append(foreign, m)
 			}
 		}
-		for id, verdict := range pipe.Assess(s, foreign) {
+		for id, verdict := range must(pipe.AssessContext(context.Background(), s, foreign)) {
 			if direct.Keep[id] != verdict {
 				t.Fatalf("verdict for %v differs: direct %v vs exchanged %v",
 					id, direct.Keep[id], verdict)
@@ -107,7 +108,7 @@ func TestCollaborativeScopeInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		v := 0.05 + r.Float64()*0.9
-		a, err := pipe.CollaborativeScope(fig.Schemas, v)
+		a, err := pipe.CollaborativeScopeContext(context.Background(), fig.Schemas, v)
 		if err != nil {
 			return false
 		}
@@ -119,7 +120,7 @@ func TestCollaborativeScopeInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		b, err := pipe.CollaborativeScope(fig.Schemas, v)
+		b, err := pipe.CollaborativeScopeContext(context.Background(), fig.Schemas, v)
 		if err != nil {
 			return false
 		}
@@ -147,7 +148,7 @@ func TestGlobalScopeCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := r.Float64()
-		res, err := pipe.GlobalScope(fig.Schemas, det, p)
+		res, err := pipe.GlobalScopeContext(context.Background(), fig.Schemas, det, p)
 		if err != nil {
 			return false
 		}

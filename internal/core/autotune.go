@@ -8,7 +8,7 @@ import (
 	"collabscope/internal/parallel"
 )
 
-// SuggestVariance proposes an explained-variance setting without any
+// SuggestVarianceContext proposes an explained-variance setting without any
 // linkability labels — an extension addressing the paper's open point that
 // "the ideal value for v is unknown and varies between the matching
 // scenarios" (§3).
@@ -20,15 +20,11 @@ import (
 // Figure 5-6 sweeps). The suggestion is the grid point just BEFORE the
 // steepest jump — the last setting on the discriminative side of the
 // cliff, which lands inside the paper's productive band.
-func (s *Scoper) SuggestVariance(grid []float64) (float64, error) {
-	return s.SuggestVarianceContext(context.Background(), grid)
-}
-
-// SuggestVarianceContext is SuggestVariance with cancellation. The grid
-// points — each a full per-schema training and assessment round — fan out
-// over the Scoper's worker pool; the kept-count curve is assembled in
-// descending-grid order, so the suggestion is identical for any worker
-// count.
+//
+// The grid points — each a full per-schema training and assessment
+// round — fan out over the Scoper's worker pool; the kept-count curve is
+// assembled in descending-grid order, so the suggestion is identical for
+// any worker count.
 func (s *Scoper) SuggestVarianceContext(ctx context.Context, grid []float64) (float64, error) {
 	if len(grid) < 3 {
 		return 0, fmt.Errorf("core: need at least 3 grid points, got %d", len(grid))

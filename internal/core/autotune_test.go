@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"collabscope/internal/datasets"
@@ -10,8 +11,8 @@ import (
 
 func TestSuggestVarianceValidation(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, _ := NewScoper(sets)
-	if _, err := s.SuggestVariance([]float64{0.5, 0.6}); err == nil {
+	s, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
+	if _, err := s.SuggestVarianceContext(context.Background(), []float64{0.5, 0.6}); err == nil {
 		t.Fatal("short grid should fail")
 	}
 }
@@ -22,13 +23,13 @@ func TestSuggestVarianceValidation(t *testing.T) {
 func TestSuggestVarianceLandsInProductiveBand(t *testing.T) {
 	for _, d := range []*datasets.Dataset{datasets.OC3(), datasets.OC3FO()} {
 		enc := embed.NewHashEncoder(embed.WithDim(256))
-		sets := embed.EncodeSchemas(enc, d.Schemas)
-		scoper, err := NewScoper(sets)
+		sets := must(embed.EncodeSchemasContext(context.Background(), 0, enc, d.Schemas))
+		scoper, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		grid := []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.01}
-		suggested, err := scoper.SuggestVariance(grid)
+		suggested, err := scoper.SuggestVarianceContext(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestSuggestVarianceLandsInProductiveBand(t *testing.T) {
 
 		labels := d.Labels()
 		f1At := func(v float64) float64 {
-			keep, err := scoper.Scope(v)
+			keep, err := scoper.ScopeContext(context.Background(), v)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -254,25 +254,14 @@ type AssessConfig struct {
 	RelaxEpsilon float64
 }
 
-// Assess runs Algorithm 2: the local schema's signatures are reconstructed
-// by every foreign model; elements whose reconstruction error falls within
-// a foreign model's linkability range are linkable. The result maps each
-// local element to its linkability verdict.
-func Assess(local *embed.SignatureSet, foreign []*Model) map[schema.ElementID]bool {
-	return AssessWith(local, foreign, AssessConfig{})
-}
-
-// AssessWith is Assess with explicit configuration.
-func AssessWith(local *embed.SignatureSet, foreign []*Model, cfg AssessConfig) map[schema.ElementID]bool {
-	verdict, _ := AssessContext(context.Background(), 0, local, foreign, cfg)
-	return verdict
-}
-
-// AssessContext is AssessWith with cancellation and an explicit worker
-// count (≤ 0 means GOMAXPROCS). The element-by-foreign-model error passes —
-// the |S|·|M| term of the paper's complexity analysis — fan out per model;
-// verdicts are folded sequentially in model order, so the result is
-// identical for any worker count.
+// AssessContext runs Algorithm 2: the local schema's signatures are
+// reconstructed by every foreign model; elements whose reconstruction
+// error falls within a foreign model's linkability range are linkable. The
+// result maps each local element to its linkability verdict. The
+// element-by-foreign-model error passes — the |S|·|M| term of the paper's
+// complexity analysis — fan out per model on up to workers goroutines
+// (≤ 0 means GOMAXPROCS); verdicts are folded sequentially in model order,
+// so the result is identical for any worker count.
 func AssessContext(ctx context.Context, workers int, local *embed.SignatureSet, foreign []*Model, cfg AssessConfig) (map[schema.ElementID]bool, error) {
 	ctx, sp := obs.Start(ctx, "core.assess")
 	sp.Annotate("elements", int64(local.Len()))
@@ -308,13 +297,18 @@ var scratchPool = sync.Pool{New: func() any { return new(linalg.PCAScratch) }}
 // every model. Each row's error depends on that row alone (DESIGN.md §11),
 // so the columns are bit-identical for any worker count, row batch or
 // cache state; the report counts the element×model passes rescored and
-// reused.
+// reused. A model trained at another signature width than x is refused
+// with embed.ErrDimMismatch before any pass runs.
 func Columns(ctx context.Context, workers int, x *linalg.Dense, foreign []*Model, cache ColumnCache) ([][]float64, DeltaReport, error) {
 	var rep DeltaReport
 	n := x.Rows()
 	errs := make([][]float64, len(foreign))
 	misses := make([]int, 0, len(foreign))
 	for k, m := range foreign {
+		if m.Dim() != x.Cols() {
+			return nil, rep, fmt.Errorf("core: model of schema %q has dimension %d, signatures have %d: %w",
+				m.Schema, m.Dim(), x.Cols(), embed.ErrDimMismatch)
+		}
 		if cache != nil {
 			col, ok, err := cache.Column(m)
 			if err != nil {
@@ -425,23 +419,13 @@ type Scoper struct {
 	delta *deltaCache
 }
 
-// NewScoper prepares collaborative scoping over the schemas' signature
-// sets. Every set must be non-empty.
-func NewScoper(sets []*embed.SignatureSet) (*Scoper, error) {
-	return NewScoperWith(sets, AssessConfig{})
-}
-
-// NewScoperWith is NewScoper with explicit assessment configuration.
-func NewScoperWith(sets []*embed.SignatureSet, cfg AssessConfig) (*Scoper, error) {
-	return NewScoperContext(context.Background(), 0, sets, cfg)
-}
-
-// NewScoperContext is NewScoperWith with cancellation and an explicit
-// worker count (≤ 0 means GOMAXPROCS). The per-schema decompositions fan
-// out over the pool, one worker each, and the worker count is remembered
-// for every subsequent training, refit and assessment round of this
-// Scoper. A schema holding a row whose squares overflow is refused (see
-// checkSquares).
+// NewScoperContext prepares collaborative scoping over the schemas'
+// signature sets with the given assessment configuration. Every set must
+// be non-empty. The worker count (≤ 0 means GOMAXPROCS) bounds the
+// per-schema decompositions, which fan out over the pool one worker each,
+// and is remembered for every subsequent training, refit and assessment
+// round of this Scoper. A schema holding a row whose squares overflow is
+// refused (see checkSquares).
 func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureSet, cfg AssessConfig) (*Scoper, error) {
 	if len(sets) < 2 {
 		return nil, fmt.Errorf("core: collaborative scoping needs ≥ 2 schemas, got %d", len(sets))
@@ -481,16 +465,10 @@ func NewScoperContext(ctx context.Context, workers int, sets []*embed.SignatureS
 	return s, nil
 }
 
-// Models returns the local models of all schemas at explained variance v.
-// Model construction is embarrassingly parallel — each schema trains
-// independently, as the paper's complexity analysis notes — so the work
-// fans out across schemas.
-func (s *Scoper) Models(v float64) ([]*Model, error) {
-	return s.ModelsContext(context.Background(), v)
-}
-
-// ModelsContext is Models with cancellation; the Scoper's worker count
-// bounds the fan-out.
+// ModelsContext returns the local models of all schemas at explained
+// variance v. Model construction is embarrassingly parallel — each schema
+// trains independently, as the paper's complexity analysis notes — so the
+// work fans out across schemas, bounded by the Scoper's worker count.
 func (s *Scoper) ModelsContext(ctx context.Context, v float64) ([]*Model, error) {
 	if v <= 0 || v > 1 {
 		return nil, fmt.Errorf("core: explained variance %v outside (0, 1]", v)
@@ -509,17 +487,12 @@ func (s *Scoper) ModelsContext(ctx context.Context, v float64) ([]*Model, error)
 	return models, nil
 }
 
-// Scope runs the full collaborative assessment at explained variance v and
-// returns the union keep-set over all schemas: every element any foreign
-// model recognises as linkable. Per-schema assessments run in parallel,
-// mirroring the paper's distributed execution model.
-func (s *Scoper) Scope(v float64) (map[schema.ElementID]bool, error) {
-	return s.ScopeContext(context.Background(), v)
-}
-
-// ScopeContext is Scope with cancellation; per-schema assessments fan out
-// over the Scoper's worker pool and the keep-set is folded in schema order,
-// so the result is identical for any worker count.
+// ScopeContext runs the full collaborative assessment at explained
+// variance v and returns the union keep-set over all schemas: every element
+// any foreign model recognises as linkable. Per-schema assessments fan out
+// over the Scoper's worker pool, mirroring the paper's distributed
+// execution model, and the keep-set is folded in schema order, so the
+// result is identical for any worker count.
 func (s *Scoper) ScopeContext(ctx context.Context, v float64) (map[schema.ElementID]bool, error) {
 	ctx, sp := obs.Start(ctx, "core.scope")
 	sp.Annotate("schemas", int64(len(s.states)))
@@ -555,15 +528,10 @@ func (s *Scoper) ScopeContext(ctx context.Context, v float64) (map[schema.Elemen
 	return keep, nil
 }
 
-// Sweep evaluates collaborative scoping over a grid of explained-variance
-// values against ground-truth labels, one confusion matrix per v.
-func (s *Scoper) Sweep(labels map[schema.ElementID]bool, grid []float64) ([]metrics.SweepEntry, error) {
-	return s.SweepContext(context.Background(), labels, grid)
-}
-
-// SweepContext is Sweep with cancellation between grid points. For
-// long-running sweeps that must survive a mid-run crash, see
-// SweepCheckpointedContext.
+// SweepContext evaluates collaborative scoping over a grid of
+// explained-variance values against ground-truth labels, one confusion
+// matrix per v, with cancellation between grid points. For long-running
+// sweeps that must survive a mid-run crash, see SweepCheckpointedContext.
 func (s *Scoper) SweepContext(ctx context.Context, labels map[schema.ElementID]bool, grid []float64) ([]metrics.SweepEntry, error) {
 	return s.SweepCheckpointedContext(ctx, labels, grid, nil, "")
 }
@@ -571,8 +539,8 @@ func (s *Scoper) SweepContext(ctx context.Context, labels map[schema.ElementID]b
 // Evaluate computes the Table-4 AUC summary of collaborative scoping over
 // the grid. Unlike global scoping there is no continuous score: the ROC and
 // PR observations come from the v sweep itself.
-func (s *Scoper) Evaluate(labels map[schema.ElementID]bool, grid []float64, rocLambda float64) (metrics.SweepSummary, error) {
-	entries, err := s.Sweep(labels, grid)
+func (s *Scoper) Evaluate(ctx context.Context, labels map[schema.ElementID]bool, grid []float64, rocLambda float64) (metrics.SweepSummary, error) {
+	entries, err := s.SweepContext(ctx, labels, grid)
 	if err != nil {
 		return metrics.SweepSummary{}, err
 	}

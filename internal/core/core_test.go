@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"collabscope/internal/embed"
+	"collabscope/internal/parallel"
 	"collabscope/internal/schema"
 )
 
@@ -60,11 +64,20 @@ func testSchemas() []*schema.Schema {
 	return []*schema.Schema{s1, s2, s3}
 }
 
+// must unwraps a (value, error) pair, panicking on error so each call
+// stays one expression.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func encodeAll(t *testing.T) ([]*schema.Schema, []*embed.SignatureSet) {
 	t.Helper()
 	schemas := testSchemas()
 	enc := embed.NewHashEncoder(embed.WithDim(128))
-	return schemas, embed.EncodeSchemas(enc, schemas)
+	return schemas, must(embed.EncodeSchemasContext(context.Background(), 0, enc, schemas))
 }
 
 func TestTrainValidation(t *testing.T) {
@@ -111,7 +124,7 @@ func TestAssessPrunesCrossDomain(t *testing.T) {
 
 	// The racing schema assessed against the two order-customer models:
 	// most of its elements must be unlinkable.
-	verdictRacing := Assess(sets[2], []*Model{m1, m2})
+	verdictRacing := must(AssessContext(context.Background(), 0, sets[2], []*Model{m1, m2}, AssessConfig{}))
 	kept := 0
 	for _, linkable := range verdictRacing {
 		if linkable {
@@ -126,12 +139,12 @@ func TestAssessPrunesCrossDomain(t *testing.T) {
 	// Which borderline element passes depends on the retained subspace —
 	// NAME bridges at v=0.7, PHONE needs the richer v=0.8 model (the
 	// paper's §4.3 discusses exactly this sensitivity).
-	verdict1 := Assess(sets[0], []*Model{m2})
+	verdict1 := must(AssessContext(context.Background(), 0, sets[0], []*Model{m2}, AssessConfig{}))
 	if !verdict1[schema.AttributeID("S1", "CLIENT", "NAME")] {
 		t.Error("S1.CLIENT.NAME should be assessed linkable by S2's v=0.7 model")
 	}
 	m2rich, _ := Train(sets[1], 0.8)
-	verdictRich := Assess(sets[0], []*Model{m2rich})
+	verdictRich := must(AssessContext(context.Background(), 0, sets[0], []*Model{m2rich}, AssessConfig{}))
 	if !verdictRich[schema.AttributeID("S1", "CLIENT", "PHONE")] {
 		t.Error("S1.CLIENT.PHONE should be assessed linkable by S2's v=0.8 model")
 	}
@@ -139,21 +152,21 @@ func TestAssessPrunesCrossDomain(t *testing.T) {
 
 func TestNewScoperValidation(t *testing.T) {
 	_, sets := encodeAll(t)
-	if _, err := NewScoper(sets[:1]); err == nil {
+	if _, err := NewScoperContext(context.Background(), 0, sets[:1], AssessConfig{}); err == nil {
 		t.Fatal("single schema should fail")
 	}
-	if _, err := NewScoper([]*embed.SignatureSet{sets[0], {}}); err == nil {
+	if _, err := NewScoperContext(context.Background(), 0, []*embed.SignatureSet{sets[0], {}}, AssessConfig{}); err == nil {
 		t.Fatal("empty set should fail")
 	}
-	if _, err := NewScoper(sets); err != nil {
+	if _, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestScoperModelsMatchDirectTraining(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, _ := NewScoper(sets)
-	models, err := s.Models(0.6)
+	s, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
+	models, err := s.ModelsContext(context.Background(), 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +180,7 @@ func TestScoperModelsMatchDirectTraining(t *testing.T) {
 			t.Fatalf("schema %d: range %v vs %v", i, m.Range, direct.Range)
 		}
 	}
-	if _, err := s.Models(0); err == nil {
+	if _, err := s.ModelsContext(context.Background(), 0); err == nil {
 		t.Fatal("v=0 should fail")
 	}
 }
@@ -176,9 +189,9 @@ func TestScopePrunesMoreAtHigherVariance(t *testing.T) {
 	// Higher v → tighter local models → fewer linkable elements (the
 	// paper's Reduction Ratio trend).
 	_, sets := encodeAll(t)
-	s, _ := NewScoper(sets)
+	s, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	count := func(v float64) int {
-		keep, err := s.Scope(v)
+		keep, err := s.ScopeContext(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +211,8 @@ func TestScopePrunesMoreAtHigherVariance(t *testing.T) {
 
 func TestScopeSeparatesDomains(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, _ := NewScoper(sets)
-	keep, err := s.Scope(0.7)
+	s, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
+	keep, err := s.ScopeContext(context.Background(), 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +239,10 @@ func TestScopeSeparatesDomains(t *testing.T) {
 
 func TestAllModelsStricterThanAnyModel(t *testing.T) {
 	_, sets := encodeAll(t)
-	any, _ := NewScoperWith(sets, AssessConfig{Mode: AnyModel})
-	all, _ := NewScoperWith(sets, AssessConfig{Mode: AllModels})
-	keepAny, _ := any.Scope(0.5)
-	keepAll, _ := all.Scope(0.5)
+	any, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{Mode: AnyModel})
+	all, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{Mode: AllModels})
+	keepAny, _ := any.ScopeContext(context.Background(), 0.5)
+	keepAll, _ := all.ScopeContext(context.Background(), 0.5)
 	for id, ok := range keepAll {
 		if ok && !keepAny[id] {
 			t.Fatalf("%v kept by AllModels but not AnyModel", id)
@@ -239,10 +252,10 @@ func TestAllModelsStricterThanAnyModel(t *testing.T) {
 
 func TestRelaxEpsilonKeepsSuperset(t *testing.T) {
 	_, sets := encodeAll(t)
-	strict, _ := NewScoper(sets)
-	relaxed, _ := NewScoperWith(sets, AssessConfig{RelaxEpsilon: 0.5})
-	keepStrict, _ := strict.Scope(0.6)
-	keepRelaxed, _ := relaxed.Scope(0.6)
+	strict, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
+	relaxed, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{RelaxEpsilon: 0.5})
+	keepStrict, _ := strict.ScopeContext(context.Background(), 0.6)
+	keepRelaxed, _ := relaxed.ScopeContext(context.Background(), 0.6)
 	for id, ok := range keepStrict {
 		if ok && !keepRelaxed[id] {
 			t.Fatalf("%v kept strictly but lost under relaxation", id)
@@ -282,7 +295,7 @@ func TestLinkableFold(t *testing.T) {
 
 func TestSweepAndEvaluate(t *testing.T) {
 	schemas, sets := encodeAll(t)
-	s, _ := NewScoper(sets)
+	s, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	// Ground truth: order-customer elements linkable, racing unlinkable.
 	labels := map[schema.ElementID]bool{}
 	for _, sch := range schemas {
@@ -291,14 +304,14 @@ func TestSweepAndEvaluate(t *testing.T) {
 		}
 	}
 	grid := []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.0}
-	entries, err := s.Sweep(labels, grid)
+	entries, err := s.SweepContext(context.Background(), labels, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != len(grid) {
 		t.Fatalf("entries = %d", len(entries))
 	}
-	sum, err := s.Evaluate(labels, grid, 0.001)
+	sum, err := s.Evaluate(context.Background(), labels, grid, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +326,7 @@ func TestSweepAndEvaluate(t *testing.T) {
 
 func TestPassOperations(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, _ := NewScoper(sets)
+	s, _ := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	total := 0
 	for _, set := range sets {
 		total += set.Len()
@@ -357,16 +370,42 @@ func TestTrainFixedComponents(t *testing.T) {
 
 func TestNewScoperDimensionMismatch(t *testing.T) {
 	_, sets := encodeAll(t)
-	other := embed.EncodeSchema(embed.NewHashEncoder(embed.WithDim(64)), testSchemas()[1])
-	if _, err := NewScoper([]*embed.SignatureSet{sets[0], other}); err == nil {
+	other := must(embed.EncodeSchemaContext(context.Background(), 0, embed.NewHashEncoder(embed.WithDim(64)), testSchemas()[1]))
+	if _, err := NewScoperContext(context.Background(), 0, []*embed.SignatureSet{sets[0], other}, AssessConfig{}); err == nil {
 		t.Fatal("dimension mismatch should fail")
+	}
+}
+
+// TestColumnsRefusesModelOfAnotherDimension pins the guard of the one
+// Algorithm 2 engine: a foreign model trained at another signature width
+// is refused with embed.ErrDimMismatch, naming its schema and both widths,
+// before any reconstruction pass — not recovered as a PanicError from
+// inside one, which would read as a bug in stage code.
+func TestColumnsRefusesModelOfAnotherDimension(t *testing.T) {
+	_, sets := encodeAll(t)
+	narrow := must(embed.EncodeSchemaContext(context.Background(), 0, embed.NewHashEncoder(embed.WithDim(64)), testSchemas()[1]))
+	m := must(Train(narrow, 0.8))
+	for _, workers := range []int{1, 4} {
+		_, err := AssessContext(context.Background(), workers, sets[0], []*Model{m}, AssessConfig{})
+		if !errors.Is(err, embed.ErrDimMismatch) {
+			t.Fatalf("workers=%d: err = %v, want embed.ErrDimMismatch", workers, err)
+		}
+		var pe *parallel.PanicError
+		if errors.As(err, &pe) {
+			t.Fatalf("workers=%d: the mismatch surfaced as a recovered panic: %v", workers, err)
+		}
+		for _, want := range []string{`"S2"`, "64", "128"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("workers=%d: %q does not name %s", workers, err, want)
+			}
+		}
 	}
 }
 
 func BenchmarkTrain(b *testing.B) {
 	schemas := testSchemas()
 	enc := embed.NewHashEncoder()
-	set := embed.EncodeSchema(enc, schemas[0])
+	set := must(embed.EncodeSchemaContext(context.Background(), 0, enc, schemas[0]))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Train(set, 0.7); err != nil {
@@ -378,11 +417,11 @@ func BenchmarkTrain(b *testing.B) {
 func BenchmarkAssess(b *testing.B) {
 	schemas := testSchemas()
 	enc := embed.NewHashEncoder()
-	sets := embed.EncodeSchemas(enc, schemas)
+	sets := must(embed.EncodeSchemasContext(context.Background(), 0, enc, schemas))
 	m1, _ := Train(sets[1], 0.7)
 	m2, _ := Train(sets[2], 0.7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Assess(sets[0], []*Model{m1, m2})
+		must(AssessContext(context.Background(), 0, sets[0], []*Model{m1, m2}, AssessConfig{}))
 	}
 }

@@ -66,16 +66,16 @@ func sameVerdicts(t *testing.T, got, want map[schema.ElementID]bool, what string
 // to scope to the same verdicts.
 func matchesFresh(t *testing.T, s *Scoper, what string, vs ...float64) {
 	t.Helper()
-	fresh, err := NewScoper(s.Sets())
+	fresh, err := NewScoperContext(context.Background(), 0, s.Sets(), AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range vs {
-		mi, err := s.Models(v)
+		mi, err := s.ModelsContext(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mf, err := fresh.Models(v)
+		mf, err := fresh.ModelsContext(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +85,11 @@ func matchesFresh(t *testing.T, s *Scoper, what string, vs ...float64) {
 					what, v, k, mi[k].Range, mi[k].Components(), mf[k].Range, mf[k].Components())
 			}
 		}
-		ki, err := s.Scope(v)
+		ki, err := s.ScopeContext(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kf, err := fresh.Scope(v)
+		kf, err := fresh.ScopeContext(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestScoperIncrementalMatchesFromScratch(t *testing.T) {
 		incRandSet(rng, "S1", 11, d, 0.1),
 		incRandSet(rng, "S2", 8, d, 0.7),
 	}
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestScoperIncrementalStatsPath(t *testing.T) {
 		incRandSet(rng, "S0", 20, d, 0.4),
 		incRandSet(rng, "S1", 18, d, 0.2),
 	}
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestAssessDeltaMatchesScope(t *testing.T) {
 		incRandSet(rng, "S2", 9, d, 0.8),
 		incRandSet(rng, "S3", 11, d, 0.3),
 	}
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestScoperMutationErrors(t *testing.T) {
 		incRandSet(rng, "S0", 6, d, 0.4),
 		incRandSet(rng, "S1", 5, d, 0.1),
 	}
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,14 +312,14 @@ func TestScoperMutationErrors(t *testing.T) {
 	// A rejected refit (non-finite added rows) rolls the scoper back.
 	bad := renameElements(incRandSet(rng, "S0", 2, d, 0.4), "_bad")
 	bad.Matrix.Set(0, 0, math.NaN())
-	before, err := s.Scope(0.9)
+	before, err := s.ScopeContext(context.Background(), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddElements(0, bad); err == nil {
 		t.Fatal("non-finite add accepted")
 	}
-	after, err := s.Scope(0.9)
+	after, err := s.ScopeContext(context.Background(), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,15 +334,15 @@ func TestScoperMutationErrors(t *testing.T) {
 	if err := s.AddElements(0, renameElements(incRandSet(rng, "S0", 3, d, 0.4), "_ok")); err != nil {
 		t.Fatalf("valid add after rejected ones: %v", err)
 	}
-	fresh, err := NewScoper(s.Sets())
+	fresh, err := NewScoperContext(context.Background(), 0, s.Sets(), AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Scope(0.9)
+	got, err := s.ScopeContext(context.Background(), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Scope(0.9)
+	want, err := fresh.ScopeContext(context.Background(), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,12 +363,12 @@ func hugeRow(name string, d int) *embed.SignatureSet {
 // sets: the same verdicts, or the same error.
 func scopesLikeFresh(t *testing.T, s *Scoper, what string) {
 	t.Helper()
-	fresh, err := NewScoper(s.Sets())
+	fresh, err := NewScoperContext(context.Background(), 0, s.Sets(), AssessConfig{})
 	if err != nil {
 		t.Fatalf("%s: fresh scoper: %v", what, err)
 	}
-	got, err := s.Scope(0.9)
-	want, werr := fresh.Scope(0.9)
+	got, err := s.ScopeContext(context.Background(), 0.9)
+	want, werr := fresh.ScopeContext(context.Background(), 0.9)
 	if werr != nil {
 		if err == nil || err.Error() != werr.Error() {
 			t.Fatalf("%s: scope error %v, a fresh scoper's %v", what, err, werr)
@@ -392,10 +392,10 @@ func refusesRow(t *testing.T, err error, id schema.ElementID, what string) {
 // TestScoperRefusesOverflowingRows pins the Scoper against a finite but
 // huge row, 1e200·(j+1): it passes every finiteness check, yet its centred
 // squares overflow, so the fit would publish a +Inf linkability range,
-// which fails every Scope of the corpus. NewScoper and AddElements refuse
-// it by name before anything changes, below d and at n ≥ d. Rows whose
-// raw squares, summed over several rows, overflow, but whose centred ones
-// do not, are accepted.
+// which fails every Scope of the corpus. NewScoperContext and AddElements
+// refuse it by name before anything changes, below d and at n ≥ d. Rows
+// whose raw squares, summed over several rows, overflow, but whose centred
+// ones do not, are accepted.
 func TestScoperRefusesOverflowingRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := 8
@@ -403,10 +403,10 @@ func TestScoperRefusesOverflowingRows(t *testing.T) {
 	huge := hugeRow("S0", d)
 	hugeID := huge.IDs[0]
 
-	_, err := NewScoper([]*embed.SignatureSet{appendSet(s0, huge), s1})
-	refusesRow(t, err, hugeID, "NewScoper")
+	_, err := NewScoperContext(context.Background(), 0, []*embed.SignatureSet{appendSet(s0, huge), s1}, AssessConfig{})
+	refusesRow(t, err, hugeID, "NewScoperContext")
 
-	s, err := NewScoper([]*embed.SignatureSet{s0, s1})
+	s, err := NewScoperContext(context.Background(), 0, []*embed.SignatureSet{s0, s1}, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestScoperRefusesOverflowingRows(t *testing.T) {
 		}
 		return set
 	}
-	s, err = NewScoper([]*embed.SignatureSet{near("S0", 3), incRandSet(rng, "S1", 4, 2, 0.1)})
+	s, err = NewScoperContext(context.Background(), 0, []*embed.SignatureSet{near("S0", 3), incRandSet(rng, "S1", 4, 2, 0.1)}, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestScoperFailedRefitChangesNothing(t *testing.T) {
 
 	// One tiny row fits; five do not.
 	rng := rand.New(rand.NewSource(1))
-	s, err := NewScoper([]*embed.SignatureSet{tiny(rng, "", 1), incRandSet(rng, "S1", 3, d, 0.1)})
+	s, err := NewScoperContext(context.Background(), 0, []*embed.SignatureSet{tiny(rng, "", 1), incRandSet(rng, "S1", 3, d, 0.1)}, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestScoperFailedRefitChangesNothing(t *testing.T) {
 	// Three tiny rows and an ordinary one fit; the tiny rows alone do not.
 	rng = rand.New(rand.NewSource(1))
 	s0 := appendSet(tiny(rng, "", 3), renameElements(incRandSet(rng, "S0", 1, d, 0.3), "_ok"))
-	if s, err = NewScoper([]*embed.SignatureSet{s0, incRandSet(rng, "S1", 3, d, 0.1)}); err != nil {
+	if s, err = NewScoperContext(context.Background(), 0, []*embed.SignatureSet{s0, incRandSet(rng, "S1", 3, d, 0.1)}, AssessConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	before = s.states[0]

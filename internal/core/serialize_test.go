@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -31,8 +32,8 @@ func TestModelJSONRoundTrip(t *testing.T) {
 			back.Components(), back.Range, m.Components(), m.Range)
 	}
 	// The round-tripped model must give identical verdicts.
-	orig := Assess(sets[0], []*Model{m})
-	rt := Assess(sets[0], []*Model{back})
+	orig := must(AssessContext(context.Background(), 0, sets[0], []*Model{m}, AssessConfig{}))
+	rt := must(AssessContext(context.Background(), 0, sets[0], []*Model{back}, AssessConfig{}))
 	for id, v := range orig {
 		if rt[id] != v {
 			t.Fatalf("verdict for %v changed after round trip", id)

@@ -22,11 +22,6 @@ type CellStore interface {
 	Save(key string, v any) error
 }
 
-// SweepCheckpointed is SweepCheckpointedContext with context.Background().
-func (s *Scoper) SweepCheckpointed(labels map[schema.ElementID]bool, grid []float64, store CellStore, prefix string) ([]metrics.SweepEntry, error) {
-	return s.SweepCheckpointedContext(context.Background(), labels, grid, store, prefix)
-}
-
 // SweepCheckpointedContext runs the explained-variance grid sweep with
 // per-cell checkpointing: every computed cell is persisted under
 // "<prefix>/v=<value>" before the next cell starts, and a resumed run

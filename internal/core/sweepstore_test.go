@@ -48,11 +48,11 @@ func (s *trackingStore) Save(key string, v any) error {
 
 func TestSweepCheckpointedMatchesPlainSweep(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := s.Sweep(nil, sweepGrid)
+	plain, err := s.SweepContext(context.Background(), nil, sweepGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSweepCheckpointedMatchesPlainSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := s.SweepCheckpointed(nil, sweepGrid, store, "test/dim=128")
+	ckpt, err := s.SweepCheckpointedContext(context.Background(), nil, sweepGrid, store, "test/dim=128")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSweepCheckpointedMatchesPlainSweep(t *testing.T) {
 	}
 	// A second run over the populated store is all hits, no recomputation.
 	tr := &trackingStore{inner: store}
-	again, err := s.SweepCheckpointed(nil, sweepGrid, tr, "test/dim=128")
+	again, err := s.SweepCheckpointedContext(context.Background(), nil, sweepGrid, tr, "test/dim=128")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestSweepCheckpointedMatchesPlainSweep(t *testing.T) {
 // bit-identical to an uninterrupted sweep.
 func TestSweepKilledMidRunResumesBitIdentical(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uninterrupted, err := s.Sweep(nil, sweepGrid)
+	uninterrupted, err := s.SweepContext(context.Background(), nil, sweepGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSweepKilledMidRunResumesBitIdentical(t *testing.T) {
 // recomputed, and the final entries are still bit-identical.
 func TestSweepRecomputesCorruptedCheckpoint(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSweepRecomputesCorruptedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := s.SweepCheckpointed(nil, sweepGrid, store, "test/dim=128")
+	full, err := s.SweepCheckpointedContext(context.Background(), nil, sweepGrid, store, "test/dim=128")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSweepRecomputesCorruptedCheckpoint(t *testing.T) {
 	}
 
 	tr := &trackingStore{inner: store}
-	again, err := s.SweepCheckpointed(nil, sweepGrid, tr, "test/dim=128")
+	again, err := s.SweepCheckpointedContext(context.Background(), nil, sweepGrid, tr, "test/dim=128")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSweepRecomputesCorruptedCheckpoint(t *testing.T) {
 // written under one prefix are never hits under another.
 func TestSweepPrefixIsolatesConfigurations(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestSweepPrefixIsolatesConfigurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SweepCheckpointed(nil, sweepGrid, store, "oc3/dim=128"); err != nil {
+	if _, err := s.SweepCheckpointedContext(context.Background(), nil, sweepGrid, store, "oc3/dim=128"); err != nil {
 		t.Fatal(err)
 	}
 	tr := &trackingStore{inner: store}
-	if _, err := s.SweepCheckpointed(nil, sweepGrid, tr, "oc3/dim=256"); err != nil {
+	if _, err := s.SweepCheckpointedContext(context.Background(), nil, sweepGrid, tr, "oc3/dim=256"); err != nil {
 		t.Fatal(err)
 	}
 	if tr.hits != 0 {
@@ -215,11 +215,11 @@ func TestSweepPrefixIsolatesConfigurations(t *testing.T) {
 
 func TestSweepSkipsNonPositiveGridPoints(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := s.Sweep(nil, []float64{0.5, 0, -1})
+	entries, err := s.SweepContext(context.Background(), nil, []float64{0.5, 0, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,13 +232,13 @@ func TestSweepSkipsNonPositiveGridPoints(t *testing.T) {
 // contract; changing it would orphan every existing checkpoint directory.
 func TestSweepCellKeyFormat(t *testing.T) {
 	_, sets := encodeAll(t)
-	s, err := NewScoper(sets)
+	s, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := map[string]bool{}
 	rec := recordingStore{keys: keys}
-	if _, err := s.SweepCheckpointed(nil, []float64{0.85}, rec, "oc3/dim=128/collab"); err != nil {
+	if _, err := s.SweepCheckpointedContext(context.Background(), nil, []float64{0.85}, rec, "oc3/dim=128/collab"); err != nil {
 		t.Fatal(err)
 	}
 	if !keys["oc3/dim=128/collab/v=0.85"] {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -44,7 +45,7 @@ func TestTrainFixedComponentsNamesNonFiniteElement(t *testing.T) {
 func TestNewScoperRejectsPoisonedSchemaByName(t *testing.T) {
 	_, sets := encodeAll(t)
 	poison(sets[2], 1, 3)
-	_, err := NewScoper(sets)
+	_, err := NewScoperContext(context.Background(), 0, sets, AssessConfig{})
 	if !errors.Is(err, linalg.ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}

@@ -44,9 +44,9 @@ const DefaultDim = 768
 // The contract is batch-first so remote backends (internal/encoder) can
 // amortise round trips: one call encodes a whole schema. Implementations
 // must return exactly len(texts) vectors of exactly Dim() entries each —
-// EncodeSchema* validates this at pipeline ingress and rejects violations
-// with ErrDimMismatch — and must be deterministic: the same texts yield
-// bit-identical signatures on every call, at any concurrency.
+// EncodeElementsContext validates this at pipeline ingress and rejects
+// violations with ErrDimMismatch — and must be deterministic: the same
+// texts yield bit-identical signatures on every call, at any concurrency.
 type Encoder interface {
 	// EncodeBatch returns one signature per text, in input order.
 	EncodeBatch(ctx context.Context, texts []string) ([][]float64, error)

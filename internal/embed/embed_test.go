@@ -11,6 +11,15 @@ import (
 	"collabscope/internal/schema"
 )
 
+// must unwraps a (value, error) pair, panicking on error so each call
+// stays one expression.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func cos(e TextEncoder, a, b string) float64 {
 	return linalg.CosineSimilarity(e.Encode(a), e.Encode(b))
 }
@@ -179,7 +188,7 @@ func testSchema() *schema.Schema {
 
 func TestEncodeSchema(t *testing.T) {
 	e := NewHashEncoder(WithDim(64))
-	set := EncodeSchema(e, testSchema())
+	set := must(EncodeSchemaContext(context.Background(), 0, e, testSchema()))
 	if set.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", set.Len())
 	}
@@ -204,7 +213,7 @@ func TestUnionAndFilters(t *testing.T) {
 			Attributes: []schema.Attribute{{Name: "CUSTOMER_ID", Type: schema.TypeNumber}},
 		}},
 	}).Normalize()
-	sets := EncodeSchemas(e, []*schema.Schema{s1, s2})
+	sets := must(EncodeSchemasContext(context.Background(), 0, e, []*schema.Schema{s1, s2}))
 	u := Union(sets)
 	if u.Len() != 5 {
 		t.Fatalf("union Len = %d, want 5", u.Len())
@@ -226,7 +235,7 @@ func TestUnionAndFilters(t *testing.T) {
 	}
 }
 
-// encodeSchemaWithSamples is EncodeSchema with attribute serialisations
+// encodeSchemaWithSamples is EncodeSchemaContext with attribute serialisations
 // that include instance value samples (§2.3 enrichment variant). The paper
 // shows this enrichment helps some pairs and hurts others, and reduces
 // matching effectiveness overall.
@@ -254,8 +263,8 @@ func TestInstanceSampleEnrichment(t *testing.T) {
 		},
 	}}}).Normalize()
 
-	plain1 := EncodeSchema(e, s1)
-	plain2 := EncodeSchema(e, s2)
+	plain1 := must(EncodeSchemaContext(context.Background(), 0, e, s1))
+	plain2 := must(EncodeSchemaContext(context.Background(), 0, e, s2))
 	rich1 := encodeSchemaWithSamples(e, s1)
 	rich2 := encodeSchemaWithSamples(e, s2)
 
@@ -292,7 +301,7 @@ func TestEncodeSchemaWithSamplesNoSamples(t *testing.T) {
 	// Without samples the two encodings are identical.
 	e := NewHashEncoder(WithDim(64))
 	s := testSchema()
-	a := EncodeSchema(e, s)
+	a := must(EncodeSchemaContext(context.Background(), 0, e, s))
 	b := encodeSchemaWithSamples(e, s)
 	if linalg.MaxAbsDiff(a.Matrix, b.Matrix) != 0 {
 		t.Fatal("sample-less encodings should be identical")

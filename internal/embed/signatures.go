@@ -10,12 +10,13 @@ import (
 	"collabscope/internal/schema"
 )
 
-// ErrDimMismatch reports an Encoder that violated the batch contract:
-// a signature whose length differs from the encoder's declared Dim(), or a
-// batch with a vector count differing from the text count. Caught at
-// EncodeSchema* ingress — before the mismatch can silently truncate or
-// zero-pad rows of the signature matrix and corrupt every downstream model.
-var ErrDimMismatch = errors.New("encoder violated its batch contract")
+// ErrDimMismatch reports signatures of the wrong shape: an Encoder that
+// violated the batch contract (a signature length other than Dim(), or a
+// vector count other than the text count), caught at EncodeElementsContext
+// ingress before it can truncate or zero-pad the signature matrix, or a
+// foreign model of another dimension, caught by core.Columns before any
+// reconstruction pass.
+var ErrDimMismatch = errors.New("signature dimension mismatch")
 
 // SignatureSet couples schema element identifiers with their signatures,
 // row i of Matrix belonging to IDs[i]. It is the S_k^v of the paper.
@@ -27,17 +28,11 @@ type SignatureSet struct {
 // Len returns the number of signatures.
 func (s *SignatureSet) Len() int { return len(s.IDs) }
 
-// EncodeSchema serialises every element of the schema (T^t for tables, T^a
-// for attributes) and encodes the sequences into a signature set — phase (I)
-// of collaborative scoping, lines 1-2 of Algorithm 1.
-func EncodeSchema(enc Encoder, s *schema.Schema) *SignatureSet { // lintobs:allow tests in core and embed encode their fixture schemas through it
-	set, _ := EncodeSchemaContext(context.Background(), 0, enc, s)
-	return set
-}
-
-// EncodeSchemaContext is EncodeSchema with cancellation and an explicit
-// worker count (≤ 0 means GOMAXPROCS). Per-element encoding fans out over
-// the pool; each worker writes its own signature row, so the result is
+// EncodeSchemaContext serialises every element of the schema (T^t for
+// tables, T^a for attributes) and encodes the sequences into a signature
+// set — phase (I) of collaborative scoping, lines 1-2 of Algorithm 1.
+// Per-element encoding fans out over up to workers goroutines (≤ 0 means
+// GOMAXPROCS); each worker writes its own signature row, so the result is
 // identical for any worker count.
 func EncodeSchemaContext(ctx context.Context, workers int, enc Encoder, s *schema.Schema) (*SignatureSet, error) {
 	return EncodeElementsContext(ctx, workers, enc, s.Elements())
@@ -87,15 +82,9 @@ func EncodeElementsContext(ctx context.Context, workers int, enc Encoder, els []
 	return &SignatureSet{IDs: ids, Matrix: m}, nil
 }
 
-// EncodeSchemas encodes each schema independently with the shared encoder.
-func EncodeSchemas(enc Encoder, schemas []*schema.Schema) []*SignatureSet {
-	out, _ := EncodeSchemasContext(context.Background(), 0, enc, schemas)
-	return out
-}
-
-// EncodeSchemasContext is EncodeSchemas with cancellation and an explicit
-// worker count. Schemas encode sequentially while their elements fan out,
-// keeping the pool saturated without nesting pools.
+// EncodeSchemasContext encodes each schema independently with the shared
+// encoder. Schemas encode sequentially while their elements fan out over
+// the worker pool, keeping it saturated without nesting pools.
 func EncodeSchemasContext(ctx context.Context, workers int, enc Encoder, schemas []*schema.Schema) ([]*SignatureSet, error) {
 	out := make([]*SignatureSet, len(schemas))
 	for i, s := range schemas {

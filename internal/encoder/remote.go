@@ -274,7 +274,7 @@ func (r *Remote) post(texts []string) (*EncodeResponse, error) {
 	}
 	r.reg.Counter("encoder.requests").Inc()
 	r.reg.Counter("encoder.texts").Add(int64(len(texts)))
-	body, err := r.client.Post(context.Background(), r.url, payload, maxResponseBody)
+	body, err := r.client.Post(context.Background(), r.url, payload, maxResponseBody) // lintobs:allow a coalesced batch serves several callers, so no one caller's context may cancel it
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package encoder
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"sync/atomic"
@@ -54,11 +53,7 @@ func (s *StubServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	s.requests.Add(1)
 	s.texts.Add(int64(len(req.Texts)))
-	ctx := r.Context()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	vectors, err := s.enc.EncodeBatch(ctx, req.Texts)
+	vectors, err := s.enc.EncodeBatch(r.Context(), req.Texts)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -83,7 +83,7 @@ func EncodeSource(enc embed.Encoder, src Source) (*embed.SignatureSet, error) {
 		seen[r.Key] = true
 		els[i] = schema.Element{ID: r.ID(), Text: r.Serialize()}
 	}
-	return embed.EncodeElementsContext(context.Background(), 0, enc, els)
+	return embed.EncodeElementsContext(context.Background(), 0, enc, els) // lintobs:allow the entity-resolution API takes no context
 }
 
 // Scope runs collaborative scoping over record sources at explained
@@ -98,11 +98,12 @@ func Scope(enc embed.Encoder, sources []Source, v float64) (map[schema.ElementID
 		}
 		sets[i] = set
 	}
-	scoper, err := core.NewScoper(sets)
+	ctx := context.Background() // lintobs:allow the entity-resolution API takes no context
+	scoper, err := core.NewScoperContext(ctx, 0, sets, core.AssessConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return scoper.Scope(v)
+	return scoper.ScopeContext(ctx, v)
 }
 
 // CandidatePair is a blocking candidate between records of two sources.

@@ -219,7 +219,7 @@ func NewServer(opts ...ServerOption) (*Server, error) {
 		drainDone:    make(chan struct{}),
 		delta:        newDeltaStore(cfg.reg),
 	}
-	s.computeCtx, s.computeCancel = context.WithCancel(context.Background())
+	s.computeCtx, s.computeCancel = context.WithCancel(context.Background()) // lintobs:allow the compute context outlives every request; a forced Drain cancels it
 	if cfg.registryDir != "" {
 		st, err := checkpoint.Open(cfg.registryDir)
 		if err != nil {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"collabscope/internal/core"
 	"collabscope/internal/embed"
 	"collabscope/internal/match"
@@ -49,17 +51,17 @@ type AblationSeries struct {
 // on the original schemas (SOTA) and on collaborative-scoping streamlined
 // schemas across the v grid. The Cartesian size of the ORIGINAL schemas is
 // the common RR denominator.
-func Figure7(cfg Config, enc *Encoded) ([]AblationSeries, error) {
-	return figure7(cfg, enc, cfg.Matchers())
+func Figure7(ctx context.Context, cfg Config, enc *Encoded) ([]AblationSeries, error) {
+	return figure7(ctx, cfg, enc, cfg.Matchers())
 }
 
 // Figure7Extended is Figure7 with the repository's extra matchers appended.
-func Figure7Extended(cfg Config, enc *Encoded) ([]AblationSeries, error) {
-	return figure7(cfg, enc, append(cfg.Matchers(), cfg.ExtraMatchers()...))
+func Figure7Extended(ctx context.Context, cfg Config, enc *Encoded) ([]AblationSeries, error) {
+	return figure7(ctx, cfg, enc, append(cfg.Matchers(), cfg.ExtraMatchers()...))
 }
 
-func figure7(cfg Config, enc *Encoded, matchers []match.Matcher) ([]AblationSeries, error) {
-	scoper, err := core.NewScoper(enc.Sets)
+func figure7(ctx context.Context, cfg Config, enc *Encoded, matchers []match.Matcher) ([]AblationSeries, error) {
+	scoper, err := core.NewScoperContext(ctx, 0, enc.Sets, core.AssessConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +71,7 @@ func figure7(cfg Config, enc *Encoded, matchers []match.Matcher) ([]AblationSeri
 	// matchers.
 	streamlined := make([][]*embed.SignatureSet, len(cfg.VGrid))
 	for i, v := range cfg.VGrid {
-		keep, err := scoper.Scope(v)
+		keep, err := scoper.ScopeContext(ctx, v)
 		if err != nil {
 			return nil, err
 		}
@@ -83,9 +85,16 @@ func figure7(cfg Config, enc *Encoded, matchers []match.Matcher) ([]AblationSeri
 	var out []AblationSeries
 	for _, m := range matchers {
 		series := AblationSeries{Matcher: m.Name()}
-		series.SOTA = match.Evaluate(match.MatchAll(m, enc.Sets), enc.Dataset.Truth, cartesian)
+		pairs, err := match.MatchAllContext(ctx, 0, m, enc.Sets)
+		if err != nil {
+			return nil, err
+		}
+		series.SOTA = match.Evaluate(pairs, enc.Dataset.Truth, cartesian)
 		for i, v := range cfg.VGrid {
-			pairs := match.MatchAll(m, streamlined[i])
+			pairs, err := match.MatchAllContext(ctx, 0, m, streamlined[i])
+			if err != nil {
+				return nil, err
+			}
 			series.V = append(series.V, v)
 			series.Evals = append(series.Evals, match.Evaluate(pairs, enc.Dataset.Truth, cartesian))
 		}
@@ -105,8 +114,8 @@ type MatcherComparison struct {
 
 // CompareMatchers condenses the (extended) ablation into one row per
 // matcher: SOTA versus the best streamlined setting.
-func CompareMatchers(cfg Config, enc *Encoded) ([]MatcherComparison, error) {
-	series, err := Figure7Extended(cfg, enc)
+func CompareMatchers(ctx context.Context, cfg Config, enc *Encoded) ([]MatcherComparison, error) {
+	series, err := Figure7Extended(ctx, cfg, enc)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -56,9 +57,9 @@ func (s *countingStore) Save(key string, v any) error {
 // to rows bit-identical to an uninterrupted, checkpoint-free run.
 func TestTable4KilledMidRunResumesBitIdentical(t *testing.T) {
 	cfg := FastConfig()
-	enc := Encode(cfg, datasets.OC3())
+	enc := must(Encode(context.Background(), cfg, datasets.OC3()))
 
-	uninterrupted, err := Table4(cfg, enc)
+	uninterrupted, err := Table4(context.Background(), cfg, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +71,14 @@ func TestTable4KilledMidRunResumesBitIdentical(t *testing.T) {
 	const survived = 4
 	killCfg := cfg
 	killCfg.Checkpoint = &killingStore{inner: store, remaining: survived}
-	if _, err := Table4(killCfg, enc); !errors.Is(err, errKilled) {
+	if _, err := Table4(context.Background(), killCfg, enc); !errors.Is(err, errKilled) {
 		t.Fatalf("killed run: err = %v, want the simulated kill", err)
 	}
 
 	counting := &countingStore{inner: store}
 	resumeCfg := cfg
 	resumeCfg.Checkpoint = counting
-	resumed, err := Table4(resumeCfg, enc)
+	resumed, err := Table4(context.Background(), resumeCfg, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +99,11 @@ func TestTable4KilledMidRunResumesBitIdentical(t *testing.T) {
 	shared := &countingStore{inner: store}
 	sharedCfg := cfg
 	sharedCfg.Checkpoint = shared
-	ckptCurves, err := CollaborativeCurves(sharedCfg, enc)
+	ckptCurves, err := CollaborativeCurves(context.Background(), sharedCfg, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainCurves, err := CollaborativeCurves(cfg, enc)
+	plainCurves, err := CollaborativeCurves(context.Background(), cfg, enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"collabscope/internal/core"
 	"collabscope/internal/datasets"
 	"collabscope/internal/embed"
@@ -19,17 +21,20 @@ type EncoderAblationPoint struct {
 // EncoderAblation evaluates collaborative scoping on a dataset across
 // encoder n-gram weights. Weight 0 disables lexical affinity entirely;
 // large weights drown the synonym channel.
-func EncoderAblation(cfg Config, d *datasets.Dataset, weights []float64) ([]EncoderAblationPoint, error) { // lintobs:allow the encoder-channel ablation of EXPERIMENTS.md; tests in experiments and the root package call it
+func EncoderAblation(ctx context.Context, cfg Config, d *datasets.Dataset, weights []float64) ([]EncoderAblationPoint, error) { // lintobs:allow the encoder-channel ablation of EXPERIMENTS.md; tests in experiments and the root package call it
 	labels := d.Labels()
 	out := make([]EncoderAblationPoint, 0, len(weights))
 	for _, w := range weights {
 		enc := embed.NewHashEncoder(embed.WithDim(cfg.Dim), embed.WithNgramWeight(w))
-		sets := embed.EncodeSchemas(enc, d.Schemas)
-		scoper, err := core.NewScoper(sets)
+		sets, err := embed.EncodeSchemasContext(ctx, 0, enc, d.Schemas)
 		if err != nil {
 			return nil, err
 		}
-		sum, err := scoper.Evaluate(labels, cfg.VGrid, cfg.ROCLambda)
+		scoper, err := core.NewScoperContext(ctx, 0, sets, core.AssessConfig{})
+		if err != nil {
+			return nil, err
+		}
+		sum, err := scoper.Evaluate(ctx, labels, cfg.VGrid, cfg.ROCLambda)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"collabscope/internal/linalg"
@@ -107,15 +108,17 @@ type Encoded struct {
 }
 
 // Encode prepares a dataset for the experiments.
-func Encode(cfg Config, d *datasets.Dataset) *Encoded {
-	enc := cfg.Encoder()
-	sets := embed.EncodeSchemas(enc, d.Schemas)
+func Encode(ctx context.Context, cfg Config, d *datasets.Dataset) (*Encoded, error) {
+	sets, err := embed.EncodeSchemasContext(ctx, 0, cfg.Encoder(), d.Schemas)
+	if err != nil {
+		return nil, err
+	}
 	return &Encoded{
 		Dataset: d,
 		Sets:    sets,
 		Union:   embed.Union(sets),
 		Labels:  d.Labels(),
-	}
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -153,14 +156,17 @@ func (c Config) ExtraDetectors() []outlier.Detector {
 
 // Table4Extended is Table4 with the repository's additional detectors
 // appended to the baseline suite.
-func Table4Extended(cfg Config, enc *Encoded) ([]Table4Row, error) {
-	rows, err := Table4(cfg, enc)
+func Table4Extended(ctx context.Context, cfg Config, enc *Encoded) ([]Table4Row, error) {
+	rows, err := Table4(ctx, cfg, enc)
 	if err != nil {
 		return nil, err
 	}
 	grid := scoping.Grid(cfg.PSteps)
 	for _, det := range cfg.ExtraDetectors() {
-		sum := scoping.Evaluate(det, enc.Union, enc.Labels, grid, cfg.ROCLambda)
+		sum, err := scoping.Evaluate(ctx, det, enc.Union, enc.Labels, grid, cfg.ROCLambda)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Table4Row{
 			Method: "Scoping+", ODA: det.Name(), Dataset: enc.Dataset.Name, Summary: sum,
 		})
@@ -170,20 +176,23 @@ func Table4Extended(cfg Config, enc *Encoded) ([]Table4Row, error) {
 
 // Table4 evaluates all scoping baselines and collaborative scoping on one
 // encoded dataset.
-func Table4(cfg Config, enc *Encoded) ([]Table4Row, error) {
+func Table4(ctx context.Context, cfg Config, enc *Encoded) ([]Table4Row, error) {
 	grid := scoping.Grid(cfg.PSteps)
 	var rows []Table4Row
 	for _, det := range cfg.Detectors() {
-		sum := scoping.Evaluate(det, enc.Union, enc.Labels, grid, cfg.ROCLambda)
+		sum, err := scoping.Evaluate(ctx, det, enc.Union, enc.Labels, grid, cfg.ROCLambda)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Table4Row{
 			Method: "Scoping", ODA: det.Name(), Dataset: enc.Dataset.Name, Summary: sum,
 		})
 	}
-	scoper, err := core.NewScoper(enc.Sets)
+	scoper, err := core.NewScoperContext(ctx, 0, enc.Sets, core.AssessConfig{})
 	if err != nil {
 		return nil, err
 	}
-	sweep, err := collabSweep(cfg, enc, scoper)
+	sweep, err := collabSweep(ctx, cfg, enc, scoper)
 	if err != nil {
 		return nil, err
 	}
@@ -199,9 +208,9 @@ func Table4(cfg Config, enc *Encoded) ([]Table4Row, error) {
 // encodes the dataset and signature dimensionality — everything a cell
 // depends on besides v — so Table4 and CollaborativeCurves share cells and
 // a store populated under one configuration can never poison another.
-func collabSweep(cfg Config, enc *Encoded, scoper *core.Scoper) ([]metrics.SweepEntry, error) {
+func collabSweep(ctx context.Context, cfg Config, enc *Encoded, scoper *core.Scoper) ([]metrics.SweepEntry, error) {
 	prefix := fmt.Sprintf("%s/dim=%d/collab", enc.Dataset.Name, cfg.Dim)
-	return scoper.SweepCheckpointed(enc.Labels, cfg.VGrid, cfg.Checkpoint, prefix)
+	return scoper.SweepCheckpointedContext(ctx, enc.Labels, cfg.VGrid, cfg.Checkpoint, prefix)
 }
 
 // BestScoping returns the scoping row with the highest AUC-PR (the paper's
@@ -236,8 +245,11 @@ type CurveSet struct {
 }
 
 // ScopingCurves produces the Figure 5/6 (a, c, e) series for one detector.
-func ScopingCurves(cfg Config, enc *Encoded, det outlier.Detector) CurveSet {
-	r := scoping.Rank(det, enc.Union)
+func ScopingCurves(ctx context.Context, cfg Config, enc *Encoded, det outlier.Detector) (CurveSet, error) {
+	r, err := scoping.RankContext(ctx, 0, det, enc.Union)
+	if err != nil {
+		return CurveSet{}, err
+	}
 	sweep := r.Sweep(enc.Labels, scoping.Grid(cfg.PSteps))
 	scores := r.LinkableScores()
 	labels := r.LabelsFor(enc.Labels)
@@ -248,16 +260,16 @@ func ScopingCurves(cfg Config, enc *Encoded, det outlier.Detector) CurveSet {
 		ROC:         roc,
 		PR:          metrics.PRFromScores(scores, labels),
 		ROCSmoothed: metrics.Monotone(roc),
-	}
+	}, nil
 }
 
 // CollaborativeCurves produces the Figure 5/6 (b, d, f) series.
-func CollaborativeCurves(cfg Config, enc *Encoded) (CurveSet, error) {
-	scoper, err := core.NewScoper(enc.Sets)
+func CollaborativeCurves(ctx context.Context, cfg Config, enc *Encoded) (CurveSet, error) {
+	scoper, err := core.NewScoperContext(ctx, 0, enc.Sets, core.AssessConfig{})
 	if err != nil {
 		return CurveSet{}, err
 	}
-	sweep, err := collabSweep(cfg, enc, scoper)
+	sweep, err := collabSweep(ctx, cfg, enc, scoper)
 	if err != nil {
 		return CurveSet{}, err
 	}
@@ -340,12 +352,12 @@ type Discussion struct {
 }
 
 // Discuss computes the Section-4.4 numbers for one encoded dataset.
-func Discuss(cfg Config, enc *Encoded) (Discussion, error) {
-	scoper, err := core.NewScoper(enc.Sets)
+func Discuss(ctx context.Context, cfg Config, enc *Encoded) (Discussion, error) {
+	scoper, err := core.NewScoperContext(ctx, 0, enc.Sets, core.AssessConfig{})
 	if err != nil {
 		return Discussion{}, err
 	}
-	keep, err := scoper.Scope(0.01)
+	keep, err := scoper.ScopeContext(ctx, 0.01)
 	if err != nil {
 		return Discussion{}, err
 	}

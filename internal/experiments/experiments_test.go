@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -23,6 +24,15 @@ import (
 // numbers hashes, with SHA-256, the little-endian float64 bits of a test's
 // computed numbers in the order they are added. Counts enter as float64.
 type numbers struct{ h hash.Hash }
+
+// must unwraps a (value, error) pair, panicking on error so each call
+// stays one expression.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func newNumbers() *numbers { return &numbers{h: sha256.New()} }
 
@@ -80,7 +90,7 @@ func (n *numbers) check(t *testing.T, want string) {
 func encodeBoth(t *testing.T) (Config, *Encoded, *Encoded) {
 	t.Helper()
 	cfg := FastConfig()
-	return cfg, Encode(cfg, datasets.OC3()), Encode(cfg, datasets.OC3FO())
+	return cfg, must(Encode(context.Background(), cfg, datasets.OC3())), must(Encode(context.Background(), cfg, datasets.OC3FO()))
 }
 
 func TestVarianceGrid(t *testing.T) {
@@ -101,11 +111,11 @@ func TestVarianceGrid(t *testing.T) {
 func TestTable4Claims(t *testing.T) {
 	cfg, oc3, ocfo := encodeBoth(t)
 
-	rowsOC3, err := Table4(cfg, oc3)
+	rowsOC3, err := Table4(context.Background(), cfg, oc3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsFO, err := Table4(cfg, ocfo)
+	rowsFO, err := Table4(context.Background(), cfg, ocfo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +181,14 @@ func TestDiscussionNumbers(t *testing.T) {
 	// 768-d regime.
 	cfg := FastConfig()
 	cfg.Dim = 384
-	oc3 := Encode(cfg, datasets.OC3())
-	ocfo := Encode(cfg, datasets.OC3FO())
+	oc3 := must(Encode(context.Background(), cfg, datasets.OC3()))
+	ocfo := must(Encode(context.Background(), cfg, datasets.OC3FO()))
 
-	d3, err := Discuss(cfg, oc3)
+	d3, err := Discuss(context.Background(), cfg, oc3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dfo, err := Discuss(cfg, ocfo)
+	dfo, err := Discuss(context.Background(), cfg, ocfo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +247,7 @@ func TestFigure3Histogram(t *testing.T) {
 
 func TestFigure56Curves(t *testing.T) {
 	cfg, oc3, _ := encodeBoth(t)
-	sc := ScopingCurves(cfg, oc3, cfg.Detectors()[3]) // PCA(v=0.5), the paper's best
+	sc := must(ScopingCurves(context.Background(), cfg, oc3, cfg.Detectors()[3])) // PCA(v=0.5), the paper's best
 	if len(sc.Sweep) != cfg.PSteps+1 {
 		t.Fatalf("scoping sweep = %d entries", len(sc.Sweep))
 	}
@@ -246,7 +256,7 @@ func TestFigure56Curves(t *testing.T) {
 	if last.Recall() != 1 {
 		t.Fatalf("scoping recall at p=1 = %v", last.Recall())
 	}
-	cc, err := CollaborativeCurves(cfg, oc3)
+	cc, err := CollaborativeCurves(context.Background(), cfg, oc3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +293,7 @@ func TestFigure56Curves(t *testing.T) {
 func TestFigure7Claims(t *testing.T) {
 	cfg, _, ocfo := encodeBoth(t)
 	cfg.VGrid = []float64{1.0, 0.9, 0.8, 0.6, 0.4, 0.2, 0.01}
-	series, err := Figure7(cfg, ocfo)
+	series, err := Figure7(context.Background(), cfg, ocfo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +369,7 @@ func TestFigure7Claims(t *testing.T) {
 
 func TestEncodeShapes(t *testing.T) {
 	cfg := FastConfig()
-	enc := Encode(cfg, datasets.Figure1())
+	enc := must(Encode(context.Background(), cfg, datasets.Figure1()))
 	if len(enc.Sets) != 4 {
 		t.Fatalf("sets = %d", len(enc.Sets))
 	}
@@ -373,7 +383,7 @@ func TestEncodeShapes(t *testing.T) {
 
 func TestScalability(t *testing.T) {
 	cfg := FastConfig()
-	points, err := Scalability(cfg, []int{2, 4, 6}, 1, 17)
+	points, err := Scalability(context.Background(), cfg, []int{2, 4, 6}, 1, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,12 +419,12 @@ func TestScalability(t *testing.T) {
 
 func TestTable4Extended(t *testing.T) {
 	cfg := FastConfig()
-	enc := Encode(cfg, datasets.OC3())
-	rows, err := Table4Extended(cfg, enc)
+	enc := must(Encode(context.Background(), cfg, datasets.OC3()))
+	rows, err := Table4Extended(context.Background(), cfg, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Table4(cfg, enc)
+	base, err := Table4(context.Background(), cfg, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,8 +445,8 @@ func TestTable4Extended(t *testing.T) {
 func TestFigure7Extended(t *testing.T) {
 	cfg := FastConfig()
 	cfg.VGrid = []float64{1.0, 0.6, 0.01}
-	enc := Encode(cfg, datasets.OC3())
-	series, err := Figure7Extended(cfg, enc)
+	enc := must(Encode(context.Background(), cfg, datasets.OC3()))
+	series, err := Figure7Extended(context.Background(), cfg, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +469,7 @@ func TestFigure7Extended(t *testing.T) {
 
 func TestHeterogeneity(t *testing.T) {
 	cfg := FastConfig()
-	points, err := Heterogeneity(cfg, HeterogeneityGrid(23))
+	points, err := Heterogeneity(context.Background(), cfg, HeterogeneityGrid(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +500,7 @@ func TestHeterogeneity(t *testing.T) {
 
 func TestEncoderAblation(t *testing.T) {
 	cfg := FastConfig()
-	points, err := EncoderAblation(cfg, datasets.OC3FO(), []float64{0, 0.35, 2.0})
+	points, err := EncoderAblation(context.Background(), cfg, datasets.OC3FO(), []float64{0, 0.35, 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,8 +528,8 @@ func TestEncoderAblation(t *testing.T) {
 func TestCompareMatchersAndHelpers(t *testing.T) {
 	cfg := FastConfig()
 	cfg.VGrid = []float64{1.0, 0.5, 0.01}
-	enc := Encode(cfg, datasets.Figure1())
-	rows, err := CompareMatchers(cfg, enc)
+	enc := must(Encode(context.Background(), cfg, datasets.Figure1()))
+	rows, err := CompareMatchers(context.Background(), cfg, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,8 +555,8 @@ func TestCompareMatchersAndHelpers(t *testing.T) {
 func TestSourceToTargetScoping(t *testing.T) {
 	cfg := FastConfig()
 	cfg.Dim = 384
-	enc := Encode(cfg, datasets.SourceToTarget())
-	rows, err := Table4(cfg, enc)
+	enc := must(Encode(context.Background(), cfg, datasets.SourceToTarget()))
+	rows, err := Table4(context.Background(), cfg, enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"collabscope/internal/core"
 	"collabscope/internal/embed"
 	"collabscope/internal/outlier"
@@ -60,7 +62,7 @@ func HeterogeneityGrid(seed int64) []HeterogeneityPoint {
 
 // Heterogeneity evaluates the grid: each point is generated, encoded, and
 // scored with collaborative scoping and the PCA(0.5) scoping baseline.
-func Heterogeneity(cfg Config, points []HeterogeneityPoint) ([]HeterogeneityPoint, error) {
+func Heterogeneity(ctx context.Context, cfg Config, points []HeterogeneityPoint) ([]HeterogeneityPoint, error) {
 	enc := cfg.Encoder()
 	out := make([]HeterogeneityPoint, len(points))
 	for i, p := range points {
@@ -68,19 +70,25 @@ func Heterogeneity(cfg Config, points []HeterogeneityPoint) ([]HeterogeneityPoin
 		if err != nil {
 			return nil, err
 		}
-		sets := embed.EncodeSchemas(enc, d.Schemas)
+		sets, err := embed.EncodeSchemasContext(ctx, 0, enc, d.Schemas)
+		if err != nil {
+			return nil, err
+		}
 		labels := d.Labels()
 
-		scoper, err := core.NewScoper(sets)
+		scoper, err := core.NewScoperContext(ctx, 0, sets, core.AssessConfig{})
 		if err != nil {
 			return nil, err
 		}
-		collab, err := scoper.Evaluate(labels, cfg.VGrid, cfg.ROCLambda)
+		collab, err := scoper.Evaluate(ctx, labels, cfg.VGrid, cfg.ROCLambda)
 		if err != nil {
 			return nil, err
 		}
-		global := scoping.Evaluate(outlier.PCA{Variance: 0.5}, embed.Union(sets),
+		global, err := scoping.Evaluate(ctx, outlier.PCA{Variance: 0.5}, embed.Union(sets),
 			labels, scoping.Grid(cfg.PSteps), cfg.ROCLambda)
+		if err != nil {
+			return nil, err
+		}
 
 		p.CollabAUCPR = collab.AUCPR
 		p.ScopingAUCPR = global.AUCPR

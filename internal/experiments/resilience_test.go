@@ -253,7 +253,7 @@ func RunChaosSLO(cfg ChaosSLOConfig) (*ChaosSLOReport, error) {
 		return nil, err
 	}
 	enc := Config{Dim: cfg.Dim}.Encoder()
-	sets := embed.EncodeSchemas(enc, tenants[0].Dataset.Schemas)
+	sets := must(embed.EncodeSchemasContext(context.Background(), 0, enc, tenants[0].Dataset.Schemas))
 	var models []*core.Model
 	var corpus []*exchange.AssessRequest
 	for _, set := range sets {

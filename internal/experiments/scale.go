@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"collabscope/internal/core"
@@ -40,7 +41,7 @@ func (p ScalePoint) ComplexityRatio() float64 {
 
 // Scalability generates synthetic scenarios with growing schema counts and
 // measures both scoping approaches on each.
-func Scalability(cfg Config, ks []int, unrelated int, seed int64) ([]ScalePoint, error) {
+func Scalability(ctx context.Context, cfg Config, ks []int, unrelated int, seed int64) ([]ScalePoint, error) {
 	enc := cfg.Encoder()
 	var out []ScalePoint
 	for _, k := range ks {
@@ -52,7 +53,10 @@ func Scalability(cfg Config, ks []int, unrelated int, seed int64) ([]ScalePoint,
 		if err != nil {
 			return nil, err
 		}
-		sets := embed.EncodeSchemas(enc, d.Schemas)
+		sets, err := embed.EncodeSchemasContext(ctx, 0, enc, d.Schemas)
+		if err != nil {
+			return nil, err
+		}
 		union := embed.Union(sets)
 		labels := d.Labels()
 
@@ -62,22 +66,25 @@ func Scalability(cfg Config, ks []int, unrelated int, seed int64) ([]ScalePoint,
 		}
 
 		sw := obs.NewStopwatch()
-		scoper, err := core.NewScoper(sets)
+		scoper, err := core.NewScoperContext(ctx, 0, sets, core.AssessConfig{})
 		if err != nil {
 			return nil, err
 		}
-		if _, err := scoper.Scope(0.8); err != nil {
+		if _, err := scoper.ScopeContext(ctx, 0.8); err != nil {
 			return nil, err
 		}
 		p.CollabTime = sw.Elapsed()
 
 		det := outlier.PCA{Variance: 0.5}
 		sw = obs.NewStopwatch()
-		ranking := scoping.Rank(det, union)
+		ranking, err := scoping.RankContext(ctx, 0, det, union)
+		if err != nil {
+			return nil, err
+		}
 		p.GlobalTime = sw.Elapsed()
 
 		// Quality: AUC-PR of each approach.
-		sum, err := scoper.Evaluate(labels, cfg.VGrid, cfg.ROCLambda)
+		sum, err := scoper.Evaluate(ctx, labels, cfg.VGrid, cfg.ROCLambda)
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func FitPCA(x *Dense, variance float64) *PCA {
 
 // pcaFromSVD truncates a computed decomposition of mean-centred rows to the
 // explained-variance target (lines 6-10 of Algorithm 1). Shared by the
-// best-effort, checked and randomized fit entry points.
+// best-effort FitPCA and the checked FitPCAChecked.
 func pcaFromSVD(mean []float64, dec *SVD, variance float64) *PCA {
 	ev := ExplainedVariance(dec.S)
 	cev := CumulativeSum(ev)

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"testing"
 
 	"collabscope/internal/ann"
@@ -16,7 +17,7 @@ import (
 func TestMatcherGoldens(t *testing.T) {
 	d := datasets.OC3()
 	enc := embed.NewHashEncoder(embed.WithDim(96))
-	sets := embed.EncodeSchemas(enc, d.Schemas)
+	sets := must(embed.EncodeSchemasContext(context.Background(), 0, enc, d.Schemas))
 
 	comp := Composite{Threshold: 0.5}.Match(sets[0], sets[1])
 	if len(comp) != 74 {

@@ -9,9 +9,9 @@ import (
 
 // Holistic clusters the UNION of all schemas' signatures once (per element
 // kind) and links every cross-schema pair sharing a cluster — the holistic
-// multi-source strategy of He & Chang, as opposed to MatchAll's pairwise
-// invocation. One clustering over k schemas costs one k-means run instead
-// of k·(k−1)/2, and linkage decisions become globally consistent.
+// multi-source strategy of He & Chang, as opposed to MatchAllContext's
+// pairwise invocation. One clustering over k schemas costs one k-means run
+// instead of k·(k−1)/2, and linkage decisions become globally consistent.
 func Holistic(k int, seed int64, sets []*embed.SignatureSet) []Pair {
 	return holistic(sets, func(x *embed.SignatureSet) []int {
 		res, err := cluster.KMeans(x.Matrix, cluster.Config{K: k, Seed: seed})

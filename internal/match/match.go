@@ -298,18 +298,12 @@ func splitKinds(s *embed.SignatureSet) kindSets {
 	return kindSets{s.TableSignatures(), s.AttributeSignatures()}
 }
 
-// MatchAll runs the matcher over every pair of schemas and returns the
-// deduplicated union of candidates — multi-source matching.
-func MatchAll(m Matcher, sets []*embed.SignatureSet) []Pair {
-	pairs, _ := MatchAllContext(context.Background(), 0, m, sets)
-	return pairs
-}
-
-// MatchAllContext is MatchAll with cancellation and an explicit worker
-// count (≤ 0 means GOMAXPROCS). The O(k²) schema pairs fan out over the
-// pool; candidates are sorted and deduplicated, so the result is identical
-// for any worker count. LSH splits each set by kind once here rather than
-// once per schema pair.
+// MatchAllContext runs the matcher over every pair of schemas and returns
+// the deduplicated union of candidates — multi-source matching. The O(k²)
+// schema pairs fan out over up to workers goroutines (≤ 0 means
+// GOMAXPROCS); candidates are sorted and deduplicated, so the result is
+// identical for any worker count. LSH splits each set by kind once here
+// rather than once per schema pair.
 func MatchAllContext(ctx context.Context, workers int, m Matcher, sets []*embed.SignatureSet) ([]Pair, error) {
 	ctx, sp := obs.Start(ctx, "match.all")
 	defer sp.End()

@@ -1,12 +1,22 @@
 package match
 
 import (
+	"context"
 	"testing"
 
 	"collabscope/internal/ann"
 	"collabscope/internal/embed"
 	"collabscope/internal/schema"
 )
+
+// must unwraps a (value, error) pair, panicking on error so each call
+// stays one expression.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func matchSchemas() ([]*schema.Schema, []*embed.SignatureSet, *schema.GroundTruth) {
 	s1 := (&schema.Schema{Name: "S1", Tables: []schema.Table{{
@@ -48,7 +58,7 @@ func matchSchemas() ([]*schema.Schema, []*embed.SignatureSet, *schema.GroundTrut
 	})
 	enc := embed.NewHashEncoder(embed.WithDim(128))
 	schemas := []*schema.Schema{s1, s2}
-	return schemas, embed.EncodeSchemas(enc, schemas), gt
+	return schemas, must(embed.EncodeSchemasContext(context.Background(), 0, enc, schemas)), gt
 }
 
 func pairSet(pairs []Pair) map[Pair]bool {
@@ -167,7 +177,7 @@ func TestMatcherNames(t *testing.T) {
 
 func TestMatchAllDeduplicates(t *testing.T) {
 	_, sets, _ := matchSchemas()
-	pairs := MatchAll(Sim{Threshold: 0.3}, sets)
+	pairs := must(MatchAllContext(context.Background(), 0, Sim{Threshold: 0.3}, sets))
 	seen := map[Pair]bool{}
 	for _, p := range pairs {
 		if seen[p] {
@@ -176,7 +186,7 @@ func TestMatchAllDeduplicates(t *testing.T) {
 		seen[p] = true
 	}
 	// Deterministic order.
-	again := MatchAll(Sim{Threshold: 0.3}, sets)
+	again := must(MatchAllContext(context.Background(), 0, Sim{Threshold: 0.3}, sets))
 	if len(again) != len(pairs) {
 		t.Fatal("non-deterministic result size")
 	}

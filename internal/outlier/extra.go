@@ -33,13 +33,7 @@ func (d KNNDistance) k() int {
 	return d.K
 }
 
-// Scores implements Detector.
-func (d KNNDistance) Scores(x *linalg.Dense) []float64 {
-	out, _ := d.ScoresContext(context.Background(), 0, x)
-	return out
-}
-
-// ScoresContext implements ContextDetector. The distance matrix comes from
+// Scores implements Detector. The distance matrix comes from
 // the symmetric pairwise kernel; per point, the k nearest neighbours are
 // selected with the bounded-heap top-k kernel over the full row — the k+1
 // smallest entries necessarily include the point itself (distance 0), which
@@ -48,7 +42,7 @@ func (d KNNDistance) Scores(x *linalg.Dense) []float64 {
 // k smallest neighbour distances in ascending order, so the scores are
 // bit-identical to the sort-based formulation and identical for any worker
 // count.
-func (d KNNDistance) ScoresContext(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error) {
+func (d KNNDistance) Scores(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error) {
 	n := x.Rows()
 	out := make([]float64, n)
 	if n <= 1 {
@@ -95,15 +89,9 @@ type Mahalanobis struct {
 // Name implements Detector.
 func (m Mahalanobis) Name() string { return "Mahalanobis" }
 
-// Scores implements Detector.
-func (m Mahalanobis) Scores(x *linalg.Dense) []float64 {
-	out, _ := m.ScoresContext(context.Background(), 0, x)
-	return out
-}
-
-// ScoresContext implements ContextDetector. The shared decomposition runs
-// once; the per-row distance accumulation fans out over the pool.
-func (m Mahalanobis) ScoresContext(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error) {
+// Scores implements Detector. The shared decomposition runs once; the
+// per-row distance accumulation fans out over the pool.
+func (m Mahalanobis) Scores(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error) {
 	n, d := x.Rows(), x.Cols()
 	out := make([]float64, n)
 	if n == 0 || d == 0 {
@@ -185,12 +173,17 @@ type isoNode struct {
 	size        int // leaf size
 }
 
-// Scores implements Detector.
-func (f IsolationForest) Scores(x *linalg.Dense) []float64 {
+// Scores implements Detector. The forest is grown and walked
+// sequentially from Seed, so the scores are trivially identical for any
+// worker count.
+func (f IsolationForest) Scores(ctx context.Context, _ int, x *linalg.Dense) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	n := x.Rows()
 	out := make([]float64, n)
 	if n == 0 || x.Cols() == 0 {
-		return out
+		return out, nil
 	}
 	trees := f.Trees
 	if trees <= 0 {
@@ -223,7 +216,7 @@ func (f IsolationForest) Scores(x *linalg.Dense) []float64 {
 		}
 		out[i] = math.Pow(2, -(sum/float64(trees))/cn)
 	}
-	return out
+	return out, nil
 }
 
 func buildIsoTree(x *linalg.Dense, idx []int, rng *rand.Rand, depth, maxDepth int) *isoNode {

@@ -11,17 +11,17 @@ import (
 
 func TestKNNDistanceFlagsOutlier(t *testing.T) {
 	x := clusterWithOutlier(30, 4, 11)
-	assertOutlierLast(t, "knn", KNNDistance{K: 5}.Scores(x))
+	assertOutlierLast(t, "knn", mustScores(KNNDistance{K: 5}, x))
 }
 
 func TestKNNDistanceEdgeCases(t *testing.T) {
 	one := linalg.FromRows([][]float64{{1, 2}})
-	if got := (KNNDistance{}).Scores(one); got[0] != 0 {
+	if got := mustScores(KNNDistance{}, one); got[0] != 0 {
 		t.Fatalf("single point = %v", got)
 	}
 	// K clamps to n−1.
 	three := linalg.FromRows([][]float64{{0, 0}, {1, 0}, {2, 0}})
-	scores := KNNDistance{K: 50}.Scores(three)
+	scores := mustScores(KNNDistance{K: 50}, three)
 	if len(scores) != 3 {
 		t.Fatalf("len = %d", len(scores))
 	}
@@ -29,7 +29,7 @@ func TestKNNDistanceEdgeCases(t *testing.T) {
 
 func TestMahalanobisFlagsOutlier(t *testing.T) {
 	x := clusterWithOutlier(40, 5, 13)
-	assertOutlierLast(t, "mahalanobis", Mahalanobis{}.Scores(x))
+	assertOutlierLast(t, "mahalanobis", mustScores(Mahalanobis{}, x))
 }
 
 func TestMahalanobisDirectionSensitive(t *testing.T) {
@@ -42,20 +42,20 @@ func TestMahalanobisDirectionSensitive(t *testing.T) {
 	}
 	wide := append(append([][]float64{}, rows...), []float64{8, 0})
 	narrow := append(append([][]float64{}, rows...), []float64{0, 8})
-	sWide := Mahalanobis{Shrinkage: 0.01}.Scores(linalg.FromRows(wide))
-	sNarrow := Mahalanobis{Shrinkage: 0.01}.Scores(linalg.FromRows(narrow))
+	sWide := mustScores(Mahalanobis{Shrinkage: 0.01}, linalg.FromRows(wide))
+	sNarrow := mustScores(Mahalanobis{Shrinkage: 0.01}, linalg.FromRows(narrow))
 	if sNarrow[100] <= sWide[100] {
 		t.Fatalf("narrow-axis deviation %v should beat wide-axis %v", sNarrow[100], sWide[100])
 	}
 }
 
 func TestMahalanobisDegenerate(t *testing.T) {
-	if got := (Mahalanobis{}).Scores(linalg.NewDense(0, 3)); len(got) != 0 {
+	if got := mustScores(Mahalanobis{}, linalg.NewDense(0, 3)); len(got) != 0 {
 		t.Fatalf("empty = %v", got)
 	}
 	// All-identical points: zero variance, all scores 0, no NaN.
 	same := linalg.FromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
-	for _, s := range (Mahalanobis{}).Scores(same) {
+	for _, s := range mustScores(Mahalanobis{}, same) {
 		if math.IsNaN(s) || s != 0 {
 			t.Fatalf("identical points score = %v", s)
 		}
@@ -64,7 +64,7 @@ func TestMahalanobisDegenerate(t *testing.T) {
 
 func TestIsolationForestFlagsOutlier(t *testing.T) {
 	x := clusterWithOutlier(60, 4, 17)
-	scores := IsolationForest{Trees: 50, Seed: 1}.Scores(x)
+	scores := mustScores(IsolationForest{Trees: 50, Seed: 1}, x)
 	assertOutlierLast(t, "iforest", scores)
 	for _, s := range scores {
 		if s <= 0 || s >= 1 {
@@ -75,8 +75,8 @@ func TestIsolationForestFlagsOutlier(t *testing.T) {
 
 func TestIsolationForestDeterministic(t *testing.T) {
 	x := clusterWithOutlier(20, 3, 19)
-	a := IsolationForest{Trees: 20, Seed: 7}.Scores(x)
-	b := IsolationForest{Trees: 20, Seed: 7}.Scores(x)
+	a := mustScores(IsolationForest{Trees: 20, Seed: 7}, x)
+	b := mustScores(IsolationForest{Trees: 20, Seed: 7}, x)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must give identical scores")
@@ -85,11 +85,11 @@ func TestIsolationForestDeterministic(t *testing.T) {
 }
 
 func TestIsolationForestDegenerate(t *testing.T) {
-	if got := (IsolationForest{}).Scores(linalg.NewDense(0, 2)); len(got) != 0 {
+	if got := mustScores(IsolationForest{}, linalg.NewDense(0, 2)); len(got) != 0 {
 		t.Fatalf("empty = %v", got)
 	}
 	same := linalg.FromRows([][]float64{{2, 2}, {2, 2}, {2, 2}, {2, 2}})
-	scores := IsolationForest{Trees: 10, Seed: 2}.Scores(same)
+	scores := mustScores(IsolationForest{Trees: 10, Seed: 2}, same)
 	// Identical points are unsplittable; scores are equal and finite.
 	for _, s := range scores {
 		if math.IsNaN(s) || s != scores[0] {
@@ -139,7 +139,7 @@ func TestExtraScoresWellFormedProperty(t *testing.T) {
 			}
 		}
 		for _, d := range detectors {
-			scores := d.Scores(x)
+			scores := mustScores(d, x)
 			if len(scores) != n {
 				return false
 			}

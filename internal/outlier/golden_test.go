@@ -51,7 +51,7 @@ func TestDetectorGoldens(t *testing.T) {
 	x := goldenMatrix(40, 24, 7)
 	ctx := context.Background()
 
-	lof, err := LOF{Neighbors: 5}.ScoresContext(ctx, 1, x)
+	lof, err := LOF{Neighbors: 5}.Scores(ctx, 1, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDetectorGoldens(t *testing.T) {
 		1.031109234902085, 1.000332267950761, 1.0776360394314324, 0.9887449336477235,
 	}, 41.208322401575955)
 
-	knn, err := KNNDistance{K: 4}.ScoresContext(ctx, 1, x)
+	knn, err := KNNDistance{K: 4}.Scores(ctx, 1, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestDetectorGoldens(t *testing.T) {
 		5.499646230307091, 5.56374567521675, 6.078366680152378, 5.339615664659832,
 	}, 216.0415167241447)
 
-	ae, err := Autoencoder{Models: 2, Epochs: 4, Seed: 3}.ScoresContext(ctx, 1, x)
+	ae, err := Autoencoder{Models: 2, Epochs: 4, Seed: 3}.Scores(ctx, 1, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDetectorGoldens(t *testing.T) {
 		3.797909098679735, 2.3365903972505686, 3.93042330799304, 3.729130817409605,
 	}, 138.44469113131476)
 
-	mah, err := Mahalanobis{}.ScoresContext(ctx, 1, x)
+	mah, err := Mahalanobis{}.Scores(ctx, 1, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestDetectorGoldens(t *testing.T) {
 func TestDetectorGoldensWorkerInvariance(t *testing.T) {
 	x := goldenMatrix(40, 24, 7)
 	ctx := context.Background()
-	base, err := LOF{Neighbors: 5}.ScoresContext(ctx, 1, x)
+	base, err := LOF{Neighbors: 5}.Scores(ctx, 1, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7} {
-		got, err := LOF{Neighbors: 5}.ScoresContext(ctx, workers, x)
+		got, err := LOF{Neighbors: 5}.Scores(ctx, workers, x)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,17 +22,11 @@ import (
 type Detector interface {
 	// Name identifies the detector, e.g. "PCA(v=0.50)".
 	Name() string
-	// Scores returns one outlier score per row of x.
-	Scores(x *linalg.Dense) []float64
-}
-
-// ContextDetector is implemented by detectors whose scoring supports
-// cancellation and worker-pool parallelism. ScoresContext(ctx, workers, x)
-// must return bit-identical scores for any worker count (≤ 0 means
-// GOMAXPROCS).
-type ContextDetector interface {
-	Detector
-	ScoresContext(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error)
+	// Scores returns one outlier score per row of x. It stops with
+	// ctx.Err() once ctx is done, fans out over up to workers goroutines
+	// (≤ 0 means GOMAXPROCS), and must return bit-identical scores for any
+	// worker count.
+	Scores(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error)
 }
 
 // ZScore scores each row by the Euclidean norm of its per-dimension
@@ -43,12 +37,16 @@ type ZScore struct{}
 // Name implements Detector.
 func (ZScore) Name() string { return "Z-Score" }
 
-// Scores implements Detector.
-func (ZScore) Scores(x *linalg.Dense) []float64 {
+// Scores implements Detector. The scan is sequential, so the scores are
+// trivially identical for any worker count.
+func (ZScore) Scores(ctx context.Context, _ int, x *linalg.Dense) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	rows, cols := x.Rows(), x.Cols()
 	out := make([]float64, rows)
 	if rows == 0 || cols == 0 {
-		return out
+		return out, nil
 	}
 	mean := x.ColMean()
 	std := make([]float64, cols)
@@ -72,7 +70,7 @@ func (ZScore) Scores(x *linalg.Dense) []float64 {
 		}
 		out[i] = math.Sqrt(s / float64(cols))
 	}
-	return out
+	return out, nil
 }
 
 // LOF is the density-based Local Outlier Factor of Breunig et al. (2000)
@@ -93,17 +91,11 @@ func (l LOF) k() int {
 }
 
 // Scores implements Detector. Points in dense neighbourhoods score ≈ 1;
-// isolated points score higher.
-func (l LOF) Scores(x *linalg.Dense) []float64 {
-	out, _ := l.ScoresContext(context.Background(), 0, x)
-	return out
-}
-
-// ScoresContext implements ContextDetector. Each phase — the pairwise
-// distance matrix, the k-neighbourhoods, the reachability densities, and
-// the final factors — fans out per point; every worker owns disjoint rows,
-// so the scores are identical for any worker count.
-func (l LOF) ScoresContext(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error) {
+// isolated points score higher. Each phase — the pairwise distance matrix,
+// the k-neighbourhoods, the reachability densities, and the final factors —
+// fans out per point; every worker owns disjoint rows, so the scores are
+// identical for any worker count.
+func (l LOF) Scores(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error) {
 	n := x.Rows()
 	out := make([]float64, n)
 	if n == 0 {
@@ -214,15 +206,6 @@ type PCA struct {
 // Name implements Detector.
 func (p PCA) Name() string { return fmt.Sprintf("PCA(v=%.2f)", p.Variance) }
 
-// Scores implements Detector.
-func (p PCA) Scores(x *linalg.Dense) []float64 {
-	if x.Rows() == 0 {
-		return nil
-	}
-	fit := linalg.FitPCA(x, p.variance())
-	return fit.ReconstructionErrors(x)
-}
-
 func (p PCA) variance() float64 {
 	if p.Variance <= 0 || p.Variance > 1 {
 		return 0.5
@@ -230,12 +213,12 @@ func (p PCA) variance() float64 {
 	return p.Variance
 }
 
-// ScoresContext implements ContextDetector through the checked PCA fit:
-// non-finite signatures and Jacobi non-convergence surface as typed errors
+// Scores implements Detector through the checked PCA fit: non-finite
+// signatures and Jacobi non-convergence surface as typed errors
 // (linalg.ErrNonFinite, linalg.ErrSVDNoConvergence) instead of silently
 // producing garbage scores. The fit itself is sequential, so the scores are
 // trivially identical for any worker count.
-func (p PCA) ScoresContext(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error) {
+func (p PCA) Scores(ctx context.Context, _ int, x *linalg.Dense) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -268,18 +251,11 @@ type Autoencoder struct {
 // Name implements Detector.
 func (a Autoencoder) Name() string { return "Autoencoder" }
 
-// Scores implements Detector.
-func (a Autoencoder) Scores(x *linalg.Dense) []float64 {
-	out, _ := a.ScoresContext(context.Background(), 0, x)
-	return out
-}
-
-// ScoresContext implements ContextDetector. Ensemble members train in
-// parallel — each already derives its own RNG seeds from Seed, so member m
+// Scores implements Detector. Ensemble members train in parallel — each already derives its own RNG seeds from Seed, so member m
 // trains identically wherever it runs — and the per-member errors are
 // summed in member order, keeping the scores bit-identical for any worker
 // count.
-func (a Autoencoder) ScoresContext(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error) {
+func (a Autoencoder) Scores(ctx context.Context, workers int, x *linalg.Dense) ([]float64, error) {
 	n := x.Rows()
 	out := make([]float64, n)
 	if n == 0 {

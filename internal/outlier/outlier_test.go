@@ -1,6 +1,7 @@
 package outlier
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,18 +36,28 @@ func assertOutlierLast(t *testing.T, name string, scores []float64) {
 	}
 }
 
+// mustScores scores x with d on GOMAXPROCS workers, panicking on error so
+// each call stays one expression.
+func mustScores(d Detector, x *linalg.Dense) []float64 {
+	scores, err := d.Scores(context.Background(), 0, x)
+	if err != nil {
+		panic(err)
+	}
+	return scores
+}
+
 func TestZScoreFlagsOutlier(t *testing.T) {
 	x := clusterWithOutlier(30, 4, 1)
-	assertOutlierLast(t, "zscore", ZScore{}.Scores(x))
+	assertOutlierLast(t, "zscore", mustScores(ZScore{}, x))
 }
 
 func TestZScoreEdgeCases(t *testing.T) {
-	if got := (ZScore{}).Scores(linalg.NewDense(0, 3)); len(got) != 0 {
+	if got := mustScores(ZScore{}, linalg.NewDense(0, 3)); len(got) != 0 {
 		t.Fatalf("empty scores = %v", got)
 	}
 	// Constant column (zero stddev) must not produce NaN.
 	x := linalg.FromRows([][]float64{{1, 5}, {2, 5}, {3, 5}})
-	for _, s := range (ZScore{}).Scores(x) {
+	for _, s := range mustScores(ZScore{}, x) {
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			t.Fatalf("non-finite score %v", s)
 		}
@@ -55,7 +66,7 @@ func TestZScoreEdgeCases(t *testing.T) {
 
 func TestLOFFlagsOutlier(t *testing.T) {
 	x := clusterWithOutlier(30, 4, 2)
-	scores := LOF{Neighbors: 5}.Scores(x)
+	scores := mustScores(LOF{Neighbors: 5}, x)
 	assertOutlierLast(t, "lof", scores)
 	// Inliers in a uniform cluster score near 1.
 	for i := 0; i < len(scores)-1; i++ {
@@ -68,18 +79,18 @@ func TestLOFFlagsOutlier(t *testing.T) {
 func TestLOFSmallInputs(t *testing.T) {
 	// Single point: score 1 by convention.
 	one := linalg.FromRows([][]float64{{1, 2}})
-	if got := (LOF{}).Scores(one); got[0] != 1 {
+	if got := mustScores(LOF{}, one); got[0] != 1 {
 		t.Fatalf("single point LOF = %v", got)
 	}
 	// k clipped to n−1.
 	three := linalg.FromRows([][]float64{{0, 0}, {0.1, 0}, {5, 5}})
-	scores := LOF{Neighbors: 20}.Scores(three)
+	scores := mustScores(LOF{Neighbors: 20}, three)
 	if len(scores) != 3 {
 		t.Fatalf("len = %d", len(scores))
 	}
 	// Duplicate points (zero distances) must stay finite.
 	dup := linalg.FromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
-	for _, s := range (LOF{Neighbors: 2}).Scores(dup) {
+	for _, s := range mustScores(LOF{Neighbors: 2}, dup) {
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			t.Fatalf("duplicate-point LOF = %v", s)
 		}
@@ -96,26 +107,26 @@ func TestPCAFlagsOffSubspacePoint(t *testing.T) {
 	}
 	rows = append(rows, []float64{6, -6, 0})
 	x := linalg.FromRows(rows)
-	scores := PCA{Variance: 0.9}.Scores(x)
+	scores := mustScores(PCA{Variance: 0.9}, x)
 	assertOutlierLast(t, "pca", scores)
 }
 
 func TestPCADefaultsAndEmpty(t *testing.T) {
-	if got := (PCA{Variance: 0.5}).Scores(linalg.NewDense(0, 3)); got != nil {
+	if got := mustScores(PCA{Variance: 0.5}, linalg.NewDense(0, 3)); got != nil {
 		t.Fatalf("empty = %v", got)
 	}
 	// Out-of-range variance falls back to 0.5 without panicking.
 	x := clusterWithOutlier(10, 3, 3)
-	if got := (PCA{Variance: -1}).Scores(x); len(got) != 11 {
+	if got := mustScores(PCA{Variance: -1}, x); len(got) != 11 {
 		t.Fatalf("len = %d", len(got))
 	}
 }
 
 func TestAutoencoderFlagsOutlier(t *testing.T) {
 	x := clusterWithOutlier(25, 6, 4)
-	scores := Autoencoder{
+	scores := mustScores(Autoencoder{
 		Hidden: []int{4, 2, 4}, Models: 3, Epochs: 60, Seed: 1,
-	}.Scores(x)
+	}, x)
 	assertOutlierLast(t, "autoencoder", scores)
 }
 
@@ -147,7 +158,7 @@ func TestScoresWellFormedProperty(t *testing.T) {
 			}
 		}
 		for _, d := range detectors {
-			scores := d.Scores(x)
+			scores := mustScores(d, x)
 			if len(scores) != n {
 				return false
 			}
@@ -184,6 +195,6 @@ func benchDetector(b *testing.B, d Detector) {
 	x := clusterWithOutlier(100, 64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Scores(x)
+		d.Scores(context.Background(), 0, x)
 	}
 }

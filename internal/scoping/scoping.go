@@ -22,30 +22,13 @@ type Ranking struct {
 	Scores []float64
 }
 
-// Rank scores the unified signature set with the detector and sorts
-// ascending by outlier score.
-func Rank(det outlier.Detector, union *embed.SignatureSet) *Ranking {
-	r, _ := RankContext(context.Background(), 0, det, union)
-	return r
-}
-
-// RankContext is Rank with cancellation and an explicit worker count.
-// Detectors implementing outlier.ContextDetector score on the worker pool
-// and honour cancellation mid-scan; plain detectors run sequentially after
-// a context check.
+// RankContext scores the unified signature set with the detector on up to
+// workers goroutines (≤ 0 means GOMAXPROCS) and sorts ascending by outlier
+// score.
 func RankContext(ctx context.Context, workers int, det outlier.Detector, union *embed.SignatureSet) (*Ranking, error) {
-	var scores []float64
-	if cd, ok := det.(outlier.ContextDetector); ok {
-		var err error
-		scores, err = cd.ScoresContext(ctx, workers, union.Matrix)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		scores = det.Scores(union.Matrix)
+	scores, err := det.Scores(ctx, workers, union.Matrix)
+	if err != nil {
+		return nil, err
 	}
 	return rankScores(union, scores), nil
 }
@@ -138,10 +121,13 @@ func (r *Ranking) Sweep(labels map[schema.ElementID]bool, grid []float64) []metr
 // signature set: the F1 integral comes from the p sweep, while ROC and PR
 // curves come from the continuous outlier scores (every threshold is
 // realisable by some p).
-func Evaluate(det outlier.Detector, union *embed.SignatureSet,
-	labels map[schema.ElementID]bool, grid []float64, rocLambda float64) metrics.SweepSummary {
+func Evaluate(ctx context.Context, det outlier.Detector, union *embed.SignatureSet,
+	labels map[schema.ElementID]bool, grid []float64, rocLambda float64) (metrics.SweepSummary, error) {
 
-	r := Rank(det, union)
+	r, err := RankContext(ctx, 0, det, union)
+	if err != nil {
+		return metrics.SweepSummary{}, err
+	}
 	entries := r.Sweep(labels, grid)
 	scores := r.LinkableScores()
 	aligned := r.LabelsFor(labels)
@@ -152,5 +138,5 @@ func Evaluate(det outlier.Detector, union *embed.SignatureSet,
 		AUCROC:  metrics.TrapezoidAUC(roc),
 		AUCROCp: metrics.SmoothedROCAUC(roc, rocLambda),
 		AUCPR:   metrics.TrapezoidAUC(pr),
-	}
+	}, nil
 }

@@ -1,6 +1,7 @@
 package scoping
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -45,7 +46,7 @@ func unionSet(t *testing.T) (*embed.SignatureSet, map[schema.ElementID]bool) {
 		},
 	}}}).Normalize()
 	enc := embed.NewHashEncoder(embed.WithDim(96))
-	union := embed.Union(embed.EncodeSchemas(enc, []*schema.Schema{oc, racing}))
+	union := embed.Union(must(embed.EncodeSchemasContext(context.Background(), 0, enc, []*schema.Schema{oc, racing})))
 	labels := map[schema.ElementID]bool{}
 	for _, id := range union.IDs {
 		labels[id] = id.Schema == "OC"
@@ -53,9 +54,23 @@ func unionSet(t *testing.T) (*embed.SignatureSet, map[schema.ElementID]bool) {
 	return union, labels
 }
 
+// must unwraps a (value, error) pair, panicking on error so each call
+// stays one expression.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// rank is RankContext on GOMAXPROCS workers under a background context.
+func rank(det outlier.Detector, union *embed.SignatureSet) *Ranking {
+	return must(RankContext(context.Background(), 0, det, union))
+}
+
 func TestRankSortsAscending(t *testing.T) {
 	union, _ := unionSet(t)
-	r := Rank(outlier.ZScore{}, union)
+	r := rank(outlier.ZScore{}, union)
 	if r.Len() != union.Len() {
 		t.Fatalf("Len = %d", r.Len())
 	}
@@ -68,7 +83,7 @@ func TestRankSortsAscending(t *testing.T) {
 
 func TestScopeBoundaries(t *testing.T) {
 	union, _ := unionSet(t)
-	r := Rank(outlier.PCA{Variance: 0.5}, union)
+	r := rank(outlier.PCA{Variance: 0.5}, union)
 	if got := len(r.Scope(1)); got != r.Len() {
 		t.Fatalf("p=1 keeps %d of %d", got, r.Len())
 	}
@@ -91,7 +106,7 @@ func TestScopeBoundaries(t *testing.T) {
 
 func TestScopeKeepsLowestScores(t *testing.T) {
 	union, _ := unionSet(t)
-	r := Rank(outlier.PCA{Variance: 0.5}, union)
+	r := rank(outlier.PCA{Variance: 0.5}, union)
 	keep := r.Scope(0.25)
 	n := len(keep)
 	for i := 0; i < n; i++ {
@@ -108,7 +123,7 @@ func TestScopeKeepsLowestScores(t *testing.T) {
 
 func TestLinkableScoresNegation(t *testing.T) {
 	union, _ := unionSet(t)
-	r := Rank(outlier.ZScore{}, union)
+	r := rank(outlier.ZScore{}, union)
 	ls := r.LinkableScores()
 	for i := range ls {
 		if ls[i] != -r.Scores[i] {
@@ -135,7 +150,7 @@ func TestGrid(t *testing.T) {
 
 func TestSweepMonotoneRecall(t *testing.T) {
 	union, labels := unionSet(t)
-	r := Rank(outlier.PCA{Variance: 0.5}, union)
+	r := rank(outlier.PCA{Variance: 0.5}, union)
 	entries := r.Sweep(labels, Grid(10))
 	if len(entries) != 11 {
 		t.Fatalf("entries = %d", len(entries))
@@ -157,7 +172,7 @@ func TestSweepMonotoneRecall(t *testing.T) {
 
 func TestEvaluateSeparatesDomains(t *testing.T) {
 	union, labels := unionSet(t)
-	sum := Evaluate(outlier.PCA{Variance: 0.5}, union, labels, Grid(20), 0.001)
+	sum := must(Evaluate(context.Background(), outlier.PCA{Variance: 0.5}, union, labels, Grid(20), 0.001))
 	// The racing outliers should be rankable: better than random.
 	if sum.AUCROC <= 0.5 {
 		t.Fatalf("AUC-ROC = %v, want > 0.5", sum.AUCROC)
@@ -177,7 +192,7 @@ func TestEvaluateSeparatesDomains(t *testing.T) {
 // q (scoping is monotone in the threshold).
 func TestScopeMonotoneProperty(t *testing.T) {
 	union, _ := unionSet(t)
-	r := Rank(outlier.ZScore{}, union)
+	r := rank(outlier.ZScore{}, union)
 	f := func(a, b float64) bool {
 		p, q := math.Abs(math.Mod(a, 1)), math.Abs(math.Mod(b, 1))
 		if p > q {
@@ -209,7 +224,7 @@ func TestRankOnUniformData(t *testing.T) {
 		}
 	}
 	set := &embed.SignatureSet{IDs: ids, Matrix: m}
-	r := Rank(outlier.ZScore{}, set)
+	r := rank(outlier.ZScore{}, set)
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d", r.Len())
 	}
@@ -226,7 +241,7 @@ func RankLocal(det outlier.Detector, sets []*embed.SignatureSet) *Ranking {
 	var ids []schema.ElementID
 	var scores []float64
 	for _, set := range sets {
-		local := det.Scores(set.Matrix)
+		local := must(det.Scores(context.Background(), 0, set.Matrix))
 		standardize(local)
 		ids = append(ids, set.IDs...)
 		scores = append(scores, local...)
@@ -302,7 +317,7 @@ func TestRankLocalCannotSeeCrossSchemaLinkability(t *testing.T) {
 	// Global scoping separates the racing cluster (above-random AUC);
 	// local-only scoring must be clearly worse — the exchange is what
 	// detects cross-schema unlinkability.
-	global := Rank(outlier.PCA{Variance: 0.5}, union)
+	global := rank(outlier.PCA{Variance: 0.5}, union)
 	auc := func(r *Ranking) float64 {
 		scores := r.LinkableScores()
 		aligned := r.LabelsFor(labels)

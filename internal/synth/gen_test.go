@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,15 @@ import (
 	"collabscope/internal/embed"
 	"collabscope/internal/schema"
 )
+
+// must unwraps a (value, error) pair, panicking on error so each call
+// stays one expression.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Config{Schemas: 1}); err == nil {
@@ -190,12 +200,12 @@ func TestCollaborativeScopingOnSynthetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := embed.NewHashEncoder(embed.WithDim(256))
-	sets := embed.EncodeSchemas(enc, d.Schemas)
-	scoper, err := core.NewScoper(sets)
+	sets := must(embed.EncodeSchemasContext(context.Background(), 0, enc, d.Schemas))
+	scoper, err := core.NewScoperContext(context.Background(), 0, sets, core.AssessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep, err := scoper.Scope(0.8)
+	keep, err := scoper.ScopeContext(context.Background(), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,11 @@ func TestWithMetricsEndToEnd(t *testing.T) {
 	m := NewMetrics()
 	var trace bytes.Buffer
 	pipe := New(WithDimension(192), WithMetrics(m), WithTraceLog(&trace))
-	res, err := pipe.CollaborativeScope(figure1Schemas(), 0.7)
+	res, err := pipe.CollaborativeScopeContext(context.Background(), figure1Schemas(), 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := pipelineForTest().CollaborativeScope(figure1Schemas(), 0.7)
+	plain, err := pipelineForTest().CollaborativeScopeContext(context.Background(), figure1Schemas(), 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestWithMetricsEndToEnd(t *testing.T) {
 // agree across worker counts.
 func TestMetricsDeterministicAcrossWorkerCounts(t *testing.T) {
 	leakcheck.Guard(t)
-	base, err := pipelineForTest().CollaborativeScope(figure1Schemas(), 0.7)
+	base, err := pipelineForTest().CollaborativeScopeContext(context.Background(), figure1Schemas(), 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMetricsDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		m := NewMetrics()
 		pipe := New(WithDimension(192), WithParallelism(workers), WithMetrics(m))
-		res, err := pipe.CollaborativeScope(figure1Schemas(), 0.7)
+		res, err := pipe.CollaborativeScopeContext(context.Background(), figure1Schemas(), 0.7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestMetricsDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestMetricsSnapshotJSONRoundTripPublic(t *testing.T) {
 	m := NewMetrics()
 	pipe := New(WithDimension(192), WithMetrics(m))
-	if _, err := pipe.TrainModel(figure1Schemas()[0], 0.8); err != nil {
+	if _, err := pipe.TrainModelContext(context.Background(), figure1Schemas()[0], 0.8); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -13,7 +13,7 @@ import (
 // Remote model exchange: the distributed deployment of the paper's
 // algorithms, where every party trains locally and only models — never
 // schema elements — cross the network. A party publishes its model through
-// NewModelServer (or `collabscope serve`) and assesses against its peers
+// NewScopingServer (or `collabscope serve`) and assesses against its peers
 // with AssessRemote / CollaborativeScopeRemote, which tolerate missing
 // peers by design: collaborative scoping just grows more conservative with
 // fewer foreign models, and the result names every peer that was absent.
@@ -159,14 +159,6 @@ func NewScopingServer(opts ...ServerOption) (*ModelServer, error) {
 	return exchange.NewServer(opts...)
 }
 
-// NewModelServer returns a hub publishing the models at
-// /v1/models/<schema> in wire format v1, each with its content hash as a
-// strong ETag, plus a models listing. It is NewScopingServer with the
-// models pre-published — kept for the original publish-only call sites.
-func NewModelServer(models ...*Model) (*ModelServer, error) {
-	return exchange.NewServer(exchange.WithModels(models...))
-}
-
 // FetchModels fetches every peer's published models, degrading gracefully:
 // it returns the models it could get (in peer order) and a report naming
 // each peer that failed. Peers are base URLs of model hubs, e.g.
@@ -179,7 +171,7 @@ func (p *Pipeline) FetchModels(ctx context.Context, peers []string) ([]*Model, [
 }
 
 // Assessment is the shared outcome shape of every linkability assessment —
-// local (Pipeline.Assess wrapped for rendering), peer-fetched
+// local (Pipeline.AssessContext wrapped for rendering), peer-fetched
 // (AssessRemote, CollaborativeScopeRemote) or service-side (AssessServer).
 // The CLI renders all of them through List, so local and remote assessment
 // print identically.
@@ -332,7 +324,8 @@ func (p *Pipeline) AssessServer(ctx context.Context, s *Schema, base, tenant str
 
 // foreignModels drops models stamped with the local schema's name: a hub
 // may republish every party's model, and Algorithm 2 must not let a schema
-// assess against itself (self-reconstruction trivially succeeds).
+// assess against itself (self-reconstruction trivially succeeds). Every
+// Pipeline assessment entry point filters its models through it.
 func foreignModels(models []*Model, local string) []*Model {
 	foreign := make([]*Model, 0, len(models))
 	for _, m := range models {

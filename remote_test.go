@@ -21,11 +21,11 @@ func servedParties(t *testing.T, pipe *Pipeline, schemas []*Schema, v float64) [
 	t.Helper()
 	peers := make([]string, len(schemas))
 	for i, s := range schemas {
-		m, err := pipe.TrainModel(s, v)
+		m, err := pipe.TrainModelContext(context.Background(), s, v)
 		if err != nil {
 			t.Fatalf("train %s: %v", s.Name, err)
 		}
-		h, err := NewModelServer(m)
+		h, err := NewScopingServer(WithServerModels(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,13 +48,13 @@ func TestAssessRemoteMatchesLocalAssessment(t *testing.T) {
 	local := schemas[0]
 	var foreign []*Model
 	for _, s := range schemas[1:] {
-		m, err := pipe.TrainModel(s, v)
+		m, err := pipe.TrainModelContext(context.Background(), s, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		foreign = append(foreign, m)
 	}
-	want := pipe.Assess(local, foreign)
+	want := must(pipe.AssessContext(context.Background(), local, foreign))
 
 	// The peer list includes the local party's own hub: AssessRemote must
 	// skip the self-model, as Algorithm 2 requires.
@@ -96,13 +96,13 @@ func TestAssessRemotePartialPeers(t *testing.T) {
 	// Baseline without the last foreign schema's model.
 	var surviving []*Model
 	for _, s := range schemas[1 : len(schemas)-1] {
-		m, err := pipe.TrainModel(s, v)
+		m, err := pipe.TrainModelContext(context.Background(), s, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		surviving = append(surviving, m)
 	}
-	want := pipe.Assess(local, surviving)
+	want := must(pipe.AssessContext(context.Background(), local, surviving))
 
 	// Kill the last peer: its port now refuses connections.
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -214,7 +214,7 @@ func TestAssessServerMatchesLocalAssessment(t *testing.T) {
 	local := schemas[0]
 	var foreign []*Model
 	for _, s := range schemas {
-		m, err := pipe.TrainModel(s, v)
+		m, err := pipe.TrainModelContext(context.Background(), s, v)
 		if err != nil {
 			t.Fatalf("train %s: %v", s.Name, err)
 		}
@@ -227,7 +227,7 @@ func TestAssessServerMatchesLocalAssessment(t *testing.T) {
 			foreign = append(foreign, m)
 		}
 	}
-	want := pipe.Assess(local, foreign)
+	want := must(pipe.AssessContext(context.Background(), local, foreign))
 
 	res, err := pipe.AssessServer(context.Background(), local, ts.URL, "figure1")
 	if err != nil {
